@@ -11,12 +11,12 @@ from __future__ import annotations
 import functools
 import sys
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable
 
 import click
 
 from .core import MonoidFamily, format_diagram
-from .counting import cache_load, cache_save, e_rank, e_total, exi_rank, exi_total
+from .counting import e_rank, e_total, exi_rank, exi_total
 from .errors import DomainError, TooLargeError
 from .idempotency import is_idempotent_direct, is_twisted_idempotent
 from .oracle import DEFAULT_CAP, brute_report, enumerate_elements
@@ -25,10 +25,7 @@ from .verify import run_full, run_quick
 
 MAX_TABLE_N = 12
 
-T = TypeVar("T")
-
 _FAMILY = click.Choice([f.value for f in MonoidFamily])
-_CACHE_FILE = "counts.json"
 
 
 def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
@@ -44,17 +41,6 @@ def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
             sys.exit(2)
 
     return wrapper
-
-
-def _with_cache(cache_dir: str | None, body: Callable[[], T]) -> T:
-    if cache_dir is None:
-        return body()
-    path = Path(cache_dir) / _CACHE_FILE
-    cache_load(path)
-    result = body()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cache_save(path)
-    return result
 
 
 @click.group()
@@ -75,7 +61,6 @@ def main() -> None:
     help="Computation route; defaults to the cheapest for the query.",
 )
 @click.option("--cap", type=int, default=DEFAULT_CAP, help="Brute-force feasibility cap.")
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @_guarded
 def cmd_count(
     family: str,
@@ -84,30 +69,31 @@ def cmd_count(
     m_order: int | None,
     method: str | None,
     cap: int,
-    cache_dir: str | None,
 ) -> None:
     """Print one exact count: idempotents, by rank, or twisted."""
-    fam = MonoidFamily(family)
+    click.echo(str(_count(MonoidFamily(family), n, rank, m_order, method, cap)))
 
-    def compute() -> int:
-        if method == "bruteforce":
-            report = brute_report(fam, n, M=m_order, cap=cap)
-            if m_order is not None:
-                if rank is not None:
-                    return report.twisted_by_rank.get(rank, 0)
-                return report.twisted_total
-            if rank is not None:
-                return report.idempotents_by_rank.get(rank, 0)
-            return report.idempotents_total
+
+def _count(
+    fam: MonoidFamily, n: int, rank: int | None, m_order: int | None, method: str | None, cap: int
+) -> int:
+    if method == "bruteforce":
+        report = brute_report(fam, n, M=m_order, cap=cap)
         if m_order is not None:
             if rank is not None:
-                return exi_rank(fam, n, rank, m_order)
-            return exi_total(fam, n, m_order, method or "formula")
+                return report.twisted_by_rank.get(rank, 0)
+            return report.twisted_total
         if rank is not None:
-            return e_rank(fam, n, rank, method or "recurrence")
-        return e_total(fam, n, method or "recurrence")
-
-    click.echo(str(_with_cache(cache_dir, compute)))
+            return report.idempotents_by_rank.get(rank, 0)
+        return report.idempotents_total
+    if m_order is not None:
+        if rank is not None:
+            return exi_rank(fam, n, rank, m_order)
+        # order 0 has a recurrence; every positive order has only the formula
+        return exi_total(fam, n, m_order, method or ("recurrence" if m_order == 0 else "formula"))
+    if rank is not None:
+        return e_rank(fam, n, rank, method or "recurrence")
+    return e_total(fam, n, method or "recurrence")
 
 
 @main.command("table")
@@ -121,13 +107,12 @@ def cmd_count(
     show_default=True,
 )
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write here instead of stdout.")
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @_guarded
-def cmd_table(which: str, max_n: int, fmt: str, out: str | None, cache_dir: str | None) -> None:
+def cmd_table(which: str, max_n: int, fmt: str, out: str | None) -> None:
     """Rebuild one of the ten reference tables."""
     if max_n > MAX_TABLE_N:
         raise DomainError(f"max-n is limited to {MAX_TABLE_N}, got {max_n}")
-    text = _with_cache(cache_dir, lambda: render_table(which, max_n, fmt))
+    text = render_table(which, max_n, fmt)
     if out is None:
         click.echo(text, nl=False)
     else:

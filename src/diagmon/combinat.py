@@ -1,18 +1,57 @@
 """Exact integer combinatorics behind the counting engine.
 
 Everything here returns Python ints (arbitrary precision) and raises
-DomainError on arguments outside the defined range.  The recurrences are
-memoized; the caches live for the process.
+DomainError on arguments outside the defined range.  Recurrences are
+evaluated bottom-up: each one owns a table that grow / grow_grid extend,
+row by row, to the largest index a query has needed so far.  Nothing
+recurses, so the reachable n is bounded by time and memory only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import cache
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError
+
+T = TypeVar("T")
+
+
+# held while any table grows, so that threads may share the tables; an
+# entry may grow other tables, hence reentrant
+_GROWING = threading.RLock()
+
+
+def grow(table: list[T], n: int, entry: Callable[[int], T]) -> list[T]:
+    """Append entry(m) for m = len(table), ..., n, so that table[n] exists.
+
+    entry(m) may read table[:m] and any table grown before it.
+    """
+    if len(table) <= n:
+        with _GROWING:
+            for m in range(len(table), n + 1):
+                table.append(entry(m))
+    return table
+
+
+def grow_grid(grid: list[list[T]], i: int, j: int, entry: Callable[[int, int], T]) -> T:
+    """grid[i][j], after growing rows 0..i of the grid to column j.
+
+    Rows are grown in order, so entry(row, col) may read any earlier row up
+    to column j and its own row before col.  That fills O(i·j) cells, the
+    rectangle a two-index recurrence at (i, j) can depend on.
+    """
+    if i < len(grid) and j < len(grid[i]):  # rows below i are at least as long
+        return grid[i][j]
+    with _GROWING:
+        while len(grid) <= i:
+            grid.append([])
+        for row in range(i + 1):
+            grow(grid[row], j, partial(entry, row))
+    return grid[i][j]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,26 +76,30 @@ def integer_partitions(n: int) -> Iterator[IntegerPartitionSpec]:
     """All partitions of n, largest-part-first (reverse lexicographic).
 
     Yielded as multiplicity vectors; n = 0 yields the single empty spec.
+    Each step takes the smallest part above 1 apart: one copy of it plus
+    the ones are regrouped into as many parts one smaller as fit.
     """
     if n < 0:
         raise DomainError(f"cannot partition {n}")
-
-    def rec(remaining: int, biggest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
+    mult = [0] * (n + 1)
+    mult[n] = 1
+    top = n  # the largest part present
+    while True:
+        yield IntegerPartitionSpec(tuple(mult[1 : top + 1]))
+        part = 2
+        while part <= top and not mult[part]:
+            part += 1
+        if part > top:
             return
-        for part in range(min(remaining, biggest), 0, -1):
-            most = remaining // part
-            for mult in range(most, 0, -1):
-                for rest in rec(remaining - part * mult, part - 1):
-                    vec = [0] * part
-                    vec[part - 1] = mult
-                    for i, m in enumerate(rest):
-                        vec[i] = m
-                    yield tuple(vec)
-
-    for vec in rec(n, n):
-        yield IntegerPartitionSpec(vec)
+        mult[part] -= 1
+        freed = part + mult[1]
+        mult[1] = 0
+        whole, rest = divmod(freed, part - 1)
+        mult[part - 1] += whole
+        if rest:
+            mult[rest] += 1
+        while not mult[top]:
+            top -= 1
 
 
 def pi_count(spec: IntegerPartitionSpec) -> int:
@@ -82,18 +125,25 @@ def bell(n: int) -> int:
     return sum(stirling2(n, r) for r in range(n + 1)) if n else 1
 
 
-@cache
+# _STIRLING2[r][n] = S(n, r); row r is grown only as far as queries reach
+_STIRLING2: list[list[int]] = []
+
+
+def _stirling2_entry(r: int, n: int) -> int:
+    if n == 0:
+        return 1 if r == 0 else 0
+    if r == 0:
+        return 0
+    return r * _STIRLING2[r][n - 1] + _STIRLING2[r - 1][n - 1]
+
+
 def stirling2(n: int, r: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into r blocks."""
     if n < 0 or r < 0:
         raise DomainError(f"stirling2({n},{r})")
-    if n == 0:
-        return 1 if r == 0 else 0
-    if r == 0 or r > n:
+    if r > n:
         return 0
-    if r == n:
-        return 1
-    return r * stirling2(n - 1, r) + stirling2(n - 1, r - 1)
+    return grow_grid(_STIRLING2, r, n, _stirling2_entry)
 
 
 def odd_double_factorial(k: int) -> int:
@@ -107,14 +157,15 @@ def odd_double_factorial(k: int) -> int:
     return out
 
 
-@cache
+_INVOLUTIONS: list[int] = [1, 1]
+
+
 def involutions(n: int) -> int:
     """Number of involutions of an n-set (equivalently partial matchings)."""
     if n < 0:
         raise DomainError(f"involutions({n})")
-    if n <= 1:
-        return 1
-    return involutions(n - 1) + (n - 1) * involutions(n - 2)
+    t = _INVOLUTIONS
+    return grow(t, n, lambda m: t[m - 1] + (m - 1) * t[m - 2])[n]
 
 
 def binomial(n: int, k: int) -> int:
@@ -134,7 +185,7 @@ _BASE_SEQUENCES = {
 
 
 def base_sequence(kind: str, *args: int) -> int:
-    """Dispatch by name onto the base sequences above (for the CLI and cache)."""
+    """Dispatch by name onto the base sequences above."""
     try:
         fn = _BASE_SEQUENCES[kind]
     except KeyError:
@@ -153,30 +204,46 @@ def e_nrs(n: int, r: int, s: int) -> int:
     """
     if n < 1 or not (1 <= r <= n) or not (1 <= s <= n):
         raise DomainError(f"e_nrs({n},{r},{s})")
-    return _e_pairs(n, r, s)
+    return grow(_E_PAIRS, n, _e_pairs_row)[n][r][s]
 
 
-@cache
-def _e_pairs(n: int, r: int, s: int) -> int:
-    """e_nrs without the argument guard: out-of-range indices count zero."""
-    if n < 1 or r < 1 or s < 1 or r > n or s > n:
-        return 0
-    if s == 1:
-        return stirling2(n, r)
-    if r == 1:
-        return stirling2(n, s)
-    total = (
-        s * _e_pairs(n - 1, r - 1, s)
-        + r * _e_pairs(n - 1, r, s - 1)
-        + r * s * _e_pairs(n - 1, r, s)
-    )
+# _E_PAIRS[n][r][s] = e_nrs(n, r, s), with zeros where r or s is 0
+_E_PAIRS: list[list[list[int]]] = []
+
+
+def _e_pairs_row(n: int) -> list[list[int]]:
+    """Every e_nrs(n, r, s), from the rows below n.
+
+    Where r or s is 1 the count is a Stirling number.  Otherwise it is
+    three terms from row n - 1 plus, for each m in 1..n-2, C(n-2, m) times
+    the sum over (a, b) + (a', b') = (r, s) of
+    (a·b' + b·a')·e_nrs(m, a, b)·e_nrs(n-1-m, a', b').  That sum is a
+    two-dimensional convolution of rows m and n-1-m, so one pass per m
+    serves every (r, s) of row n.
+    """
+    row = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in range(1, n + 1):
+        row[r][1] = row[1][r] = stirling2(n, r)
+    if n < 2:
+        return row
+    # row n - 1 padded with zeros to the shape of row n
+    prev = [cells + [0] for cells in _E_PAIRS[n - 1]] + [[0] * (n + 1)]
+    for r in range(2, n + 1):
+        for s in range(2, n + 1):
+            row[r][s] = s * prev[r - 1][s] + r * prev[r][s - 1] + r * s * prev[r][s]
     for m in range(1, n - 1):
         cm = math.comb(n - 2, m)
-        inner = 0
-        for a in range(1, r):
-            for b in range(1, s):
-                w = a * (s - b) + b * (r - a)
-                if w:
-                    inner += w * _e_pairs(m, a, b) * _e_pairs(n - m - 1, r - a, s - b)
-        total += cm * inner
-    return total
+        left, right = _E_PAIRS[m], _E_PAIRS[n - 1 - m]
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                x = left[a][b]
+                if not x:
+                    continue
+                xa, xb = cm * a * x, cm * b * x
+                for a2 in range(1, n - m):
+                    out, ys = row[a + a2], right[a2]
+                    for b2 in range(1, n - m):
+                        y = ys[b2]
+                        if y:
+                            out[b + b2] += (xa * b2 + xb * a2) * y
+    return row

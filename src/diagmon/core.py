@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CoverageError,
@@ -59,6 +59,16 @@ class MonoidFamily(str, Enum):
     IDUAL = "Idual"
 
 
+def as_family(f: MonoidFamily | str) -> MonoidFamily:
+    """The family itself, or the family with this name; DomainError otherwise."""
+    if isinstance(f, MonoidFamily):
+        return f
+    try:
+        return MonoidFamily(f)
+    except ValueError:
+        raise DomainError(f"unknown family {f!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class DiagramPartition:
     """A set partition of {0,..,2n-1} held in canonical form.
@@ -72,12 +82,6 @@ class DiagramPartition:
 
     def __str__(self) -> str:
         return format_diagram(self)
-
-    def block_of(self, vertex: int) -> Block:
-        for blk in self.blocks:
-            if vertex in blk:
-                return blk
-        raise VertexRangeError(f"vertex {vertex} not on this diagram")
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,9 +179,6 @@ class LambdaGraph:
 
     def upper_half(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
         return (self.n, self.red_edges, self.red_loops)
-
-    def lower_half(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
-        return (self.n, self.blue_edges, self.blue_loops)
 
 
 # --------------------------------------------------------------------------
@@ -445,8 +446,3 @@ def lambda_graph(a: DiagramPartition) -> LambdaGraph:
         tuple(sorted(blue_edges)),
         tuple(sorted(blue_loops)),
     )
-
-
-def iter_points(a: DiagramPartition) -> Iterator[int]:
-    """All encoded vertices of the diagram in ascending order."""
-    return iter(range(2 * a.n))

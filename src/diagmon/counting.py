@@ -2,37 +2,37 @@
 
 Every count is an exact Python int.  Most quantities can be computed along
 two or three independent routes (sum over integer partitions, recurrence,
-closed form); the routes are deliberately kept separate, memoized under
-distinct keys, so they can be played against each other by the verifier.
+closed form); the routes are deliberately kept separate so they can be
+played against each other by the verifier.
 
-All results are cached in the module-level _MEMO dict, keyed by
-(kind, family, indices..., method).  Filling a memo entry is idempotent and
-each fill is a single dict write, so concurrent readers under the GIL are
-safe; there is no invalidation.  cache_save / cache_load persist the dict
-as JSON with decimal-string values.
+The recurrences are bottom-up tables, grown with combinat.grow and
+grow_grid to the largest index a query has needed.  Each family's tables
+sit in one _FamilyTables.  The partition routes share one sweep over the
+integer partitions of n per (family, n): it fills a grid by kernel classes
+and rank, and each route is a sum over part of that grid.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import partial
+from typing import Callable
 
 from .combinat import (
     IntegerPartitionSpec,
     bell,
     e_nrs,
+    grow,
+    grow_grid,
     integer_partitions,
     involutions,
     odd_double_factorial,
     pi_count,
 )
-from .core import MonoidFamily
+from .core import MonoidFamily, as_family
 from .errors import DomainError, ParityError
-from .idempotency import TwistOrder
-
-_MEMO: dict[tuple, int] = {}
+from .idempotency import TwistOrder, as_twist_order
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,20 @@ class CountTable:
     entries: dict[tuple[int, ...], int] = field(compare=True)
 
 
-def _fam(f: MonoidFamily | str) -> MonoidFamily:
-    if isinstance(f, MonoidFamily):
-        return f
-    try:
-        return MonoidFamily(f)
-    except ValueError:
-        raise DomainError(f"unknown family {f!r}") from None
+@dataclass
+class _FamilyTables:
+    """One family's bottom-up tables, each as long as queries have needed."""
+
+    # (c0, c1, c0 + c1) by n; index 0 is a placeholder
+    c: list[tuple[int, int, int]] = field(default_factory=lambda: [(0, 0, 0)])
+    total: list[int] = field(default_factory=lambda: [1])  # e_total by recurrence
+    twisted: list[int] = field(default_factory=lambda: [1])  # exi_total at order 0
+    rank: list[list[int]] = field(default_factory=list)  # rank[r][n]: e_rank
+    twisted_rank: list[list[int]] = field(default_factory=list)  # [r][n]: exi_rank
+    partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
 
 
-def _twist(t: TwistOrder | int) -> TwistOrder:
-    return t if isinstance(t, TwistOrder) else TwistOrder(t)
+_TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
 
 
 # --------------------------------------------------------------------------
@@ -82,33 +85,11 @@ def _poly_pow(a: list[int], k: int) -> list[int]:
     return out
 
 
-def _rank_poly(f: MonoidFamily, spec: IntegerPartitionSpec) -> list[int]:
-    """Product over the parts of (c0 + c1·x), one factor per part.
-
-    Coefficient r is the number of ways to give the parts irreducible
-    fillings with total rank r.
-    """
-    poly = [1]
-    for i, mult in enumerate(spec.parts):
-        if mult:
-            c0, c1, _ = c_values(f, i + 1)
-            poly = _poly_mul(poly, _poly_pow([c0, c1], mult))
-    return poly
-
-
 # --------------------------------------------------------------------------
 # c-values: irreducible idempotent counts by rank (0 or 1) per family
 
-def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
-    """(c0, c1, c0 + c1): irreducible idempotents on n points of rank 0 and 1."""
-    fam = _fam(f)
-    if n < 1:
-        raise DomainError(f"c-values need n >= 1, got {n}")
-    key0 = ("c0", fam.value, n)
-    hit = _MEMO.get(key0)
-    if hit is not None:
-        c1 = _MEMO[("c1", fam.value, n)]
-        return hit, c1, hit + c1
+def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int, int]:
+    """(c0, c1, c0 + c1) on n >= 1 points, the entries of the c-value table."""
     if fam is MonoidFamily.P:
         c0 = sum(e_nrs(n, r, s) for r in range(1, n + 1) for s in range(1, n + 1))
         c1 = sum(
@@ -129,9 +110,63 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
         c0, c1 = 0, 1
     else:  # pragma: no cover - the enum is closed
         raise DomainError(f"unknown family {fam!r}")
-    _MEMO[key0] = c0
-    _MEMO[("c1", fam.value, n)] = c1
     return c0, c1, c0 + c1
+
+
+def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
+    """(c0, c1, c0 + c1): irreducible idempotents on n points of rank 0 and 1."""
+    fam = as_family(f)
+    if n < 1:
+        raise DomainError(f"c-values need n >= 1, got {n}")
+    return grow(_TABLES[fam].c, n, partial(_irreducible, fam))[n]
+
+
+def _c_table(fam: MonoidFamily, n: int) -> list[tuple[int, int, int]]:
+    """The family's c-value table, grown through c_values to index n."""
+    if n:
+        c_values(fam, n)
+    return _TABLES[fam].c
+
+
+def _first_piece(cs: list[tuple[int, int, int]], which: int, seq: list[int], n: int) -> int:
+    """Σ over m of C(n-1, m-1)·cs[m][which]·seq[n-m].
+
+    An idempotent on n points splits into the irreducible piece on the
+    m points joined to the first point and an idempotent on the other
+    n - m points; which picks the piece's c-value (0: c0, 1: c1, 2: c).
+    """
+    total, binom = 0, 1  # binom = C(n-1, m-1)
+    for m in range(1, n + 1):
+        c = cs[m][which]
+        if c:
+            total += binom * c * seq[n - m]
+        binom = binom * (n - m) // m
+    return total
+
+
+def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
+    """grid[k][r]: idempotents on n points with k kernel classes and rank r,
+    summed over the integer partitions of n.
+
+    A partition with k parts is the shape of the kernel; pi_count labels
+    it, and each part of size m holds an irreducible idempotent of rank 0
+    (c0(m) ways) or of rank 1 (c1(m) ways).
+    """
+    grids = _TABLES[fam].partition_grids
+    if n not in grids:
+        cs = _c_table(fam, n)
+        grid = [[0] * (k + 1) for k in range(n + 1)]
+        for spec in integer_partitions(n):
+            poly = [1]
+            for i, mult in enumerate(spec.parts):
+                if mult:
+                    poly = _poly_mul(poly, _poly_pow(list(cs[i + 1][:2]), mult))
+            weight = pi_count(spec)
+            row = grid[len(poly) - 1]
+            for r, coef in enumerate(poly):
+                row[r] += weight * coef
+        grids[n] = grid
+    return grids[n]
 
 
 # --------------------------------------------------------------------------
@@ -139,35 +174,15 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
 
 def e_total(f: MonoidFamily | str, n: int, method: str = "recurrence") -> int:
     """Number of idempotents in the family's monoid on n strands."""
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0:
         raise DomainError(f"e_total needs n >= 0, got {n}")
     if method not in ("formula", "recurrence"):
         raise DomainError(f"unknown e_total method {method!r}")
-    key = ("e_total", fam.value, n, method)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     if method == "formula":
-        total = 0
-        for spec in integer_partitions(n):
-            prod = 1
-            for i, mult in enumerate(spec.parts):
-                if mult:
-                    prod *= c_values(fam, i + 1)[2] ** mult
-            total += pi_count(spec) * prod
-    else:
-        if n == 0:
-            total = 1
-        else:
-            total = sum(
-                math.comb(n - 1, m - 1)
-                * c_values(fam, m)[2]
-                * e_total(fam, n - m, "recurrence")
-                for m in range(1, n + 1)
-            )
-    _MEMO[key] = total
-    return total
+        return sum(map(sum, _partition_grid(fam, n)))
+    cs, total = _c_table(fam, n), _TABLES[fam].total
+    return grow(total, n, partial(_first_piece, cs, 2, total))[n]
 
 
 # --------------------------------------------------------------------------
@@ -175,17 +190,15 @@ def e_total(f: MonoidFamily | str, n: int, method: str = "recurrence") -> int:
 
 def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") -> int:
     """Number of idempotents of rank exactly r."""
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
     if method == "mu_sum":
-        key = ("e_rank", fam.value, n, r, "mu_sum")
-        hit = _MEMO.get(key)
-        if hit is None:
-            hit = _MEMO[key] = _e_rank_mu(fam, n, r)
-        return hit
+        return sum(row[r] for row in _partition_grid(fam, n)[r:])
     if method == "recurrence":
-        return _e_rank_rec(fam, n, r)
+        grid = _TABLES[fam].rank
+        entry = partial(_e_rank_entry, fam, _c_table(fam, n), grid)
+        return grow_grid(grid, r, n, entry)
     if method == "closed":
         if fam is MonoidFamily.B:
             return _e_rank_closed_b(n, r)
@@ -193,15 +206,6 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") ->
             return _e_rank_closed_pb(n, r)
         raise DomainError(f"no closed per-rank form for family {fam.value}")
     raise DomainError(f"unknown e_rank method {method!r}")
-
-
-def _e_rank_mu(fam: MonoidFamily, n: int, r: int) -> int:
-    total = 0
-    for spec in integer_partitions(n):
-        poly = _rank_poly(fam, spec)
-        if r < len(poly) and poly[r]:
-            total += pi_count(spec) * poly[r]
-    return total
 
 
 def _rank0_rclass_count(fam: MonoidFamily, n: int) -> int:
@@ -221,25 +225,17 @@ def _rank0_rclass_count(fam: MonoidFamily, n: int) -> int:
     return 0
 
 
-def _e_rank_rec(fam: MonoidFamily, n: int, r: int) -> int:
-    if r < 0 or r > n:
+def _e_rank_entry(
+    fam: MonoidFamily, cs: list[tuple[int, int, int]], grid: list[list[int]], r: int, n: int
+) -> int:
+    """e_rank(n, r) by recurrence: the first point's piece has rank 0 or 1."""
+    if n < r:
         return 0
-    if n == 0 or r == n:
+    if n == r:
         return 1
     if r == 0:
         return _rank0_rclass_count(fam, n) ** 2
-    key = ("e_rank", fam.value, n, r, "recurrence")
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for m in range(1, n + 1):
-        c0, c1, _ = c_values(fam, m)
-        total += math.comb(n - 1, m - 1) * (
-            c0 * _e_rank_rec(fam, n - m, r) + c1 * _e_rank_rec(fam, n - m, r - 1)
-        )
-    _MEMO[key] = total
-    return total
+    return _first_piece(cs, 0, grid[r], n) + _first_piece(cs, 1, grid[r - 1], n)
 
 
 def _odd_part_count(spec: IntegerPartitionSpec) -> int:
@@ -298,7 +294,7 @@ def rho(
     D-class of the Brauer monoid when r is given; of the (r, t) stratum of
     the partial Brauer monoid when both r and t are given.
     """
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0:
         raise DomainError(f"rho needs n >= 0, got {n}")
     if r is None:
@@ -334,23 +330,32 @@ def rho(
 
 # --------------------------------------------------------------------------
 # per-R-class idempotent counts
+#
+# Each table below is indexed [r][k] with n = r + 2k (n = r + t + 2k for
+# a_nrt), and all satisfy G(r, k) = G(r - 1, k) + 2k·G(r, k - 1): the last
+# point is a transversal or is paired off with one of the 2k free points.
+# They differ only in their rank-0 row.
+
+_A_NR: list[list[int]] = []
+_B_NR: list[list[int]] = []
+_A_NRT: dict[int, list[list[int]]] = {}  # one table per t
+
+
+def _rclass(grid: list[list[int]], rank0: Callable[[int], int], r: int, k: int) -> int:
+    def entry(row: int, col: int) -> int:
+        if row == 0:
+            return rank0(col)
+        below = grid[row - 1][col]
+        return below + 2 * col * grid[row][col - 1] if col else below
+
+    return grow_grid(grid, r, k, entry)
+
 
 def a_nr(n: int, r: int) -> int:
     """Idempotents in one R-class of the rank-r D-class of the Brauer monoid."""
     if n < 0 or r < 0 or r > n or (n - r) % 2:
         raise ParityError(f"need 0 <= r <= n with n = r (mod 2), got n={n} r={r}")
-    key = ("a_nr", "B", n, r)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    if r == n:
-        value = 1
-    elif r == 0:
-        value = odd_double_factorial(n - 1)
-    else:
-        value = a_nr(n - 1, r - 1) + (n - r) * a_nr(n - 2, r)
-    _MEMO[key] = value
-    return value
+    return _rclass(_A_NR, lambda k: odd_double_factorial(2 * k - 1), r, (n - r) // 2)
 
 
 def a_nrt(n: int, r: int, t: int) -> int:
@@ -360,39 +365,15 @@ def a_nrt(n: int, r: int, t: int) -> int:
         raise ParityError(
             f"need r, t >= 0 and r + t <= n with n = r + t (mod 2), got n={n} r={r} t={t}"
         )
-    key = ("a_nrt", "PB", n, r, t)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    if r == n:
-        value = 1
-    elif r == 0:
-        value = involutions(n)
-    else:
-        value = a_nrt(n - 1, r - 1, t)
-        slack = n - r - t
-        if slack > 0:
-            value += slack * a_nrt(n - 2, r, t)
-    _MEMO[key] = value
-    return value
+    grid = _A_NRT.setdefault(t, [])
+    return _rclass(grid, lambda k: involutions(t + 2 * k), r, (n - r - t) // 2)
 
 
 def b_nr(n: int, r: int) -> int:
     """Twisted (no finite order) idempotents in one Brauer R-class of rank r."""
     if n < 0 or r < 0 or r > n or (n - r) % 2:
         raise ParityError(f"need 0 <= r <= n with n = r (mod 2), got n={n} r={r}")
-    key = ("b_nr", "B", n, r)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    if r == n:
-        value = 1
-    elif r == 0:
-        value = 0 if n >= 2 else 1
-    else:
-        value = b_nr(n - 1, r - 1) + (n - r) * b_nr(n - 2, r)
-    _MEMO[key] = value
-    return value
+    return _rclass(_B_NR, lambda k: 0 if k else 1, r, (n - r) // 2)
 
 
 # --------------------------------------------------------------------------
@@ -408,78 +389,49 @@ def exi_total(
 
     The recurrence route exists only for order 0; any positive order goes
     through the partition formula (order 1 collapses to the plain count).
+    The formula keeps the grid cells whose self-product exponent, kernel
+    classes minus rank, the twist annihilates.
     """
-    fam = _fam(f)
-    order = _twist(t)
+    fam = as_family(f)
+    order = as_twist_order(t)
     if n < 0:
         raise DomainError(f"exi_total needs n >= 0, got {n}")
     if method not in ("formula", "recurrence"):
         raise DomainError(f"unknown exi_total method {method!r}")
     if method == "recurrence" and order.M != 0:
         raise DomainError("the twisted recurrence applies to order 0 only")
-    key = ("exi_total", fam.value, n, order.M, method)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     if method == "recurrence":
-        if n == 0:
-            total = 1
-        else:
-            total = sum(
-                math.comb(n - 1, m - 1)
-                * c_values(fam, m)[1]
-                * exi_total(fam, n - m, order, "recurrence")
-                for m in range(1, n + 1)
-            )
-    elif order.M == 0:
-        total = 0
-        for spec in integer_partitions(n):
-            prod = 1
-            for i, mult in enumerate(spec.parts):
-                if mult:
-                    prod *= c_values(fam, i + 1)[1] ** mult
-            total += pi_count(spec) * prod
-    else:
-        total = 0
-        for spec in integer_partitions(n):
-            k = sum(spec.parts)
-            poly = _rank_poly(fam, spec)
-            picked = sum(
-                coef for rr, coef in enumerate(poly) if (rr - k) % order.M == 0
-            )
-            total += pi_count(spec) * picked
-    _MEMO[key] = total
-    return total
+        cs, twisted = _c_table(fam, n), _TABLES[fam].twisted
+        return grow(twisted, n, partial(_first_piece, cs, 1, twisted))[n]
+    return sum(
+        count
+        for k, row in enumerate(_partition_grid(fam, n))
+        for r, count in enumerate(row)
+        if order.annihilates(k - r)
+    )
 
 
 def exi_rank(
     f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0
 ) -> int:
     """Twisted idempotents of rank exactly r, for twist order 0."""
-    fam = _fam(f)
-    order = _twist(t)
+    fam = as_family(f)
+    order = as_twist_order(t)
     if order.M != 0:
         raise DomainError("per-rank twisted counts are exposed for order 0 only")
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
-    return _exi_rank_rec(fam, n, r)
+    grid = _TABLES[fam].twisted_rank
+    return grow_grid(grid, r, n, partial(_exi_rank_entry, _c_table(fam, n), grid))
 
 
-def _exi_rank_rec(fam: MonoidFamily, n: int, r: int) -> int:
-    if r < 0 or r > n:
+def _exi_rank_entry(cs: list[tuple[int, int, int]], grid: list[list[int]], r: int, n: int) -> int:
+    """exi_rank(n, r) by recurrence: every irreducible piece has rank 1."""
+    if r == 0:
+        return 1 if n == 0 else 0
+    if n < r:
         return 0
-    if n == 0:
-        return 1
-    key = ("exi_rank", fam.value, n, r, 0)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    total = sum(
-        math.comb(n - 1, m - 1) * c_values(fam, m)[1] * _exi_rank_rec(fam, n - m, r - 1)
-        for m in range(1, n + 1)
-    )
-    _MEMO[key] = total
-    return total
+    return _first_piece(cs, 1, grid[r - 1], n)
 
 
 # --------------------------------------------------------------------------
@@ -487,7 +439,7 @@ def _exi_rank_rec(fam: MonoidFamily, n: int, r: int) -> int:
 
 def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
     """Number of elements lying in a subgroup: r! per idempotent of rank r."""
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     return sum(math.factorial(r) * e_rank(fam, n, r) for r in range(n + 1))
@@ -495,35 +447,7 @@ def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
 
 def ideal_idempotent_count(f: MonoidFamily | str, n: int, r: int) -> int:
     """Idempotents in the ideal of elements of rank at most r."""
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"need 0 <= r <= n, got n={n} r={r}")
     return sum(e_rank(fam, n, s) for s in range(r + 1))
-
-
-# --------------------------------------------------------------------------
-# persisted cache
-
-def cache_save(path: str | Path) -> int:
-    """Write the memo dict as JSON (decimal-string values); returns entry count."""
-    payload = {"|".join(map(str, key)): str(value) for key, value in _MEMO.items()}
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
-    return len(payload)
-
-
-def cache_load(path: str | Path) -> int:
-    """Fill the memo dict from a cache_save file; returns entries loaded.
-
-    A missing file loads nothing.  Results never depend on the cache, only
-    speed does, so a stale or foreign file at worst wastes memory.
-    """
-    p = Path(path)
-    if not p.exists():
-        return 0
-    payload = json.loads(p.read_text())
-    loaded = 0
-    for key_str, value in payload.items():
-        parts = tuple(int(p) if p.lstrip("-").isdigit() else p for p in key_str.split("|"))
-        _MEMO[parts] = int(value)
-        loaded += 1
-    return loaded

@@ -41,7 +41,8 @@ class TwistOrder:
         return exponent % self.M == 0 if self.M else exponent == 0
 
 
-def _twist(t: TwistOrder | int) -> TwistOrder:
+def as_twist_order(t: TwistOrder | int) -> TwistOrder:
+    """The order itself, or the order M = t; DomainError when t < 0."""
     return t if isinstance(t, TwistOrder) else TwistOrder(t)
 
 
@@ -100,7 +101,7 @@ def is_twisted_idempotent(a: DiagramPartition, t: TwistOrder | int) -> bool:
     annihilated by the twist; for a plain idempotent that exponent equals
     the number of kernel classes minus the rank, which is what we test.
     """
-    order = _twist(t)
+    order = as_twist_order(t)
     if not is_idempotent_structural(a):
         return False
     prof = profile(a)

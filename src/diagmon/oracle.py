@@ -24,25 +24,17 @@ from .core import (
     Block,
     DiagramPartition,
     MonoidFamily,
+    as_family,
     family_check,
     lambda_graph,
     profile,
 )
 from .errors import DomainError, TooLargeError
-from .idempotency import TwistOrder, is_idempotent_direct, is_twisted_idempotent
+from .idempotency import TwistOrder, as_twist_order, is_idempotent_direct, is_twisted_idempotent
 
 DEFAULT_CAP = 10_000_000
 
 Signature = tuple
-
-
-def _fam(f: MonoidFamily | str) -> MonoidFamily:
-    if isinstance(f, MonoidFamily):
-        return f
-    try:
-        return MonoidFamily(f)
-    except ValueError:
-        raise DomainError(f"unknown family {f!r}") from None
 
 
 def predicted_element_count(f: MonoidFamily | str, n: int) -> int:
@@ -52,7 +44,7 @@ def predicted_element_count(f: MonoidFamily | str, n: int) -> int:
     are produced by filtering the full stream, so their prediction is the
     stream length, not the family's own cardinality.
     """
-    fam = _fam(f)
+    fam = as_family(f)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if fam is MonoidFamily.B:
@@ -62,7 +54,7 @@ def predicted_element_count(f: MonoidFamily | str, n: int) -> int:
     return bell(2 * n)
 
 
-def _set_partition_blocks(size: int) -> Iterator[list[list[int]]]:
+def set_partition_blocks(size: int) -> Iterator[list[list[int]]]:
     """All set partitions of {0..size-1}, in restricted-growth order.
 
     Blocks are created in order of their minima and filled ascending, so
@@ -121,7 +113,7 @@ def enumerate_elements(
     Raises TooLargeError before yielding anything when the stream would
     exceed the cap.
     """
-    fam = _fam(f)
+    fam = as_family(f)
     predicted = predicted_element_count(fam, n)
     if predicted > cap:
         raise TooLargeError(
@@ -137,10 +129,10 @@ def enumerate_elements(
             for blocks in _partial_matchings(tuple(range(2 * n))):
                 yield DiagramPartition(n, tuple(blocks))
         elif fam is MonoidFamily.P:
-            for blocks in _set_partition_blocks(2 * n):
+            for blocks in set_partition_blocks(2 * n):
                 yield DiagramPartition(n, tuple(tuple(b) for b in blocks))
         else:
-            for blocks in _set_partition_blocks(2 * n):
+            for blocks in set_partition_blocks(2 * n):
                 a = DiagramPartition(n, tuple(tuple(b) for b in blocks))
                 if family_check(a, fam):
                     yield a
@@ -204,14 +196,8 @@ def brute_report(
     Idempotency here is always the direct squaring test; the structural
     shortcut is what this report exists to validate.
     """
-    fam = _fam(f)
-    order: TwistOrder | None
-    if M is None:
-        order = None
-    elif isinstance(M, TwistOrder):
-        order = M
-    else:
-        order = TwistOrder(M)
+    fam = as_family(f)
+    order = None if M is None else as_twist_order(M)
     report = BruteReport(family=fam, n=n, twist=None if order is None else order.M)
     started = time.perf_counter()
     use_lambda = fam in (MonoidFamily.B, MonoidFamily.PB)

@@ -3,7 +3,7 @@
 Tables 1-3 are per-family series (c-values, idempotent totals, twisted
 totals), tables 4/7/8 idempotents by rank, table 5 idempotents per R-class,
 tables 6/9/10 twisted counts per R-class or rank.  The expected values ship
-as package data; three cells of that data are internally inconsistent (each
+as package data; four cells of that data are internally inconsistent (each
 fails a recurrence or column sum that the surrounding cells satisfy) and
 are listed in known_discrepancies.json, so comparisons treat them
 separately instead of failing.

@@ -13,11 +13,12 @@ note, since the recomputed values are what the package stands behind.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .combinat import bell, binomial, e_nrs
-from .core import DiagramPartition, MonoidFamily, multiply
+from .core import DiagramPartition, EquivalenceRelation, MonoidFamily, multiply
 from .counting import (
     a_nr,
     a_nrt,
@@ -29,7 +30,13 @@ from .counting import (
     rho,
 )
 from .idempotency import is_idempotent_direct, is_idempotent_structural
-from .oracle import DEFAULT_CAP, brute_report, enumerate_elements, green_signature
+from .oracle import (
+    DEFAULT_CAP,
+    brute_report,
+    enumerate_elements,
+    green_signature,
+    set_partition_blocks,
+)
 from .tables import TABLE_IDS, compare_table
 
 FAMILIES = tuple(MonoidFamily)
@@ -222,58 +229,23 @@ def check_reference_tables(max_n: int = 10) -> CheckResult:
 def check_enrs_oracle(max_n: int = 5) -> CheckResult:
     failures = []
     for n in range(1, max_n + 1):
-        direct: dict[tuple[int, int], int] = {}
-        for upper in _partitions_of_range(n):
-            for lower in _partitions_of_range(n):
-                if _join_is_single_class(n, upper, lower):
-                    key = (len(upper), len(lower))
-                    direct[key] = direct.get(key, 0) + 1
+        relations = [
+            EquivalenceRelation(n, tuple(tuple(x + 1 for x in b) for b in blocks))
+            for blocks in set_partition_blocks(n)
+        ]
+        direct = Counter(
+            (upper.class_count, lower.class_count)
+            for upper in relations
+            for lower in relations
+            if upper.join(lower).class_count == 1
+        )
         for r in range(1, n + 1):
             for s in range(1, n + 1):
-                expected = direct.get((r, s), 0)
+                expected = direct[(r, s)]
                 got = e_nrs(n, r, s)
                 if got != expected:
                     failures.append(f"e_nrs({n},{r},{s}) {got} != direct count {expected}")
     return _result("pair-of-partitions recurrence vs direct count", failures)
-
-
-def _partitions_of_range(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(i: int, blocks: list[list[int]]) -> None:
-        if i == n:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    return out
-
-
-def _join_is_single_class(
-    n: int, upper: tuple[tuple[int, ...], ...], lower: tuple[tuple[int, ...], ...]
-) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blocks in (upper, lower):
-        for blk in blocks:
-            for x in blk[1:]:
-                rx, ry = find(blk[0]), find(x)
-                if rx != ry:
-                    parent[ry] = rx
-    return len({find(x) for x in range(n)}) == 1
 
 
 # --------------------------------------------------------------------------

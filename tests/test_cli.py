@@ -4,8 +4,10 @@ import json
 
 from click.testing import CliRunner
 
+from diagmon import cli
 from diagmon.cli import main
 from diagmon.core import parse_diagram
+from diagmon.counting import a_nr, exi_total, rho
 
 
 def run(*args: str):
@@ -62,13 +64,27 @@ def test_count_bad_rank_exits_2():
     assert result.output == "" or "7" in result.output + (result.stderr or "")
 
 
-def test_count_cache_dir(tmp_path):
-    cache = tmp_path / "cache"
-    first = run("count", "--family", "P", "--n", "8", "--cache-dir", str(cache))
-    assert first.exit_code == 0
-    assert (cache / "counts.json").exists()
-    again = run("count", "--family", "P", "--n", "8", "--cache-dir", str(cache))
-    assert again.output == first.output
+def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
+    # order 0 has a recurrence, far cheaper than the partition formula;
+    # positive orders have only the formula
+    seen = []
+
+    def recording(*args):
+        seen.append(args[3])
+        return exi_total(*args)
+
+    monkeypatch.setattr(cli, "exi_total", recording)
+    assert run("count", "--family", "PB", "--n", "6", "--M", "0").output.strip() == "1201"
+    assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
+    formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
+    assert formula.output.strip() == "1201"
+    assert seen == ["recurrence", "formula", "formula"]
+
+
+def test_count_large_n_has_no_recursion_limit():
+    result = run("count", "--family", "B", "--n", "499")
+    assert result.exit_code == 0
+    assert int(result.output) == sum(rho("B", 499, r) * a_nr(499, r) for r in range(1, 500, 2))
 
 
 # --------------------------------------------------------------------------

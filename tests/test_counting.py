@@ -1,17 +1,21 @@
 from __future__ import annotations
 
-import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+import threading
 
 import pytest
 
+from diagmon import counting
 from diagmon.combinat import bell, involutions, odd_double_factorial
 from diagmon.counting import (
     a_nr,
     a_nrt,
     b_nr,
     c_values,
-    cache_load,
-    cache_save,
     completely_regular_count,
     e_rank,
     e_total,
@@ -280,7 +284,7 @@ def test_exi_rank_sums_to_exi_total():
 
 
 # --------------------------------------------------------------------------
-# derived counts and the cache
+# derived counts
 
 def test_completely_regular_count():
     # every idempotent of rank r heads a subgroup with r! elements
@@ -294,14 +298,74 @@ def test_ideal_idempotent_count():
     assert ideal_idempotent_count(B, 4, 4) == e_total(B, 4)
 
 
-def test_cache_round_trip(tmp_path):
-    e_total(B, 9)
-    path = tmp_path / "counts.json"
-    saved = cache_save(path)
-    assert saved > 0
-    payload = json.loads(path.read_text())
-    assert all(isinstance(v, str) for v in payload.values())
-    loaded = cache_load(path)
-    assert loaded == saved
-    assert e_total(B, 9) == 1820800
-    assert cache_load(tmp_path / "missing.json") == 0
+# --------------------------------------------------------------------------
+# bottom-up tables
+
+_DEEP_COUNTS = textwrap.dedent(
+    """
+    import math
+    import sys
+
+    from diagmon import a_nr, a_nrt, b_nr, bell, e_total, exi_total, involutions, rho, stirling2
+
+    sys.setrecursionlimit(120)
+    n = 150
+    assert e_total("B", n) == sum(rho("B", n, r) * a_nr(n, r) for r in range(0, n + 1, 2))
+    assert exi_total("B", n, 0, "recurrence") == sum(
+        rho("B", n, r) * b_nr(n, r) for r in range(0, n + 1, 2)
+    )
+    assert e_total("PB", n) == sum(
+        rho("PB", n, r, t) * a_nrt(n, r, t)
+        for r in range(n + 1)
+        for t in range(n - r + 1)
+        if (n - r - t) % 2 == 0
+    )
+    assert e_total("T", n) == sum(math.comb(n, k) * k ** (n - k) for k in range(1, n + 1))
+    assert e_total("I", n) == 2**n
+    assert e_total("Idual", n) == bell(n)
+    assert stirling2(2000, 3) == (3**2000 - 3 * 2**2000 + 3) // 6
+    assert involutions(3000) == sum(
+        math.comb(3000, 2 * k) * math.prod(range(1, 2 * k, 2)) for k in range(1501)
+    )
+    print("ok")
+    """
+)
+
+
+def test_deep_counts_need_no_recursion():
+    # every recurrence is a bottom-up table, so a low recursion limit is
+    # no obstacle even at n in the hundreds or thousands
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_COUNTS], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
+
+
+def test_tables_grow_consistently_under_threads(monkeypatch):
+    # a lost or doubled append would shift every later entry of a table
+    expected = {
+        (fam, n, r): e_rank(fam, n, r) for fam in (B, PB, T) for n in range(40) for r in range(n + 1)
+    }
+    expected.update({(fam, n): e_total(fam, n) for fam in (B, PB, T) for n in range(40)})
+    monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
+    keys = list(expected)
+    results: dict = {}
+
+    def work(seed: int) -> None:
+        for key in random.Random(seed).sample(keys, len(keys)):
+            results[key, seed] = e_total(*key) if len(key) == 2 else e_rank(*key)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(2 * os.cpu_count() + 2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(results) == len(keys) * len(threads)
+    assert all(value == expected[key] for (key, _), value in results.items())

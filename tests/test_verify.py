@@ -57,17 +57,19 @@ def test_rclass_uniformity_values():
     assert a_nr(6, 2) == 35
 
 
-def test_tampered_c1_fails_oracle_sweep():
+def test_tampered_c1_fails_oracle_sweep(monkeypatch):
     # seed a wrong irreducible count and the engine totals drift off the
     # brute-force census, which must name the first identity that broke
-    saved = dict(counting._MEMO)
-    counting._MEMO.clear()
-    counting._MEMO[("c0", "B", 3)] = 0
-    counting._MEMO[("c1", "B", 3)] = 7
-    try:
-        result = check_oracle_counts(B, 3)
-    finally:
-        counting._MEMO.clear()
-        counting._MEMO.update(saved)
+    honest = counting._irreducible
+
+    def tampered(fam, n):
+        return (0, 7, 7) if (fam, n) == (B, 3) else honest(fam, n)
+
+    monkeypatch.setattr(counting, "_irreducible", tampered)
+    monkeypatch.setattr(
+        counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily}
+    )
+    assert counting.c_values(B, 3) == (0, 7, 7)
+    result = check_oracle_counts(B, 3)
     assert not result.ok
     assert "e_total(B,3) formula vs oracle" in result.detail
