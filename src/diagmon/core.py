@@ -177,9 +177,6 @@ class LambdaGraph:
     blue_edges: tuple[tuple[int, int], ...]
     blue_loops: tuple[int, ...]
 
-    def upper_half(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
-        return (self.n, self.red_edges, self.red_loops)
-
 
 # --------------------------------------------------------------------------
 # small disjoint-set helpers (path halving + naive linking; the structures

@@ -20,7 +20,6 @@ from functools import partial
 from typing import Callable
 
 from .combinat import (
-    IntegerPartitionSpec,
     bell,
     e_nrs,
     grow,
@@ -61,6 +60,7 @@ class _FamilyTables:
     rank: list[list[int]] = field(default_factory=list)  # rank[r][n]: e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # [r][n]: exi_rank
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
+    closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
@@ -200,11 +200,9 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") ->
         entry = partial(_e_rank_entry, fam, _c_table(fam, n), grid)
         return grow_grid(grid, r, n, entry)
     if method == "closed":
-        if fam is MonoidFamily.B:
-            return _e_rank_closed_b(n, r)
-        if fam is MonoidFamily.PB:
-            return _e_rank_closed_pb(n, r)
-        raise DomainError(f"no closed per-rank form for family {fam.value}")
+        if fam not in (MonoidFamily.B, MonoidFamily.PB):
+            raise DomainError(f"no closed per-rank form for family {fam.value}")
+        return _closed_rank_row(fam, n)[r]
     raise DomainError(f"unknown e_rank method {method!r}")
 
 
@@ -238,47 +236,37 @@ def _e_rank_entry(
     return _first_piece(cs, 0, grid[r], n) + _first_piece(cs, 1, grid[r - 1], n)
 
 
-def _odd_part_count(spec: IntegerPartitionSpec) -> int:
-    return sum(m for i, m in enumerate(spec.parts) if i % 2 == 0)
-
-
-def _e_rank_closed_b(n: int, r: int) -> int:
-    total = 0
-    nf = math.factorial(n)
-    for spec in integer_partitions(n):
-        if _odd_part_count(spec) != r:
-            continue
-        den = 1
-        for i, mult in enumerate(spec.parts):
-            if mult:
-                den *= math.factorial(mult)
-                if i % 2 == 1:  # the part i+1 is even
-                    den *= (i + 1) ** mult
-        q, rem = divmod(nf, den)
-        assert rem == 0
-        total += q
-    return total
-
-
-def _e_rank_closed_pb(n: int, r: int) -> int:
-    total = 0
-    nf = math.factorial(n)
-    for spec in integer_partitions(n):
-        odd = _odd_part_count(spec)
-        if odd < r:
-            continue
-        num = nf * math.comb(odd, r)
-        den = 1
-        for i, mult in enumerate(spec.parts):
-            if mult:
-                den *= math.factorial(mult)
-                if i % 2 == 1:
-                    num *= (i + 2) ** mult  # even part 2j: weight (2j+1)^mult
-                    den *= (i + 1) ** mult
-        q, rem = divmod(num, den)
-        assert rem == 0
-        total += q
-    return total
+def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
+    """row[r] = e_rank(n, r) for B or PB by the closed form: one sweep over
+    the integer partitions of n, apart from the (k, r) grid.  A partition
+    with o odd parts weighs n!/Π(mult!·(even part)^mult) at rank o in B;
+    in PB each even part 2j also weighs 2j + 1 and any r of the o odd
+    parts may be the transversal ones.
+    """
+    rows = _TABLES[fam].closed_rank_rows
+    if n not in rows:
+        nf = math.factorial(n)
+        row = [0] * (n + 1)
+        for spec in integer_partitions(n):
+            den, even_weight, odd = 1, 1, 0
+            for i, mult in enumerate(spec.parts):
+                if mult:
+                    den *= math.factorial(mult)
+                    if i % 2:  # the part i+1 is even
+                        den *= (i + 1) ** mult
+                        even_weight *= (i + 2) ** mult
+                    else:
+                        odd += mult
+            weight, rem = divmod(nf, den)
+            assert rem == 0
+            if fam is MonoidFamily.B:
+                row[odd] += weight
+            else:
+                weight *= even_weight
+                for r in range(odd + 1):
+                    row[r] += weight * math.comb(odd, r)
+        rows[n] = row
+    return rows[n]
 
 
 # --------------------------------------------------------------------------

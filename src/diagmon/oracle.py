@@ -1,10 +1,12 @@
 """Exhaustive enumeration of small diagram monoids and direct tallies.
 
 This is the referee for the counting engine: it generates every element of
-a monoid, tests idempotency by actually squaring, and tallies by rank and
-by R-class signature.  It deliberately knows nothing about the counting
-formulas; the only shared ground is the base sequences used to predict how
-many elements will stream past (to refuse hopeless requests up front).
+a monoid, squares each one once, and tallies by rank and by R-class
+signature.  Plain and twisted idempotency are read off that square, and
+the structural test is only compared against it.  It knows nothing about
+the counting formulas; the only shared ground is the base sequences used
+to predict how many elements will stream past (to refuse hopeless
+requests up front).
 
 Generation is streaming and deterministic.  Set partitions come out in
 lexicographic order of their restricted growth strings, and matchings pair
@@ -26,11 +28,11 @@ from .core import (
     MonoidFamily,
     as_family,
     family_check,
-    lambda_graph,
+    multiply,
     profile,
 )
 from .errors import DomainError, TooLargeError
-from .idempotency import TwistOrder, as_twist_order, is_idempotent_direct, is_twisted_idempotent
+from .idempotency import TwistOrder, as_twist_order, is_idempotent_structural
 
 DEFAULT_CAP = 10_000_000
 
@@ -165,10 +167,14 @@ class BruteReport:
     """Tallies from one exhaustive sweep.
 
     r_class_counts has an entry for every R-class signature seen in the
-    monoid, including those containing no idempotent at all;
-    r_class_params maps each signature to (rank, idle upper points), the
-    stratum labels the per-R-class counting theorems are stated in.
-    twisted_* fields stay empty unless a twist order was requested.
+    monoid, keyed (sorted upper domain, upper kernel classes), including
+    those containing no idempotent at all; r_class_params maps each key to
+    (rank, idle upper points), the stratum labels the per-R-class counting
+    theorems are stated in.  twisted_* fields stay empty unless a twist
+    order was requested; an idempotent is twisted when the order
+    annihilates the number of components its square swallows.
+    structural_disagreements lists the elements on which the structural
+    idempotency test and squaring differ.
     """
 
     family: MonoidFamily
@@ -182,6 +188,7 @@ class BruteReport:
     r_class_counts: dict[Signature, int] = field(default_factory=dict)
     r_class_twisted: dict[Signature, int] = field(default_factory=dict)
     r_class_params: dict[Signature, tuple[int, int]] = field(default_factory=dict)
+    structural_disagreements: list[DiagramPartition] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
 
@@ -193,21 +200,18 @@ def brute_report(
 ) -> BruteReport:
     """Single streaming pass: count everything the acceptance checks need.
 
-    Idempotency here is always the direct squaring test; the structural
-    shortcut is what this report exists to validate.
+    Each element is profiled once and squared once.  Plain and twisted
+    idempotency both come from that one product; the structural shortcut
+    is what this report exists to validate, never what it counts with.
     """
     fam = as_family(f)
     order = None if M is None else as_twist_order(M)
     report = BruteReport(family=fam, n=n, twist=None if order is None else order.M)
     started = time.perf_counter()
-    use_lambda = fam in (MonoidFamily.B, MonoidFamily.PB)
     for a in enumerate_elements(fam, n, cap):
         report.total_elements += 1
         prof = profile(a)
-        if use_lambda:
-            sig: Signature = lambda_graph(a).upper_half()
-        else:
-            sig = green_signature(a, "R")
+        sig: Signature = (tuple(sorted(prof.upper_domain)), prof.upper_kernel.classes)
         if sig not in report.r_class_counts:
             report.r_class_counts[sig] = 0
             report.r_class_twisted[sig] = 0
@@ -217,17 +221,18 @@ def brute_report(
                 if len(cls) == 1 and cls[0] not in prof.upper_domain
             )
             report.r_class_params[sig] = (prof.rank, idle)
-        if is_idempotent_direct(a):
-            report.idempotents_total += 1
-            report.idempotents_by_rank[prof.rank] = (
-                report.idempotents_by_rank.get(prof.rank, 0) + 1
-            )
-            report.r_class_counts[sig] += 1
-        if order is not None and is_twisted_idempotent(a, order):
+        square, swallowed = multiply(a, a)
+        idempotent = square == a
+        if idempotent != is_idempotent_structural(a):
+            report.structural_disagreements.append(a)
+        if not idempotent:
+            continue
+        report.idempotents_total += 1
+        report.idempotents_by_rank[prof.rank] = report.idempotents_by_rank.get(prof.rank, 0) + 1
+        report.r_class_counts[sig] += 1
+        if order is not None and order.annihilates(swallowed):
             report.twisted_total += 1
-            report.twisted_by_rank[prof.rank] = (
-                report.twisted_by_rank.get(prof.rank, 0) + 1
-            )
+            report.twisted_by_rank[prof.rank] = report.twisted_by_rank.get(prof.rank, 0) + 1
             report.r_class_twisted[sig] += 1
     report.elapsed_seconds = time.perf_counter() - started
     return report

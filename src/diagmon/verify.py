@@ -4,7 +4,9 @@ Each check is a named function returning a CheckResult; run_quick and
 run_full assemble the profiles.  Quick plays the counting routes against
 each other, against the shipped reference tables, and against exhaustive
 sweeps of the smallest monoids.  Full widens the sweeps and adds the
-Green-relation cross-checks and the per-R-class uniformity claims.
+Green-relation cross-checks and the per-R-class uniformity claims.  Each
+(family, n) is swept once: the oracle-count, structural-agreement, R-class
+uniformity and R-class census checks all read one shared brute_report.
 
 A failure names the identity and the indices at which it broke; known
 reference-data discrepancies are expected and reported as passes with a
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .combinat import bell, binomial, e_nrs
@@ -29,9 +32,9 @@ from .counting import (
     exi_total,
     rho,
 )
-from .idempotency import is_idempotent_direct, is_idempotent_structural
 from .oracle import (
     DEFAULT_CAP,
+    BruteReport,
     brute_report,
     enumerate_elements,
     green_signature,
@@ -251,9 +254,15 @@ def check_enrs_oracle(max_n: int = 5) -> CheckResult:
 # --------------------------------------------------------------------------
 # oracle sweeps
 
+@cache
+def _sweep(fam: MonoidFamily, n: int, cap: int) -> BruteReport:
+    """The one sweep of (fam, n), at twist order 0, that every sweep check reads."""
+    return brute_report(fam, n, M=0, cap=cap)
+
+
 def check_oracle_counts(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     failures = []
-    report = brute_report(fam, n, M=0, cap=cap)
+    report = _sweep(fam, n, cap)
     engine_total = e_total(fam, n)
     if report.idempotents_total != engine_total:
         failures.append(
@@ -284,16 +293,14 @@ def check_oracle_counts(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> Ch
 
 
 def check_idempotency_agreement(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    failures = []
-    for a in enumerate_elements(fam, n, cap):
-        if is_idempotent_direct(a) != is_idempotent_structural(a):
-            failures.append(f"structural vs direct disagree on {a}")
+    disagreements = _sweep(fam, n, cap).structural_disagreements
+    failures = [f"structural vs direct disagree on {a}" for a in disagreements]
     return _result(f"structural idempotency test {fam.value}_{n}", failures)
 
 
 def check_rclass_uniformity(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     failures = []
-    report = brute_report(fam, n, M=0, cap=cap)
+    report = _sweep(fam, n, cap)
     for sig, count in report.r_class_counts.items():
         r, t = report.r_class_params[sig]
         if fam is MonoidFamily.B:
@@ -318,7 +325,7 @@ def check_rclass_uniformity(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -
 
 def check_rho_against_signatures(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     failures = []
-    report = brute_report(fam, n, cap=cap)
+    report = _sweep(fam, n, cap)
     strata: dict[tuple[int, int], int] = {}
     for sig in report.r_class_counts:
         r, t = report.r_class_params[sig]
@@ -354,9 +361,10 @@ def check_green_orbits(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> Che
         )
 
     for side in ("R", "L", "H"):
+        signature = {a: green_signature(a, side) for a in elements}
         for a, b in combinations(elements, 2):
             by_orbit = orbit_related(a, b, side)
-            by_key = green_signature(a, side) == green_signature(b, side)
+            by_key = signature[a] == signature[b]
             if by_orbit != by_key:
                 failures.append(
                     f"{side} disagreement in {fam.value}_{n} between {a} and {b}:"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from diagmon import idempotency
 from diagmon.combinat import bell, binomial, involutions, odd_double_factorial
 from diagmon.core import DiagramPartition, MonoidFamily, make_partition, multiply
 from diagmon.errors import DomainError, TooLargeError
@@ -163,6 +164,15 @@ def test_brute_report_twisted_b3():
     assert report.idempotents_total == 10
     assert report.twisted_total == 7
     assert sum(report.twisted_by_rank.values()) == 7
+
+
+def test_brute_report_twisted_count_ignores_structural_shortcut(monkeypatch):
+    # the structural test is what the oracle referees, so a broken one must
+    # not move the twisted census, which is decided by squaring alone
+    monkeypatch.setattr(idempotency, "is_idempotent_structural", lambda a: True)
+    report = brute_report(B, 3, M=0)
+    assert report.idempotents_total == 10
+    assert report.twisted_total == 7
 
 
 def test_brute_report_twist_order_one_collapses():

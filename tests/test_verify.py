@@ -1,20 +1,32 @@
 from __future__ import annotations
 
-from diagmon import counting
-from diagmon.core import MonoidFamily
+import pytest
+
+from diagmon import counting, oracle, verify
+from diagmon.core import MonoidFamily, identity
 from diagmon.counting import a_nr
 from diagmon.verify import (
     CheckResult,
     check_embedded_families,
     check_enrs_oracle,
     check_green_orbits,
+    check_idempotency_agreement,
     check_oracle_counts,
     check_rclass_uniformity,
     check_reference_tables,
+    check_rho_against_signatures,
     run_quick,
 )
 
 B = MonoidFamily.B
+
+
+@pytest.fixture
+def cold_sweeps():
+    """Sweeps made under a patch must not outlive the test."""
+    verify._sweep.cache_clear()
+    yield
+    verify._sweep.cache_clear()
 
 
 def test_check_result_lines():
@@ -73,3 +85,35 @@ def test_tampered_c1_fails_oracle_sweep(monkeypatch):
     result = check_oracle_counts(B, 3)
     assert not result.ok
     assert "e_total(B,3) formula vs oracle" in result.detail
+
+
+def test_sweep_checks_share_one_enumeration(monkeypatch, cold_sweeps):
+    calls = []
+    honest = oracle.enumerate_elements
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_elements", counted)
+    for check in (
+        check_oracle_counts,
+        check_idempotency_agreement,
+        check_rclass_uniformity,
+        check_rho_against_signatures,
+    ):
+        assert check(B, 4).ok
+    assert calls == [(B, 4)]
+
+
+def test_structural_disagreement_is_named(monkeypatch, cold_sweeps):
+    # the structural test the oracle runs beside squaring turns wrong on the
+    # identity; the agreement check must fail and name that element
+    target = identity(4)
+    honest = oracle.is_idempotent_structural
+    monkeypatch.setattr(
+        oracle, "is_idempotent_structural", lambda a: a != target and honest(a)
+    )
+    result = check_idempotency_agreement(B, 4)
+    assert not result.ok
+    assert result.detail == f"structural vs direct disagree on {target}"
