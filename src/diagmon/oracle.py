@@ -1,12 +1,12 @@
 """Exhaustive enumeration of small diagram monoids and direct tallies.
 
 This is the referee for the counting engine: it generates every element of
-a monoid, squares each one once, and tallies by rank and by R-class
-signature.  Plain and twisted idempotency are read off that square, and
-the structural test is only compared against it.  It knows nothing about
-the counting formulas; the only shared ground is the base sequences used
-to predict how many elements will stream past (to refuse hopeless
-requests up front).
+a monoid, tests idempotency by actually squaring, and tallies by rank and
+by R-class signature.  The structural shortcuts are only compared against
+squaring, never counted with.  It deliberately knows nothing about the
+counting formulas; the only shared ground is the base sequences used to
+predict how many elements will stream past (to refuse hopeless requests up
+front).
 
 Generation is streaming and deterministic.  Set partitions come out in
 lexicographic order of their restricted growth strings, and matchings pair
@@ -28,11 +28,13 @@ from .core import (
     MonoidFamily,
     as_family,
     family_check,
+    lambda_graph,
     multiply,
     profile,
 )
-from .errors import DomainError, TooLargeError
-from .idempotency import TwistOrder, as_twist_order, is_idempotent_structural
+from .errors import DomainError, NotBalancedError, TooLargeError
+from .idempotency import TwistOrder, as_twist_order, classify_lambda_components, rank_from_components
+from .idempotency import is_idempotent_direct, is_idempotent_structural, is_twisted_idempotent
 
 DEFAULT_CAP = 10_000_000
 
@@ -80,29 +82,18 @@ def set_partition_blocks(size: int) -> Iterator[list[list[int]]]:
     return rec(0)
 
 
-def _perfect_matchings(points: tuple[int, ...]) -> Iterator[list[Block]]:
+def _matchings(points: tuple[int, ...], partial: bool) -> Iterator[list[Block]]:
+    """Perfect matchings of the points, or partial ones (singleton option first)."""
     if not points:
         yield []
         return
-    first = points[0]
-    rest = points[1:]
-    for idx, partner in enumerate(rest):
-        for sub in _perfect_matchings(rest[:idx] + rest[idx + 1 :]):
-            sub.insert(0, (first, partner))
+    first, rest = points[0], points[1:]
+    if partial:
+        for sub in _matchings(rest, partial):
+            sub.insert(0, (first,))
             yield sub
-
-
-def _partial_matchings(points: tuple[int, ...]) -> Iterator[list[Block]]:
-    if not points:
-        yield []
-        return
-    first = points[0]
-    rest = points[1:]
-    for sub in _partial_matchings(rest):
-        sub.insert(0, (first,))
-        yield sub
     for idx, partner in enumerate(rest):
-        for sub in _partial_matchings(rest[:idx] + rest[idx + 1 :]):
+        for sub in _matchings(rest[:idx] + rest[idx + 1 :], partial):
             sub.insert(0, (first, partner))
             yield sub
 
@@ -124,19 +115,13 @@ def enumerate_elements(
         )
 
     def generate() -> Iterator[DiagramPartition]:
-        if fam is MonoidFamily.B:
-            for pairs in _perfect_matchings(tuple(range(2 * n))):
-                yield DiagramPartition(n, tuple(pairs))
-        elif fam is MonoidFamily.PB:
-            for blocks in _partial_matchings(tuple(range(2 * n))):
+        if fam in (MonoidFamily.B, MonoidFamily.PB):
+            for blocks in _matchings(tuple(range(2 * n)), fam is MonoidFamily.PB):
                 yield DiagramPartition(n, tuple(blocks))
-        elif fam is MonoidFamily.P:
-            for blocks in set_partition_blocks(2 * n):
-                yield DiagramPartition(n, tuple(tuple(b) for b in blocks))
         else:
             for blocks in set_partition_blocks(2 * n):
                 a = DiagramPartition(n, tuple(tuple(b) for b in blocks))
-                if family_check(a, fam):
+                if fam is MonoidFamily.P or family_check(a, fam):
                     yield a
 
     return generate()
@@ -173,8 +158,10 @@ class BruteReport:
     theorems are stated in.  twisted_* fields stay empty unless a twist
     order was requested; an idempotent is twisted when the order
     annihilates the number of components its square swallows.
-    structural_disagreements lists the elements on which the structural
-    idempotency test and squaring differ.
+    structural_disagreements lists (test, element) wherever a shortcut
+    disagrees with squaring: "structural" on any element; on idempotents,
+    "twisted" and, in B and PB, "two-colored graph" (unbalanced, or its
+    even-path count is not the rank).
     """
 
     family: MonoidFamily
@@ -188,8 +175,16 @@ class BruteReport:
     r_class_counts: dict[Signature, int] = field(default_factory=dict)
     r_class_twisted: dict[Signature, int] = field(default_factory=dict)
     r_class_params: dict[Signature, tuple[int, int]] = field(default_factory=dict)
-    structural_disagreements: list[DiagramPartition] = field(default_factory=list)
+    structural_disagreements: list[tuple[str, DiagramPartition]] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+
+
+def _graph_rank(a: DiagramPartition) -> int | None:
+    """Even-path components of the two-colored graph; None when unbalanced."""
+    try:
+        return rank_from_components(classify_lambda_components(lambda_graph(a)))
+    except NotBalancedError:
+        return None
 
 
 def brute_report(
@@ -200,39 +195,45 @@ def brute_report(
 ) -> BruteReport:
     """Single streaming pass: count everything the acceptance checks need.
 
-    Each element is profiled once and squared once.  Plain and twisted
-    idempotency both come from that one product; the structural shortcut
-    is what this report exists to validate, never what it counts with.
+    Each element is profiled once for its R-class key, which gives its rank
+    too, and squared once by is_idempotent_direct; the shortcuts refereed
+    profile it again.  With a twist order, each idempotent is squared once
+    more for the number of components its square swallows.
     """
     fam = as_family(f)
     order = None if M is None else as_twist_order(M)
     report = BruteReport(family=fam, n=n, twist=None if order is None else order.M)
+    use_graph = fam in (MonoidFamily.B, MonoidFamily.PB)
     started = time.perf_counter()
     for a in enumerate_elements(fam, n, cap):
         report.total_elements += 1
-        prof = profile(a)
-        sig: Signature = (tuple(sorted(prof.upper_domain)), prof.upper_kernel.classes)
-        if sig not in report.r_class_counts:
-            report.r_class_counts[sig] = 0
-            report.r_class_twisted[sig] = 0
-            idle = sum(
-                1
-                for cls in prof.upper_kernel.classes
-                if len(cls) == 1 and cls[0] not in prof.upper_domain
-            )
-            report.r_class_params[sig] = (prof.rank, idle)
-        square, swallowed = multiply(a, a)
-        idempotent = square == a
+        sig: Signature = green_signature(a, "R")[2:]
+        if sig not in report.r_class_params:
+            domain, classes = sig
+            # a transversal's upper part is a whole upper kernel class
+            rank = sum(1 for cls in classes if cls[0] in domain)
+            idle = sum(1 for cls in classes if len(cls) == 1 and cls[0] not in domain)
+            report.r_class_params[sig] = (rank, idle)
+            report.r_class_counts[sig] = report.r_class_twisted[sig] = 0
+        idempotent = is_idempotent_direct(a)
         if idempotent != is_idempotent_structural(a):
-            report.structural_disagreements.append(a)
+            report.structural_disagreements.append(("structural", a))
         if not idempotent:
             continue
+        rank = report.r_class_params[sig][0]
         report.idempotents_total += 1
-        report.idempotents_by_rank[prof.rank] = report.idempotents_by_rank.get(prof.rank, 0) + 1
+        report.idempotents_by_rank[rank] = report.idempotents_by_rank.get(rank, 0) + 1
         report.r_class_counts[sig] += 1
-        if order is not None and order.annihilates(swallowed):
+        if use_graph and _graph_rank(a) != rank:
+            report.structural_disagreements.append(("two-colored graph", a))
+        if order is None:
+            continue
+        twisted = order.annihilates(multiply(a, a)[1])
+        if twisted != is_twisted_idempotent(a, order):
+            report.structural_disagreements.append(("twisted", a))
+        if twisted:
             report.twisted_total += 1
-            report.twisted_by_rank[prof.rank] = report.twisted_by_rank.get(prof.rank, 0) + 1
+            report.twisted_by_rank[rank] = report.twisted_by_rank.get(rank, 0) + 1
             report.r_class_twisted[sig] += 1
     report.elapsed_seconds = time.perf_counter() - started
     return report

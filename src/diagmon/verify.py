@@ -5,8 +5,7 @@ run_full assemble the profiles.  Quick plays the counting routes against
 each other, against the shipped reference tables, and against exhaustive
 sweeps of the smallest monoids.  Full widens the sweeps and adds the
 Green-relation cross-checks and the per-R-class uniformity claims.  Each
-(family, n) is swept once: the oracle-count, structural-agreement, R-class
-uniformity and R-class census checks all read one shared brute_report.
+(family, n) is swept once, into one brute_report every sweep check reads.
 
 A failure names the identity and the indices at which it broke; known
 reference-data discrepancies are expected and reported as passes with a
@@ -294,7 +293,7 @@ def check_oracle_counts(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> Ch
 
 def check_idempotency_agreement(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
     disagreements = _sweep(fam, n, cap).structural_disagreements
-    failures = [f"structural vs direct disagree on {a}" for a in disagreements]
+    failures = [f"{test} vs direct disagree on {a}" for test, a in disagreements]
     return _result(f"structural idempotency test {fam.value}_{n}", failures)
 
 

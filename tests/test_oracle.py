@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from diagmon import idempotency
+from diagmon import idempotency, oracle
 from diagmon.combinat import bell, binomial, involutions, odd_double_factorial
 from diagmon.core import DiagramPartition, MonoidFamily, make_partition, multiply
 from diagmon.errors import DomainError, TooLargeError
@@ -173,6 +173,24 @@ def test_brute_report_twisted_count_ignores_structural_shortcut(monkeypatch):
     report = brute_report(B, 3, M=0)
     assert report.idempotents_total == 10
     assert report.twisted_total == 7
+
+
+def test_brute_report_twisted_count_reads_the_square(monkeypatch):
+    # the twisted census follows the swallowed count of the oracle's own
+    # product: one more swallowed component leaves no idempotent of B3
+    # twisted at order 0, while plain idempotency is unchanged
+    honest = oracle.multiply
+
+    def one_more(a, b):
+        product, swallowed = honest(a, b)
+        return product, swallowed + 1
+
+    monkeypatch.setattr(oracle, "multiply", one_more)
+    report = brute_report(B, 3, M=0)
+    assert report.idempotents_total == 10
+    assert report.twisted_total == 0
+    # the twisted test it referees now disagrees on the seven it accepts
+    assert [test for test, _ in report.structural_disagreements] == ["twisted"] * 7
 
 
 def test_brute_report_twist_order_one_collapses():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from diagmon import counting, oracle, verify
-from diagmon.core import MonoidFamily, identity
+from diagmon.core import MonoidFamily, identity, parse_diagram
 from diagmon.counting import a_nr
 from diagmon.verify import (
     CheckResult,
@@ -117,3 +117,30 @@ def test_structural_disagreement_is_named(monkeypatch, cold_sweeps):
     result = check_idempotency_agreement(B, 4)
     assert not result.ok
     assert result.detail == f"structural vs direct disagree on {target}"
+
+
+def test_twisted_disagreement_is_named(monkeypatch, cold_sweeps):
+    # the twisted test turns wrong on the identity, whose square swallows
+    # nothing; the agreement check must name that element
+    target = identity(4)
+    honest = oracle.is_twisted_idempotent
+    monkeypatch.setattr(
+        oracle, "is_twisted_idempotent", lambda a, t: a != target and honest(a, t)
+    )
+    result = check_idempotency_agreement(B, 4)
+    assert not result.ok
+    assert result.detail == f"twisted vs direct disagree on {target}"
+
+
+def test_graph_disagreement_is_named(monkeypatch, cold_sweeps):
+    # the identity is handed the graph of a rank-0 idempotent: two even
+    # circuits and no even path, so the graph's rank 0 is not its rank 4
+    target = identity(4)
+    circuits = parse_diagram("1,2|3,4|1',2'|3',4'")
+    honest = oracle.lambda_graph
+    monkeypatch.setattr(
+        oracle, "lambda_graph", lambda a: honest(circuits if a == target else a)
+    )
+    result = check_idempotency_agreement(B, 4)
+    assert not result.ok
+    assert result.detail == f"two-colored graph vs direct disagree on {target}"
