@@ -78,6 +78,8 @@ def _count(
     fam: MonoidFamily, n: int, rank: int | None, m_order: int | None, method: str | None, cap: int
 ) -> int:
     if method == "bruteforce":
+        if rank is not None and not 0 <= rank <= n:
+            raise DomainError(f"rank needs 0 <= r <= n, got n={n} r={rank}")
         report = brute_report(fam, n, M=m_order, cap=cap)
         if m_order is not None:
             if rank is not None:

@@ -22,6 +22,7 @@ upper points are written 1..n and lower points 1'..n'.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -119,14 +120,6 @@ class EquivalenceRelation:
     def is_discrete(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
-    def class_index(self) -> dict[int, int]:
-        """Map each point to the position of its class in the canonical list."""
-        out: dict[int, int] = {}
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                out[x] = i
-        return out
-
     def join(self, other: "EquivalenceRelation") -> "EquivalenceRelation":
         """Smallest equivalence containing both: transitive closure of the union.
 
@@ -209,14 +202,14 @@ def make_partition(n: int, blocks: Iterable[Iterable[int]]) -> DiagramPartition:
     seen = bytearray(2 * n)
     canon: list[Block] = []
     for raw in blocks:
-        blk = tuple(sorted(set(raw)))
+        blk = tuple(sorted(raw))
         if not blk:
             raise EmptyBlockError("empty block")
         for v in blk:
             if not 0 <= v < 2 * n:
                 raise VertexRangeError(f"vertex {v} outside 0..{2 * n - 1}")
             if seen[v]:
-                raise OverlapError(f"vertex {v} appears in two blocks")
+                raise OverlapError(f"vertex {v} appears more than once")
             seen[v] = 1
         canon.append(blk)
     for v in range(2 * n):
@@ -231,7 +224,7 @@ def identity(n: int) -> DiagramPartition:
     return DiagramPartition(n, tuple((i, n + i) for i in range(n)))
 
 
-_POINT = re.compile(r"(\d+)\s*('?)")
+_POINT = re.compile(r"(\d+)\s*('?)", re.ASCII)
 
 
 def format_diagram(a: DiagramPartition) -> str:
@@ -280,71 +273,75 @@ def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition
     """Product diagram together with the number of components that the
     gluing traps entirely in the middle row.
 
-    The three-row graph lives on 3n nodes: 0..n-1 is the top row (upper
-    points of ``a``), n..2n-1 the middle row (lower points of ``a`` glued to
-    upper points of ``b``), 2n..3n-1 the bottom row (lower points of ``b``).
-    ``a``'s encoded vertices map to nodes unchanged; ``b``'s shift up by n.
-    Product blocks are the nonempty traces of components on top and bottom.
+    The components are unions of whole blocks: block i of ``a`` and block
+    ``len(a.blocks) + j`` of ``b`` are the nodes of a union-find, and each
+    middle point joins the block of ``a`` holding it as a lower point to the
+    block of ``b`` holding it as an upper point.  The upper points of ``a``
+    and the lower points of ``b`` are then read off in vertex order, so each
+    product block comes out sorted and the blocks come out ordered by their
+    minimum.  Every component that no upper or lower point reaches was
+    swallowed.
     """
     if a.n != b.n:
         raise DimensionMismatchError(f"product of diagrams on {a.n} and {b.n} strands")
     n = a.n
-    parent = list(range(3 * n))
-    for blk in a.blocks:
-        head = blk[0]
-        for v in blk[1:]:
-            _union(parent, head, v)
-    for blk in b.blocks:
-        head = blk[0] + n
-        for v in blk[1:]:
-            _union(parent, head, v + n)
-
+    top = [0] * (2 * n)  # block of a at each of a's vertices
+    for i, blk in enumerate(a.blocks):
+        for v in blk:
+            top[v] = i
+    bottom = [0] * (2 * n)  # likewise for b, numbered after a's blocks
+    for i, blk in enumerate(b.blocks, len(a.blocks)):
+        for v in blk:
+            bottom[v] = i
+    parent = list(range(len(a.blocks) + len(b.blocks)))
+    components = len(parent)
+    for x, y in zip(top[n:], bottom[:n]):  # the glued middle row
+        while parent[x] != x:  # path halving: parent[x] is assigned before x
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        # link the larger root to the smaller, so that parent[i] <= i
+        if x < y:
+            parent[y] = x
+            components -= 1
+        elif y < x:
+            parent[x] = y
+            components -= 1
+    for i in range(len(parent)):  # in index order, one step reaches the root
+        parent[i] = parent[parent[i]]
     groups: dict[int, list[int]] = {}
-    for v in range(3 * n):
-        groups.setdefault(_find(parent, v), []).append(v)
-
-    blocks: list[Block] = []
-    swallowed = 0
-    for members in groups.values():
-        # members is ascending, so the trace below is already sorted:
-        # top nodes keep their index (< n), bottom nodes shift to n..2n-1.
-        trace = tuple(v if v < n else v - n for v in members if v < n or v >= 2 * n)
-        if trace:
-            blocks.append(trace)
-        else:
-            swallowed += 1
-    blocks.sort()
-    return DiagramPartition(n, tuple(blocks)), swallowed
+    for v, i in enumerate(top[:n] + bottom[n:]):
+        groups.setdefault(parent[i], []).append(v)
+    # built from a list, the tuple is allocated at its final size; one built
+    # from an iterator is shrunk from a guess, and the freed product tuples
+    # then pile up on the interpreter's tuple free lists
+    blocks = tuple([tuple(members) for members in groups.values()])
+    return DiagramPartition(n, blocks), components - len(blocks)
 
 
 # --------------------------------------------------------------------------
 # structural invariants
 
+def _halves(a: DiagramPartition) -> list[tuple[Block, Block]]:
+    """Each block cut at its first lower point into (upper part, lower part),
+    in encoded labels.  A block with both parts is a transversal."""
+    n = a.n
+    return [(blk[: (k := bisect_left(blk, n))], blk[k:]) for blk in a.blocks]
+
+
 def profile(a: DiagramPartition) -> StructuralProfile:
     """Rank, upper/lower domains, upper/lower kernels, and their join."""
     n = a.n
-    upper_classes: list[tuple[int, ...]] = []
-    lower_classes: list[tuple[int, ...]] = []
-    upper_dom: list[int] = []
-    lower_dom: list[int] = []
-    rank = 0
-    for blk in a.blocks:
-        uppers = tuple(v + 1 for v in blk if v < n)
-        lowers = tuple(v - n + 1 for v in blk if v >= n)
-        if uppers:
-            upper_classes.append(uppers)
-        if lowers:
-            lower_classes.append(lowers)
-        if uppers and lowers:
-            rank += 1
-            upper_dom.extend(uppers)
-            lower_dom.extend(lowers)
-    upper_kernel = EquivalenceRelation(n, tuple(sorted(upper_classes)))
-    lower_kernel = EquivalenceRelation(n, tuple(sorted(lower_classes)))
+    up, low = (1).__add__, (1 - n).__add__
+    halves = [(tuple(map(up, upper)), tuple(map(low, lower))) for upper, lower in _halves(a)]
+    transversals = [(upper, lower) for upper, lower in halves if upper and lower]
+    # upper parts come in block order, which is already the order of their minima
+    upper_kernel = EquivalenceRelation(n, tuple(upper for upper, _ in halves if upper))
+    lower_kernel = EquivalenceRelation(n, tuple(sorted(lower for _, lower in halves if lower)))
     return StructuralProfile(
-        rank=rank,
-        upper_domain=frozenset(upper_dom),
-        lower_domain=frozenset(lower_dom),
+        rank=len(transversals),
+        upper_domain=frozenset(x for upper, _ in transversals for x in upper),
+        lower_domain=frozenset(x for _, lower in transversals for x in lower),
         upper_kernel=upper_kernel,
         lower_kernel=lower_kernel,
         kernel=upper_kernel.join(lower_kernel),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DiagramPartition, LambdaGraph, multiply, profile
+from .core import DiagramPartition, LambdaGraph, _find, _halves, _union, multiply
 from .errors import DomainError, NotBalancedError, NotDecomposableError
 
 
@@ -72,26 +72,40 @@ def is_idempotent_direct(a: DiagramPartition) -> bool:
     return product == a
 
 
+def _kernel_excess(a: DiagramPartition) -> int | None:
+    """Kernel classes minus rank, or None when some block straddles two kernel
+    classes or some class holds two transversals.
+
+    The kernel, the join of the upper and the lower kernel, is found by
+    union-find on the points 0..n-1, where a lower point v stands for v - n:
+    each block's upper part is one upper class and its lower part one lower
+    class.
+    """
+    n = a.n
+    halves = _halves(a)
+    parent = list(range(n))
+    for upper, lower in halves:
+        for v in upper[1:]:
+            _union(parent, upper[0], v)
+        for v in lower[1:]:
+            _union(parent, lower[0] - n, v - n)
+    holding: set[int] = set()  # the kernel classes that hold a transversal
+    for upper, lower in halves:
+        if upper and lower:
+            root = _find(parent, upper[0])
+            if root != _find(parent, lower[0] - n) or root in holding:
+                return None
+            holding.add(root)
+    return sum(1 for x in range(n) if parent[x] == x) - len(holding)
+
+
 def is_idempotent_structural(a: DiagramPartition) -> bool:
     """Block-containment test: every block inside one kernel class and every
     kernel-class restriction of rank at most one.
 
     Agrees with is_idempotent_direct on every diagram, without multiplying.
     """
-    n = a.n
-    kernel = profile(a).kernel
-    class_of = kernel.class_index()
-    ranks = [0] * kernel.class_count
-    for blk in a.blocks:
-        owners = {class_of[(v + 1) if v < n else (v - n + 1)] for v in blk}
-        if len(owners) != 1:
-            return False
-        if blk[0] < n <= blk[-1]:  # transversal: canonical blocks sort uppers first
-            ci = owners.pop()
-            ranks[ci] += 1
-            if ranks[ci] > 1:
-                return False
-    return True
+    return _kernel_excess(a) is not None
 
 
 def is_twisted_idempotent(a: DiagramPartition, t: TwistOrder | int) -> bool:
@@ -102,10 +116,8 @@ def is_twisted_idempotent(a: DiagramPartition, t: TwistOrder | int) -> bool:
     the number of kernel classes minus the rank, which is what we test.
     """
     order = as_twist_order(t)
-    if not is_idempotent_structural(a):
-        return False
-    prof = profile(a)
-    return order.annihilates(prof.kernel.class_count - prof.rank)
+    # the plain test screens first; only idempotents need their excess
+    return is_idempotent_structural(a) and order.annihilates(_kernel_excess(a))
 
 
 def classify_lambda_components(

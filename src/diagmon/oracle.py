@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .combinat import bell, involutions, odd_double_factorial
 from .core import (
     Block,
     DiagramPartition,
     MonoidFamily,
+    _halves,
     as_family,
     family_check,
     lambda_graph,
@@ -132,19 +133,23 @@ def green_signature(a: DiagramPartition, side: str = "R") -> Signature:
 
     Two elements are R-related iff they share upper domain and upper
     kernel; dually for L; H combines both; D is decided by rank alone.
+    Domains and kernel classes are in 1-based point labels.
     """
-    prof = profile(a)
-    upper = (tuple(sorted(prof.upper_domain)), prof.upper_kernel.classes)
-    lower = (tuple(sorted(prof.lower_domain)), prof.lower_kernel.classes)
-    if side == "R":
-        return ("R", a.n) + upper
-    if side == "L":
-        return ("L", a.n) + lower
-    if side == "H":
-        return ("H", a.n) + upper + lower
+    halves = _halves(a)
     if side == "D":
-        return ("D", a.n, prof.rank)
-    raise DomainError(f"unknown Green side {side!r} (valid: R, L, H, D)")
+        return ("D", a.n, sum(1 for upper, lower in halves if upper and lower))
+    if side not in ("R", "L", "H"):
+        raise DomainError(f"unknown Green side {side!r} (valid: R, L, H, D)")
+
+    def row(i: int, relabel: Callable[[int], int]) -> tuple:
+        """(domain, kernel classes) of the upper (i = 0) or lower (i = 1) row."""
+        domain = [v for half in halves if half[0] and half[1] for v in half[i]]
+        classes = [tuple(map(relabel, half[i])) for half in halves if half[i]]
+        return tuple(sorted(map(relabel, domain))), tuple(sorted(classes))
+
+    upper = row(0, (1).__add__) if side != "L" else ()
+    lower = row(1, (1 - a.n).__add__) if side != "R" else ()
+    return (side, a.n) + upper + lower
 
 
 @dataclass
@@ -195,10 +200,11 @@ def brute_report(
 ) -> BruteReport:
     """Single streaming pass: count everything the acceptance checks need.
 
-    Each element is profiled once for its R-class key, which gives its rank
-    too, and squared once by is_idempotent_direct; the shortcuts refereed
-    profile it again.  With a twist order, each idempotent is squared once
-    more for the number of components its square swallows.
+    Each element gets its R-class key from green_signature and is squared
+    once by is_idempotent_direct; the first element of each R-class is
+    profiled for the class's rank and idle points.  With a twist order,
+    each idempotent is squared once more for the number of components its
+    square swallows.
     """
     fam = as_family(f)
     order = None if M is None else as_twist_order(M)
@@ -209,11 +215,12 @@ def brute_report(
         report.total_elements += 1
         sig: Signature = green_signature(a, "R")[2:]
         if sig not in report.r_class_params:
-            domain, classes = sig
-            # a transversal's upper part is a whole upper kernel class
-            rank = sum(1 for cls in classes if cls[0] in domain)
-            idle = sum(1 for cls in classes if len(cls) == 1 and cls[0] not in domain)
-            report.r_class_params[sig] = (rank, idle)
+            prof = profile(a)
+            idle = sum(
+                1 for cls in prof.upper_kernel.classes
+                if len(cls) == 1 and cls[0] not in prof.upper_domain
+            )
+            report.r_class_params[sig] = (prof.rank, idle)
             report.r_class_counts[sig] = report.r_class_twisted[sig] = 0
         idempotent = is_idempotent_direct(a)
         if idempotent != is_idempotent_structural(a):

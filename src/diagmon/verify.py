@@ -287,7 +287,8 @@ def check_oracle_counts(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> Ch
     return _result(
         f"oracle sweep {fam.value}_{n}",
         failures,
-        note=f"{report.total_elements} elements in {report.elapsed_seconds:.2f}s",
+        note=f"{report.total_elements} elements in {report.elapsed_seconds:.2f}s"
+        f" ({1e6 * report.elapsed_seconds / max(report.total_elements, 1):.0f} µs/element)",
     )
 
 

@@ -4,7 +4,8 @@ Everything here is written the slowest, most obvious way, with different
 algorithms than the package uses: set partitions by recursive insertion
 (the package generates restricted growth strings), products by breadth
 first search over an explicit adjacency map (the package uses union-find),
-involutions by filtering permutations.  Expected values in the tests were
+profiles point by point rather than block by block, involutions by
+filtering permutations.  Expected values in the tests were
 computed with these and then frozen.
 """
 
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from diagmon.core import DiagramPartition
+from diagmon.core import DiagramPartition, EquivalenceRelation, StructuralProfile
+from diagmon.idempotency import TwistOrder
 
 
 def set_partitions(items: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -93,6 +95,41 @@ def naive_join(
             edges.extend((blk[0], v) for v in blk[1:])
     components = bfs_components(list(range(1, n + 1)), edges)
     return tuple(sorted(tuple(sorted(c)) for c in components))
+
+
+def naive_profile(a: DiagramPartition) -> StructuralProfile:
+    """Kernels, domains and rank read point by point off the block holding
+    each point; the kernel is their naive_join."""
+    n = a.n
+
+    def block_of(v: int) -> tuple[int, ...]:
+        return next(blk for blk in a.blocks if v in blk)
+
+    upper = tuple(sorted({tuple(w + 1 for w in block_of(x) if w < n) for x in range(n)}))
+    lower = tuple(sorted({tuple(w - n + 1 for w in block_of(n + x) if w >= n) for x in range(n)}))
+    return StructuralProfile(
+        rank=sum(1 for blk in a.blocks if min(blk) < n <= max(blk)),
+        upper_domain=frozenset(x + 1 for x in range(n) if max(block_of(x)) >= n),
+        lower_domain=frozenset(x + 1 for x in range(n) if min(block_of(n + x)) < n),
+        upper_kernel=EquivalenceRelation(n, upper),
+        lower_kernel=EquivalenceRelation(n, lower),
+        kernel=EquivalenceRelation(n, naive_join(n, upper, lower)),
+    )
+
+
+def naive_green_signature(a: DiagramPartition, side: str) -> tuple:
+    """The Green key of the given side, assembled from naive_profile."""
+    prof = naive_profile(a)
+    upper = (tuple(sorted(prof.upper_domain)), prof.upper_kernel.classes)
+    lower = (tuple(sorted(prof.lower_domain)), prof.lower_kernel.classes)
+    keys = {"R": upper, "L": lower, "H": upper + lower, "D": (prof.rank,)}
+    return (side, a.n) + keys[side]
+
+
+def naive_is_twisted_idempotent(a: DiagramPartition, order: int) -> bool:
+    """Idempotent, and the twist annihilates the components its square swallows."""
+    product, swallowed = naive_multiply(a, a)
+    return product == a and TwistOrder(order).annihilates(swallowed)
 
 
 def naive_e_nrs(n: int) -> dict[tuple[int, int], int]:

@@ -64,6 +64,14 @@ def test_count_bad_rank_exits_2():
     assert result.output == "" or "7" in result.output + (result.stderr or "")
 
 
+def test_count_bruteforce_rank_out_of_range_exits_2():
+    for rank, m_order in (("-1", ()), ("4", ()), ("-1", ("--M", "0")), ("4", ("--M", "0"))):
+        args = ("count", "--family", "B", "--n", "3", "--method", "bruteforce", "--rank", rank)
+        result = run(*args, *m_order)
+        assert result.exit_code == 2, (rank, m_order, result.output)
+    assert run("count", "--family", "B", "--n", "3", "--method", "bruteforce", "--rank", "3").output == "1\n"
+
+
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     # order 0 has a recurrence, far cheaper than the partition formula;
     # positive orders have only the formula

@@ -23,6 +23,7 @@ from diagmon.core import (
 from diagmon.errors import (
     CoverageError,
     DimensionMismatchError,
+    DomainError,
     EmptyBlockError,
     NotDecomposableError,
     NotPartialBrauerError,
@@ -58,6 +59,13 @@ def test_make_partition_overlap():
         make_partition(2, [{0, 1}, {1, 2, 3}])
 
 
+def test_make_partition_point_repeated_in_one_block():
+    with pytest.raises(OverlapError):
+        make_partition(1, [[0, 0, 1]])
+    with pytest.raises(OverlapError):
+        parse_diagram("1,1,1'")
+
+
 def test_make_partition_coverage():
     with pytest.raises(CoverageError):
         make_partition(2, [{0, 1}])
@@ -86,6 +94,12 @@ def test_format_parse_round_trip(a: DiagramPartition):
 
 def test_parse_is_whitespace_tolerant():
     assert parse_diagram(" 1 , 4 | 2,3, 4' ,5'|5,6|1',3',6'| 2' ") == ALPHA
+
+
+def test_parse_rejects_non_ascii_digits():
+    for text in ("\u0661,1'", "1,\u0661'", "\uff11,1'"):  # Arabic-Indic one, fullwidth one
+        with pytest.raises(DomainError):
+            parse_diagram(text)
 
 
 def test_parse_empty_gives_empty_diagram():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from diagmon import counting, oracle, verify
@@ -85,6 +87,12 @@ def test_tampered_c1_fails_oracle_sweep(monkeypatch):
     result = check_oracle_counts(B, 3)
     assert not result.ok
     assert "e_total(B,3) formula vs oracle" in result.detail
+
+
+def test_oracle_sweep_note_reports_cost_per_element():
+    result = check_oracle_counts(B, 4)
+    assert result.ok
+    assert re.fullmatch(r"105 elements in \d+\.\d\ds \(\d+ µs/element\)", result.detail), result.detail
 
 
 def test_sweep_checks_share_one_enumeration(monkeypatch, cold_sweeps):
