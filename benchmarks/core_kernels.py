@@ -12,10 +12,11 @@ Rows of an entry:
 - ``kernels_us``: microseconds per call of each kernel on every element of
   the B6, PB5 and P4 streams (the streams of ``diagmon verify --profile
   full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
-  order 0, ``green_signature`` is the R side.  Best of K passes.
+  order 0, ``green_signature`` is the R side.  Best of K rounds, each
+  round timing every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
-  Best of K.
+  Best of K rounds.
 - ``run_full_cold_s``: wall time of ``run_full()`` in a fresh interpreter,
   import included, for each of K runs, and their median.
 - ``python``, ``git_sha`` (suffixed ``+uncommitted`` when ``src`` differs
@@ -62,41 +63,51 @@ COLD_RUN_FULL = (
 )
 
 
-def best_us(fn, items: list, repeat: int) -> float:
-    """Microseconds per call of fn over the items, best of repeat passes."""
-    best = float("inf")
-    for _ in range(repeat):
-        started = time.perf_counter()
-        for x in items:
-            fn(x)
-        best = min(best, time.perf_counter() - started)
-    return round(1e6 * best / len(items), 3)
+def best_us(timings: dict, key: tuple, fn, items: list) -> None:
+    """Time one pass of fn over the items; keep the best µs per call seen."""
+    started = time.perf_counter()
+    for x in items:
+        fn(x)
+    us = 1e6 * (time.perf_counter() - started) / len(items)
+    timings[key] = min(us, timings.get(key, us))
 
 
 def kernel_rows(repeat: int) -> dict:
-    rows: dict[str, dict[str, float]] = {name: {} for name in (*KERNELS, "parse_diagram")}
+    """Each round times every kernel once on every stream, so a slow stretch
+    of a shared host hits all kernels alike; the best round counts."""
+    streams = {}
     for fam, n in STREAMS:
-        label = f"{fam}{n}"
         elements = list(enumerate_elements(fam, n))
-        for name, fn in KERNELS.items():
-            rows[name][label] = best_us(fn, elements, repeat)
-        texts = [format_diagram(a) for a in elements]
-        rows["parse_diagram"][label] = best_us(parse_diagram, texts, repeat)
+        streams[f"{fam}{n}"] = (elements, [format_diagram(a) for a in elements])
+    best: dict[tuple[str, str], float] = {}
+    for _ in range(repeat):
+        for label, (elements, texts) in streams.items():
+            for name, fn in KERNELS.items():
+                best_us(best, (name, label), fn, elements)
+            best_us(best, ("parse_diagram", label), parse_diagram, texts)
+    rows: dict[str, dict[str, float]] = {}
+    for (name, label), us in best.items():
+        rows.setdefault(name, {})[label] = round(us, 3)
     return rows
 
 
 def sweep_rows(repeat: int) -> dict:
-    rows = {}
-    for fam, n in FULL_SWEEPS:
-        reports = [brute_report(fam, n, M=0) for _ in range(repeat)]
-        best = min(r.elapsed_seconds for r in reports)
-        elements = reports[0].total_elements
-        rows[f"{fam.value}{n}"] = {
-            "elements": elements,
-            "seconds": round(best, 4),
-            "us_per_element": round(1e6 * best / elements, 2),
+    best: dict[str, float] = {}
+    elements: dict[str, int] = {}
+    for _ in range(repeat):
+        for fam, n in FULL_SWEEPS:
+            report = brute_report(fam, n, M=0)
+            label = f"{fam.value}{n}"
+            best[label] = min(report.elapsed_seconds, best.get(label, report.elapsed_seconds))
+            elements[label] = report.total_elements
+    return {
+        label: {
+            "elements": elements[label],
+            "seconds": round(seconds, 4),
+            "us_per_element": round(1e6 * seconds / elements[label], 2),
         }
-    return rows
+        for label, seconds in best.items()
+    }
 
 
 def cold_run_full(repeat: int) -> dict:
