@@ -1,6 +1,6 @@
 """Per-call cost of diagmon's core kernels, the oracle sweeps and a cold verify.
 
-    python3 benchmarks/core_kernels.py --label NAME [--repeat K] [--out FILE]
+    python3 benchmarks/core_kernels.py --label NAME [--out FILE]
 
 Imports diagmon from the ``src`` directory next to this script, so running
 the script from another checkout measures that checkout.  Writes one entry,
@@ -12,15 +12,15 @@ Rows of an entry:
 - ``kernels_us``: microseconds per call of each kernel on every element of
   the B6, PB5 and P4 streams (the streams of ``diagmon verify --profile
   full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
-  order 0, ``green_signature`` is the R side.  Best of K rounds, each
-  round timing every kernel once.
+  order 0, ``green_signature`` is the R side.  Best of ``ROUNDS`` rounds,
+  each round timing every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
-  Best of K rounds.
+  Best of ``ROUNDS`` rounds.
 - ``run_full_cold_s``: wall time of ``run_full()`` in a fresh interpreter,
-  import included, for each of K runs, and their median.
-- ``python``, ``git_sha`` (suffixed ``+uncommitted`` when ``src`` differs
-  from it) and ``host`` (CPU model and count).
+  import included, for each of ``ROUNDS`` runs, and their median.
+- ``python`` (the interpreter's version) and ``git_sha`` (the checkout's
+  HEAD).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from diagmon.oracle import brute_report, enumerate_elements, green_signature  # 
 from diagmon.verify import FULL_SWEEPS  # noqa: E402
 
 STREAMS = (("B", 6), ("PB", 5), ("P", 4))
+ROUNDS = 7
 
 KERNELS = {
     "multiply": lambda a: multiply(a, a),
@@ -72,7 +73,7 @@ def best_us(timings: dict, key: tuple, fn, items: list) -> None:
     timings[key] = min(us, timings.get(key, us))
 
 
-def kernel_rows(repeat: int) -> dict:
+def kernel_rows() -> dict:
     """Each round times every kernel once on every stream, so a slow stretch
     of a shared host hits all kernels alike; the best round counts."""
     streams = {}
@@ -80,7 +81,7 @@ def kernel_rows(repeat: int) -> dict:
         elements = list(enumerate_elements(fam, n))
         streams[f"{fam}{n}"] = (elements, [format_diagram(a) for a in elements])
     best: dict[tuple[str, str], float] = {}
-    for _ in range(repeat):
+    for _ in range(ROUNDS):
         for label, (elements, texts) in streams.items():
             for name, fn in KERNELS.items():
                 best_us(best, (name, label), fn, elements)
@@ -91,10 +92,10 @@ def kernel_rows(repeat: int) -> dict:
     return rows
 
 
-def sweep_rows(repeat: int) -> dict:
+def sweep_rows() -> dict:
     best: dict[str, float] = {}
     elements: dict[str, int] = {}
-    for _ in range(repeat):
+    for _ in range(ROUNDS):
         for fam, n in FULL_SWEEPS:
             report = brute_report(fam, n, M=0)
             label = f"{fam.value}{n}"
@@ -110,10 +111,10 @@ def sweep_rows(repeat: int) -> dict:
     }
 
 
-def cold_run_full(repeat: int) -> dict:
+def cold_run_full() -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     times = []
-    for _ in range(repeat):
+    for _ in range(ROUNDS):
         out = subprocess.run(
             [sys.executable, "-c", COLD_RUN_FULL], env=env, capture_output=True, text=True, check=True
         ).stdout.split()
@@ -123,39 +124,19 @@ def cold_run_full(repeat: int) -> dict:
     return {"runs": times, "median": statistics.median(times)}
 
 
-def host() -> str:
-    model = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            model = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return f"{model}, {os.cpu_count()} CPUs"
-
-
-def git_sha() -> str | None:
-    """HEAD's commit, marked when the measured sources differ from it."""
-
-    def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
-
-    head = git("rev-parse", "HEAD")
-    return head + ("+uncommitted" if git("status", "--porcelain", "--", "src") else "") or None
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="Key of this entry in the output file.")
-    parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_core_kernels.json")
     args = parser.parse_args()
     entry = {
         "python": platform.python_version(),
-        "git_sha": git_sha(),
-        "host": host(),
-        "kernels_us": kernel_rows(args.repeat),
-        "brute_report": sweep_rows(args.repeat),
-        "run_full_cold_s": cold_run_full(args.repeat),
+        "git_sha": subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        ).stdout.strip(),
+        "kernels_us": kernel_rows(),
+        "brute_report": sweep_rows(),
+        "run_full_cold_s": cold_run_full(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry

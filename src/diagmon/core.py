@@ -120,6 +120,14 @@ class EquivalenceRelation:
     def is_discrete(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
 
+    def class_index(self) -> dict[int, int]:
+        """Map each point to the position of its class in the canonical list."""
+        out: dict[int, int] = {}
+        for i, cls in enumerate(self.classes):
+            for x in cls:
+                out[x] = i
+        return out
+
     def join(self, other: "EquivalenceRelation") -> "EquivalenceRelation":
         """Smallest equivalence containing both: transitive closure of the union.
 
