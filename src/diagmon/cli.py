@@ -18,7 +18,7 @@ import click
 from .core import MonoidFamily, format_diagram
 from .counting import e_rank, e_total, exi_rank, exi_total
 from .errors import DomainError, TooLargeError
-from .idempotency import is_idempotent_direct, is_twisted_idempotent
+from .idempotency import as_twist_order, is_idempotent_direct, is_twisted_idempotent
 from .oracle import DEFAULT_CAP, brute_report, enumerate_elements
 from .tables import render_table
 from .verify import run_full, run_quick
@@ -90,6 +90,8 @@ def _count(
         return report.idempotents_total
     if m_order is not None:
         if rank is not None:
+            if method not in (None, "recurrence"):
+                raise DomainError(f"per-rank twisted counts have only the recurrence route, not {method}")
             return exi_rank(fam, n, rank, m_order)
         # order 0 has a recurrence; every positive order has only the formula
         return exi_total(fam, n, m_order, method or ("recurrence" if m_order == 0 else "formula"))
@@ -162,7 +164,7 @@ def cmd_enumerate(
 ) -> None:
     """List elements, one diagram per line, with a count trailer."""
     fam = MonoidFamily(family)
-    order = 0 if m_order is None else m_order
+    order = as_twist_order(0 if m_order is None else m_order)
     lines: list[str] = []
     count = 0
     for a in enumerate_elements(fam, n, cap):

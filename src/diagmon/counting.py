@@ -208,19 +208,11 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") ->
 
 def _rank0_rclass_count(fam: MonoidFamily, n: int) -> int:
     """Number of R-classes of rank 0, i.e. of possible upper halves."""
-    if n == 0:
-        return 1
-    if fam is MonoidFamily.P:
-        return bell(n)
-    if fam is MonoidFamily.B:
-        return odd_double_factorial(n - 1) if n % 2 == 0 else 0
-    if fam is MonoidFamily.PB:
-        return involutions(n)
-    if fam is MonoidFamily.I:
-        return 1
+    if fam in (MonoidFamily.P, MonoidFamily.B, MonoidFamily.PB):
+        return rho(fam, n)
     # T forces a full upper domain and Idual full domains on both sides,
     # so neither contains a rank-0 element once n >= 1
-    return 0
+    return 1 if n == 0 or fam is MonoidFamily.I else 0
 
 
 def _e_rank_entry(

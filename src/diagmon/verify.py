@@ -17,10 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .combinat import bell, binomial, e_nrs
-from .core import DiagramPartition, EquivalenceRelation, MonoidFamily, multiply
+from .core import EquivalenceRelation, MonoidFamily, multiply
 from .counting import (
     a_nr,
     a_nrt,
@@ -343,35 +342,36 @@ def check_rho_against_signatures(fam: MonoidFamily, n: int, cap: int = DEFAULT_C
 # Green cross-checks (orbit computation vs signatures)
 
 def check_green_orbits(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    failures = []
+    """Green's relations by definition, from one table of product indices:
+    row i is the right ideal a_i·S and column j the left ideal S·a_j (S
+    holds the identity).  A side's two partitions, by ideal and by signature,
+    agree exactly when each element's class has the same first element.
+    """
+    name = f"Green orbits vs signatures {fam.value}_{n}"
     elements = list(enumerate_elements(fam, n, cap))
-    right: dict[DiagramPartition, frozenset[DiagramPartition]] = {}
-    left: dict[DiagramPartition, frozenset[DiagramPartition]] = {}
-    for a in elements:
-        right[a] = frozenset(multiply(a, x)[0] for x in elements) | {a}
-        left[a] = frozenset(multiply(x, a)[0] for x in elements) | {a}
-
-    def orbit_related(a: DiagramPartition, b: DiagramPartition, side: str) -> bool:
-        if side == "R":
-            return b in right[a] and a in right[b]
-        if side == "L":
-            return b in left[a] and a in left[b]
-        return (
-            b in right[a] and a in right[b] and b in left[a] and a in left[b]
-        )
-
-    for side in ("R", "L", "H"):
-        signature = {a: green_signature(a, side) for a in elements}
-        for a, b in combinations(elements, 2):
-            by_orbit = orbit_related(a, b, side)
-            by_key = signature[a] == signature[b]
+    index = {a: i for i, a in enumerate(elements)}
+    table = [[index.get(multiply(a, x)[0]) for x in elements] for a in elements]
+    for a, row in zip(elements, table):
+        if None in row:
+            x = elements[row.index(None)]
+            return _result(name, [f"{a} * {x} = {multiply(a, x)[0]} is not in {fam.value}_{n}"])
+    rows = [frozenset(row) for row in table]
+    columns = [frozenset(column) for column in zip(*table)]
+    failures = []
+    for side, ideals in (("R", rows), ("L", columns), ("H", zip(rows, columns))):
+        first_by_orbit: dict[object, int] = {}
+        first_by_key: dict[object, int] = {}
+        for j, (b, ideal) in enumerate(zip(elements, ideals)):
+            by_orbit = first_by_orbit.setdefault(ideal, j)
+            by_key = first_by_key.setdefault(green_signature(b, side), j)
             if by_orbit != by_key:
+                i = min(by_orbit, by_key)
                 failures.append(
-                    f"{side} disagreement in {fam.value}_{n} between {a} and {b}:"
-                    f" orbit {by_orbit}, signature {by_key}"
+                    f"{side} disagreement in {fam.value}_{n} between {elements[i]} and {b}:"
+                    f" orbit {by_orbit == i}, signature {by_key == i}"
                 )
                 break
-    return _result(f"Green orbits vs signatures {fam.value}_{n}", failures)
+    return _result(name, failures)
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,15 @@ def test_count_twisted_rank():
     assert result.output.strip() == "6"
 
 
+def test_count_twisted_rank_has_only_the_recurrence():
+    # per-rank twisted counts have one route; any other method is refused
+    args = ("count", "--family", "B", "--n", "3", "--rank", "1", "--M", "0")
+    for method in ("formula", "mu_sum", "closed"):
+        result = run(*args, "--method", method)
+        assert result.exit_code == 2, (method, result.output)
+    assert run(*args, "--method", "recurrence").output == "6\n"
+
+
 def test_count_bruteforce():
     result = run("count", "--family", "B", "--n", "3", "--method", "bruteforce")
     assert result.exit_code == 0
@@ -199,6 +208,13 @@ def test_enumerate_out_file(tmp_path):
     )
     assert result.exit_code == 0
     assert target.read_text().strip().splitlines()[-1] == "# count: 3"
+
+
+def test_enumerate_negative_order_exits_2():
+    for keep in ("all", "idempotent", "twisted"):
+        result = run("enumerate", "--family", "B", "--n", "2", "--filter", keep, "--M", "-1")
+        assert result.exit_code == 2, (keep, result.output)
+    assert run("enumerate", "--family", "B", "--n", "2", "--M", "2").exit_code == 0
 
 
 def test_enumerate_cap_exits_3():

@@ -61,8 +61,64 @@ def test_enrs_oracle_check():
     assert check_enrs_oracle(4).ok
 
 
-def test_green_orbit_check():
-    assert check_green_orbits(B, 3).ok
+@pytest.mark.parametrize(
+    "fam, n",
+    [
+        (MonoidFamily.P, 2),
+        (B, 3),
+        (MonoidFamily.PB, 3),
+        (MonoidFamily.T, 2),
+        (MonoidFamily.I, 3),
+        (MonoidFamily.IDUAL, 3),
+    ],
+)
+def test_green_orbit_check(fam, n):
+    assert check_green_orbits(fam, n).ok
+
+
+def test_green_check_fails_on_merged_r_classes(monkeypatch):
+    # the rank-1 element's R-class is keyed as the identity's
+    honest = oracle.green_signature
+    unit, merged = identity(3), parse_diagram("1,2'|2,3|1',3'")
+    assert honest(unit, "R") != honest(merged, "R")
+
+    def merging(a, side="R"):
+        return honest(unit if a == merged and side == "R" else a, side)
+
+    monkeypatch.setattr(verify, "green_signature", merging)
+    result = check_green_orbits(B, 3)
+    assert not result.ok
+    assert result.detail.startswith("R disagreement in B_3 between"), result.detail
+
+
+def test_green_check_fails_on_split_l_class(monkeypatch):
+    # the identity leaves the L-class of the other units
+    honest = oracle.green_signature
+    unit = identity(3)
+
+    def splitting(a, side="R"):
+        sig = honest(a, side)
+        return sig + ("split",) if a == unit and side == "L" else sig
+
+    monkeypatch.setattr(verify, "green_signature", splitting)
+    result = check_green_orbits(B, 3)
+    assert not result.ok
+    assert result.detail.startswith("L disagreement in B_3 between"), result.detail
+
+
+def test_green_check_fails_on_product_outside_the_monoid(monkeypatch):
+    # a product that is no Brauer diagram must fail the check, not raise
+    honest = verify.multiply
+    stray = parse_diagram("1,2,3,1',2',3'")
+
+    def leaking(a, b):
+        product, swallowed = honest(a, b)
+        return (stray, swallowed) if a == b == identity(3) else (product, swallowed)
+
+    monkeypatch.setattr(verify, "multiply", leaking)
+    result = check_green_orbits(B, 3)
+    assert not result.ok
+    assert result.detail == f"{identity(3)} * {identity(3)} = {stray} is not in B_3"
 
 
 def test_rclass_uniformity_values():
