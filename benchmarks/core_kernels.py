@@ -1,4 +1,4 @@
-"""Per-call cost of diagmon's core kernels, the oracle sweeps and a cold verify.
+"""Per-call cost of diagmon's core kernels and the oracle sweeps.
 
     python3 benchmarks/core_kernels.py --label NAME [--out FILE]
 
@@ -17,19 +17,21 @@ Rows of an entry:
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
   Best of ``ROUNDS`` rounds.
-- ``run_full_cold_s``: wall time of ``run_full()`` in a fresh interpreter,
-  import included, for each of ``ROUNDS`` runs, and their median.
 - ``python`` (the interpreter's version) and ``git_sha`` (the checkout's
   HEAD).
+
+Older entries in that file also carry ``run_full_cold_s``, the wall times
+of a cold ``run_full()``, a row this script no longer writes.  Those times
+had no correction for the speed of a shared host, so two commits could
+rank the wrong way round; perfbench's verify-full workload, which is
+host-scaled, measures the same run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
@@ -55,14 +57,6 @@ KERNELS = {
     "green_signature": lambda a: green_signature(a, "R"),
     "format_diagram": format_diagram,
 }
-
-COLD_RUN_FULL = (
-    "import time; t = time.perf_counter()\n"
-    "from diagmon.verify import run_full\n"
-    "ok = run_full().ok\n"
-    "print(time.perf_counter() - t, ok)\n"
-)
-
 
 def best_us(timings: dict, key: tuple, fn, items: list) -> None:
     """Time one pass of fn over the items; keep the best µs per call seen."""
@@ -111,19 +105,6 @@ def sweep_rows() -> dict:
     }
 
 
-def cold_run_full() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    times = []
-    for _ in range(ROUNDS):
-        out = subprocess.run(
-            [sys.executable, "-c", COLD_RUN_FULL], env=env, capture_output=True, text=True, check=True
-        ).stdout.split()
-        if out[1] != "True":
-            raise SystemExit("run_full() reported failures")
-        times.append(round(float(out[0]), 3))
-    return {"runs": times, "median": statistics.median(times)}
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="Key of this entry in the output file.")
@@ -136,7 +117,6 @@ def main() -> None:
         ).stdout.strip(),
         "kernels_us": kernel_rows(),
         "brute_report": sweep_rows(),
-        "run_full_cold_s": cold_run_full(),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry

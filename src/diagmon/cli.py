@@ -43,6 +43,17 @@ def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
     return wrapper
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Print the text, or write it to the file named by --out."""
+    if out is None:
+        click.echo(text, nl=False)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 @click.group()
 @click.version_option(package_name="diagmon")
 def main() -> None:
@@ -116,11 +127,7 @@ def cmd_table(which: str, max_n: int, fmt: str, out: str | None) -> None:
     """Rebuild one of the ten reference tables."""
     if max_n > MAX_TABLE_N:
         raise DomainError(f"max-n is limited to {MAX_TABLE_N}, got {max_n}")
-    text = render_table(which, max_n, fmt)
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit(render_table(which, max_n, fmt), out)
 
 
 @main.command("verify")
@@ -175,11 +182,7 @@ def cmd_enumerate(
         lines.append(format_diagram(a))
         count += 1
     lines.append(f"# count: {count}")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit("\n".join(lines) + "\n", out)
 
 
 if __name__ == "__main__":

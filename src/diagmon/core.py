@@ -403,14 +403,16 @@ def family_check(a: DiagramPartition, f: MonoidFamily) -> bool:
         return all(len(blk) == 2 for blk in a.blocks)
     if f is MonoidFamily.PB:
         return all(len(blk) <= 2 for blk in a.blocks)
-    prof = profile(a)
-    full = frozenset(range(1, a.n + 1))
+    halves = _halves(a)
     if f is MonoidFamily.T:
-        return prof.upper_domain == full and prof.lower_kernel.is_discrete()
+        # full upper domain and discrete lower kernel: one lower point per block
+        return all(len(lower) == 1 for _, lower in halves)
     if f is MonoidFamily.I:
-        return prof.upper_kernel.is_discrete() and prof.lower_kernel.is_discrete()
+        # both kernels discrete
+        return all(len(upper) <= 1 and len(lower) <= 1 for upper, lower in halves)
     if f is MonoidFamily.IDUAL:
-        return prof.upper_domain == full and prof.lower_domain == full
+        # both domains full: every block is a transversal
+        return all(upper and lower for upper, lower in halves)
     raise DomainError(f"unknown family {f!r}")
 
 

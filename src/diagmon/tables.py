@@ -2,7 +2,9 @@
 
 Tables 1-3 are per-family series (c-values, idempotent totals, twisted
 totals), tables 4/7/8 idempotents by rank, table 5 idempotents per R-class,
-tables 6/9/10 twisted counts per R-class or rank.  The expected values ship
+tables 6/9/10 twisted counts per R-class or rank.  Each table is one entry
+of ``_SPEC`` and one grid of cells (n, j), where j is the column position in
+a series table and the rank r in a rank table.  The expected values ship
 as package data; four cells of that data are internally inconsistent (each
 fails a recurrence or column sum that the surrounding cells satisfy) and
 are listed in known_discrepancies.json, so comparisons treat them
@@ -26,43 +28,20 @@ SERIES_COLUMNS = ("c0", "c1", "c", "e", "exi0")
 
 TABLE_IDS = tuple(str(i) for i in range(1, 11))
 
-_FAMILY = {
-    "1": MonoidFamily.B,
-    "2": MonoidFamily.PB,
-    "3": MonoidFamily.P,
-    "4": MonoidFamily.B,
-    "5": MonoidFamily.B,
-    "6": MonoidFamily.B,
-    "7": MonoidFamily.PB,
-    "8": MonoidFamily.P,
-    "9": MonoidFamily.B,
-    "10": MonoidFamily.P,
-}
+_B, _PB, _P = MonoidFamily.B, MonoidFamily.PB, MonoidFamily.P
 
-_KIND = {
-    "1": "series",
-    "2": "series",
-    "3": "series",
-    "4": "e_rank",
-    "5": "a_nr",
-    "6": "b_nr",
-    "7": "e_rank",
-    "8": "e_rank",
-    "9": "exi_rank",
-    "10": "exi_rank",
-}
-
-_TITLE = {
-    "1": "irreducible counts and idempotent totals, family B",
-    "2": "irreducible counts and idempotent totals, family PB",
-    "3": "irreducible counts and idempotent totals, family P",
-    "4": "idempotents by rank, family B",
-    "5": "idempotents per R-class, family B",
-    "6": "twisted idempotents per R-class, family B",
-    "7": "idempotents by rank, family PB",
-    "8": "idempotents by rank, family P",
-    "9": "twisted idempotents by rank, family B",
-    "10": "twisted idempotents by rank, family P",
+# id -> (family, kind, title); kind is "series" or the count in each rank cell
+_SPEC = {
+    "1": (_B, "series", "irreducible counts and idempotent totals, family B"),
+    "2": (_PB, "series", "irreducible counts and idempotent totals, family PB"),
+    "3": (_P, "series", "irreducible counts and idempotent totals, family P"),
+    "4": (_B, "e_rank", "idempotents by rank, family B"),
+    "5": (_B, "a_nr", "idempotents per R-class, family B"),
+    "6": (_B, "b_nr", "twisted idempotents per R-class, family B"),
+    "7": (_PB, "e_rank", "idempotents by rank, family PB"),
+    "8": (_P, "e_rank", "idempotents by rank, family P"),
+    "9": (_B, "exi_rank", "twisted idempotents by rank, family B"),
+    "10": (_P, "exi_rank", "twisted idempotents by rank, family P"),
 }
 
 
@@ -96,21 +75,26 @@ def known_discrepancies(which: int | str | None = None) -> list[dict]:
 # --------------------------------------------------------------------------
 # building
 
-def _cell_defined(wid: str, n: int, r: int) -> bool:
-    if wid in ("4", "5", "6", "9"):
-        return 0 <= r <= n and (n - r) % 2 == 0
-    return 0 <= r <= n
+def _row(wid: str, n: int) -> dict[int, int]:
+    """The defined cells of row n, keyed by j.
 
-
-def _rank_value(wid: str, n: int, r: int) -> int:
-    fam = _FAMILY[wid]
-    if wid == "5":
-        return a_nr(n, r)
-    if wid == "6":
-        return b_nr(n, r)
-    if wid in ("9", "10"):
-        return exi_rank(fam, n, r, 0)
-    return e_rank(fam, n, r, "recurrence")
+    A series row lacks the c-values at n = 0; a rank row of a B table holds
+    the ranks of n's parity only.
+    """
+    fam, kind, _ = _SPEC[wid]
+    if kind == "series":
+        row = dict(enumerate(c_values(fam, n))) if n else {}
+        row[3] = e_total(fam, n, "recurrence")
+        row[4] = exi_total(fam, n, 0, "recurrence")
+        return row
+    ranks = range(n % 2, n + 1, 2) if fam is _B else range(n + 1)
+    if kind == "a_nr":
+        return {r: a_nr(n, r) for r in ranks}
+    if kind == "b_nr":
+        return {r: b_nr(n, r) for r in ranks}
+    if kind == "exi_rank":
+        return {r: exi_rank(fam, n, r, 0) for r in ranks}
+    return {r: e_rank(fam, n, r, "recurrence") for r in ranks}
 
 
 def build_table(which: int | str, max_n: int = 10) -> CountTable:
@@ -123,28 +107,13 @@ def build_table(which: int | str, max_n: int = 10) -> CountTable:
     wid = _check_id(which)
     if max_n < 0:
         raise DomainError(f"max_n must be nonnegative, got {max_n}")
-    fam = _FAMILY[wid]
-    entries: dict[tuple[int, ...], int] = {}
-    if _KIND[wid] == "series":
-        for n in range(max_n + 1):
-            if n >= 1:
-                c0, c1, c = c_values(fam, n)
-                entries[(n, 0)], entries[(n, 1)], entries[(n, 2)] = c0, c1, c
-            entries[(n, 3)] = e_total(fam, n, "recurrence")
-            entries[(n, 4)] = exi_total(fam, n, 0, "recurrence")
-        index_names = ("n", "column")
-    else:
-        for n in range(max_n + 1):
-            for r in range(n + 1):
-                if _cell_defined(wid, n, r):
-                    entries[(n, r)] = _rank_value(wid, n, r)
-        index_names = ("n", "r")
+    fam, kind, _ = _SPEC[wid]
     return CountTable(
-        kind=_KIND[wid],
+        kind=kind,
         family=fam.value,
         method="recurrence",
-        index_names=index_names,
-        entries=entries,
+        index_names=("n", "column") if kind == "series" else ("n", "r"),
+        entries={(n, j): v for n in range(max_n + 1) for j, v in _row(wid, n).items()},
     )
 
 
@@ -163,9 +132,16 @@ class CellComparison:
     known: bool
 
 
-def _known_key(entry: dict) -> tuple[str, int, str]:
-    column = f"r={entry['r']}" if "r" in entry else entry["column"]
-    return (entry["table"], entry["n"], column)
+def _reference_cells(wid: str, max_n: int) -> dict[tuple[int, int], int]:
+    """The shipped reference cells with n <= max_n, keyed (n, j) like
+    build_table's entries: a series table is stored as ``rows`` of column
+    values, a rank table as ``cells`` keyed by rank."""
+    ref = printed_table(wid)
+    if "rows" in ref:
+        cells = ((int(n), j, v) for n, row in ref["rows"].items() for j, v in enumerate(row))
+    else:
+        cells = ((int(n), int(r), v) for n, row in ref["cells"].items() for r, v in row.items())
+    return {(n, j): v for n, j, v in cells if n <= max_n and v is not None}
 
 
 def compare_table(which: int | str, max_n: int = 10) -> list[CellComparison]:
@@ -173,44 +149,23 @@ def compare_table(which: int | str, max_n: int = 10) -> list[CellComparison]:
 
     Returns the disagreements; each is flagged known=True when the cell is
     in the discrepancy list and our value matches the documented
-    recomputation, so a clean build yields only known entries.
+    recomputation, so a clean build yields only known entries.  A reference
+    cell with no recomputed value reads computed=-1.
     """
     wid = _check_id(which)
     table = build_table(wid, max_n)
-    reference = printed_table(wid)
+    series = _SPEC[wid][1] == "series"
     documented = {
-        _known_key(e): e["computed"] for e in known_discrepancies(wid)
+        (e["n"], e["r"] if "r" in e else SERIES_COLUMNS.index(e["column"])): e["computed"]
+        for e in known_discrepancies(wid)
     }
     out: list[CellComparison] = []
-
-    def check(n: int, column: str, ref_value: int, key: tuple[int, ...]) -> None:
-        computed = table.entries.get(key)
-        if computed is None:
-            out.append(CellComparison(wid, n, column, ref_value, -1, known=False))
-            return
-        if computed == ref_value:
-            return
-        expected = documented.get((wid, n, column))
-        out.append(
-            CellComparison(wid, n, column, ref_value, computed, known=computed == expected)
-        )
-
-    if _KIND[wid] == "series":
-        for n_str, cells in reference["rows"].items():
-            n = int(n_str)
-            if n > max_n:
-                continue
-            for j, value in enumerate(cells):
-                if value is not None:
-                    check(n, SERIES_COLUMNS[j], value, (n, j))
-    else:
-        for n_str, row in reference["cells"].items():
-            n = int(n_str)
-            if n > max_n:
-                continue
-            for r_str, value in row.items():
-                r = int(r_str)
-                check(n, f"r={r}", value, (n, r))
+    for (n, j), ref_value in _reference_cells(wid, max_n).items():
+        computed = table.entries.get((n, j), -1)
+        if computed != ref_value:
+            column = SERIES_COLUMNS[j] if series else f"r={j}"
+            known = computed == documented.get((n, j))
+            out.append(CellComparison(wid, n, column, ref_value, computed, known))
     return out
 
 
@@ -219,25 +174,11 @@ def compare_table(which: int | str, max_n: int = 10) -> list[CellComparison]:
 
 def table_headers(which: int | str, max_n: int = 10) -> list[str]:
     wid = _check_id(which)
-    fam = _FAMILY[wid].value
-    if _KIND[wid] == "series":
-        return ["n", f"c_0({fam}_n)", f"c_1({fam}_n)", f"c({fam}_n)", f"e({fam}_n)", f"e^xi({fam}_n)"]
+    fam, kind, _ = _SPEC[wid]
+    if kind == "series":
+        f = fam.value
+        return ["n", f"c_0({f}_n)", f"c_1({f}_n)", f"c({f}_n)", f"e({f}_n)", f"e^xi({f}_n)"]
     return ["n"] + [f"r={r}" for r in range(max_n + 1)]
-
-
-def _grid(which: int | str, max_n: int) -> tuple[list[str], list[list[str]]]:
-    wid = _check_id(which)
-    table = build_table(wid, max_n)
-    headers = table_headers(wid, max_n)
-    rows: list[list[str]] = []
-    width = len(headers) - 1
-    for n in range(max_n + 1):
-        cells = [str(n)]
-        for j in range(width):
-            value = table.entries.get((n, j))
-            cells.append("" if value is None else str(value))
-        rows.append(cells)
-    return headers, rows
 
 
 def _notes(wid: str, max_n: int) -> list[str]:
@@ -261,8 +202,16 @@ def render_table(which: int | str, max_n: int = 10, fmt: str = "markdown") -> st
     note naming the reference value.
     """
     wid = _check_id(which)
-    headers, rows = _grid(wid, max_n)
+    if fmt not in ("csv", "json", "markdown"):
+        raise DomainError(f"unknown format {fmt!r}")
+    entries = build_table(wid, max_n).entries
+    headers = table_headers(wid, max_n)
+    rows = [
+        [str(n)] + [str(entries[n, j]) if (n, j) in entries else "" for j in range(len(headers) - 1)]
+        for n in range(max_n + 1)
+    ]
     notes = _notes(wid, max_n)
+    title = _SPEC[wid][2]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -274,7 +223,7 @@ def render_table(which: int | str, max_n: int = 10, fmt: str = "markdown") -> st
     if fmt == "json":
         payload = {
             "table": wid,
-            "title": _TITLE[wid],
+            "title": title,
             "columns": headers,
             "rows": [
                 {"n": int(cells[0]), "cells": {h: v for h, v in zip(headers[1:], cells[1:])}}
@@ -283,14 +232,12 @@ def render_table(which: int | str, max_n: int = 10, fmt: str = "markdown") -> st
             "notes": notes,
         }
         return json.dumps(payload, indent=2) + "\n"
-    if fmt == "markdown":
-        lines = [f"### {_TITLE[wid]}", ""]
-        lines.append("| " + " | ".join(headers) + " |")
-        lines.append("|" + "|".join(" ---:" for _ in headers) + "|")
-        for cells in rows:
-            lines.append("| " + " | ".join(cells) + " |")
-        for note in notes:
-            lines.append("")
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
-    raise DomainError(f"unknown format {fmt!r}")
+    lines = [f"### {title}", ""]
+    lines.append("| " + " | ".join(headers) + " |")
+    lines.append("|" + "|".join(" ---:" for _ in headers) + "|")
+    for cells in rows:
+        lines.append("| " + " | ".join(cells) + " |")
+    for note in notes:
+        lines.append("")
+        lines.append(f"note: {note}")
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from diagmon.core import DiagramPartition, EquivalenceRelation, StructuralProfile
+from diagmon.core import DiagramPartition, EquivalenceRelation, MonoidFamily, StructuralProfile
 from diagmon.idempotency import TwistOrder
 
 
@@ -115,6 +115,21 @@ def naive_profile(a: DiagramPartition) -> StructuralProfile:
         lower_kernel=EquivalenceRelation(n, lower),
         kernel=EquivalenceRelation(n, naive_join(n, upper, lower)),
     )
+
+
+def naive_family_check(a: DiagramPartition, f: MonoidFamily) -> bool:
+    """Membership of T, I or Idual read off naive_profile's domains and kernels."""
+    prof = naive_profile(a)
+    full = frozenset(range(1, a.n + 1))
+    upper_discrete = all(len(c) == 1 for c in prof.upper_kernel.classes)
+    lower_discrete = all(len(c) == 1 for c in prof.lower_kernel.classes)
+    if f is MonoidFamily.T:
+        return prof.upper_domain == full and lower_discrete
+    if f is MonoidFamily.I:
+        return upper_discrete and lower_discrete
+    if f is MonoidFamily.IDUAL:
+        return prof.upper_domain == full and prof.lower_domain == full
+    raise ValueError(f)
 
 
 def naive_green_signature(a: DiagramPartition, side: str) -> tuple:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -48,6 +50,16 @@ def test_count_twisted_rank_has_only_the_recurrence():
         result = run(*args, "--method", method)
         assert result.exit_code == 2, (method, result.output)
     assert run(*args, "--method", "recurrence").output == "6\n"
+
+
+def test_readme_count_examples():
+    # each `diagmon count` line of the README carries its answer as a comment
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"^diagmon (count .*?)\s+# (\d+)$", readme, re.MULTILINE)
+    assert len(examples) == 3
+    for args, answer in examples:
+        result = run(*args.split())
+        assert (result.exit_code, result.output) == (0, f"{answer}\n"), args
 
 
 def test_count_bruteforce():
@@ -135,6 +147,14 @@ def test_table_json_out_file(tmp_path):
     assert result.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["table"] == "3"
+
+
+def test_out_into_missing_directory_exits_2(tmp_path):
+    target = str(tmp_path / "missing" / "x.md")
+    for args in (("table", "--which", "4"), ("enumerate", "--family", "B", "--n", "2")):
+        result = run(*args, "--out", target)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.output.startswith(f"error: cannot write {target}"), result.output
 
 
 def test_table_reruns_byte_identical():

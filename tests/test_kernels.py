@@ -1,6 +1,6 @@
 """The per-element kernels against the naive references, exhaustively on
-small monoids: the product, the profile, the Green keys and the structural
-and twisted idempotency tests."""
+small monoids: the product, the profile, the Green keys, the structural
+and twisted idempotency tests and the embedded families' membership."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ import itertools
 
 import pytest
 
-from diagmon.core import MonoidFamily, multiply, profile
+from diagmon.core import MonoidFamily, family_check, multiply, profile
 from diagmon.idempotency import is_idempotent_structural, is_twisted_idempotent
 from diagmon.oracle import enumerate_elements, green_signature
 
 from .oracles import (
+    naive_family_check,
     naive_green_signature,
     naive_is_idempotent,
     naive_is_twisted_idempotent,
@@ -59,3 +60,9 @@ def test_twisted_test_matches_squaring(elements):
     for a in elements:
         for order in range(4):
             assert is_twisted_idempotent(a, order) == naive_is_twisted_idempotent(a, order), (a, order)
+
+
+def test_embedded_family_check_matches_naive(elements):
+    for a in elements:
+        for fam in (MonoidFamily.T, MonoidFamily.I, MonoidFamily.IDUAL):
+            assert family_check(a, fam) == naive_family_check(a, fam), (a, fam)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
 from diagmon.counting import b_nr, c_values, e_rank
+from diagmon import tables
 from diagmon.errors import DomainError
 from diagmon.tables import (
+    SERIES_COLUMNS,
     TABLE_IDS,
     build_table,
     compare_table,
@@ -151,3 +154,92 @@ def test_table_at_zero_rows():
     assert set(table.entries) == {(0, 3), (0, 4)}
     text = render_table("1", max_n=0, fmt="csv")
     assert text.splitlines()[1].startswith("0,")
+
+
+def test_data_file_agrees_with_the_spec():
+    # the reference data names each table's family, type and columns; the
+    # rebuilt table must be the same kind of table
+    for which in TABLE_IDS:
+        ref = printed_table(which)
+        table = build_table(which, max_n=0)
+        assert ref["family"] == table.family, which
+        assert ref["type"] == ("series" if table.kind == "series" else "rank"), which
+        if ref["type"] == "series":
+            assert ref["columns"] == list(SERIES_COLUMNS), which
+            assert table.index_names == ("n", "column"), which
+        else:
+            assert "columns" not in ref, which
+            assert table.index_names == ("n", "r"), which
+
+
+# sha256 of render_table(which, 12, fmt) in csv, json and markdown order
+RENDERED_AT_12 = {
+    "1": (
+        "8d86b28c5f8bfde13f7f46847f03de4832eade6d7f1d97c5d691d4a83f8a4b3f",
+        "ae4535ef862b72901a89231967bd75d7a9d59ae07f66271fa6db9837069c7b5f",
+        "b423ee9298c9bd775fe77f0080ad23a236291e4574a0ffc866041812d0a0201c",
+    ),
+    "2": (
+        "d43e926ba1ecec23784750ba47eadc0c286421230ca9de8e2cdb9d610bd893cd",
+        "65e736da9ea1fbf001709fbc783bab3b77009d08905991b8d1bdfc7cf8abfa56",
+        "25415a2a0b11ddde348c5c0a5b0d25179a0404032e1f376f38dac09d474101f0",
+    ),
+    "3": (
+        "4af56f6b43798307226c60dd60f2dfeae98d1a1466137fa660cd4725df76c4ed",
+        "eeb8603d5b0af0072b7cacd13e9eded2fd86d0fb3b4603b509d3c577533f2fa6",
+        "44a3657077e0561726961de5d51fd399ae9a5f6137e8c3779d03d4352d413571",
+    ),
+    "4": (
+        "de9ccce2589af473e194b1c3434edd88f5746986d6ff6d42e58f31ab0161313b",
+        "b418ee3802fed20c27cbe36364fceb81d273db92ad9c4b84c8ffcc032384e3a8",
+        "a00e74ad9480d90873e633582af22a2fd3cc262e985ed667ec48209a24fd335d",
+    ),
+    "5": (
+        "6f3dff35ae35900082a4174e2eeef78b237cbecb962c185814f0c91bc8a0e28d",
+        "fb21a92f29b616d860c6fb6c7567551e081c751c9c9af64a2a7ab7a446369a4a",
+        "206b00b5198e1585de35d1c5ba25b40ca055b9b4daf4b85bb5efc394bf335944",
+    ),
+    "6": (
+        "f86b0c8ef2212876a9603e62d993c4b5e008bcb3bf5607b222a4b3677c496627",
+        "48b5e17cb03452b6c06cf496eca1c58fce4608fb5778e84dabc761b78b9d6448",
+        "af75317e0341e3cd619adea743314216d9fa407db98817e135b5a306cc1d7594",
+    ),
+    "7": (
+        "e85283ae459e5c287a4971cac9df3d25448c0412e8ed1b23abc3b0e10af4fee2",
+        "86af754a9a38a72e57efd43c996f6f4e644739371308c7cea8560bf1a7ffdc89",
+        "49945b7dfbe5514224770b483e0b29826e13f0c097848ccaf43448c77c5c7538",
+    ),
+    "8": (
+        "43a6dcb0fb23f9345726ba0baac3ee4ce7db0210333b27ab33f59fd7f869bdb0",
+        "9ef1ebb01c01cbd5719f7bc59466343f9b74c2155fc05d4bc35cc92984ad97a3",
+        "4aaf68005805cb734ab81717a1b0228e0db4f67bbef14769cdaca2871e324480",
+    ),
+    "9": (
+        "68e3a7c8ba6b7b35581d722559ec365dc0e68f25a3c66f423259c5dc2779b0c5",
+        "c3b0f85953eb1cd9dec589ce0ff87fe160a9c28466b90085d8700dc64e2af36b",
+        "8abbf2b9e5449d1e313ac65bb3557b9f7464c4b6b30e08f960744f5fc649ac89",
+    ),
+    "10": (
+        "d0c84799d1e718124cb2699a4f521345fd125d39947ba64ffb3723427d8e6227",
+        "b8c08dedfe3c38736025ea49f27b12cbcacc72ae2e1d4ccca39db370b3d060a4",
+        "5c3c26d1cb86275face36ad7a080051e433f298bd8603a423c52923c38abb62e",
+    ),
+}
+
+
+@pytest.mark.parametrize("which", TABLE_IDS)
+def test_rendered_tables_are_byte_identical(which):
+    got = tuple(
+        hashlib.sha256(render_table(which, 12, fmt).encode()).hexdigest()
+        for fmt in ("csv", "json", "markdown")
+    )
+    assert got == RENDERED_AT_12[which]
+
+
+def test_unknown_format_is_refused_before_building(monkeypatch):
+    def never(*args):
+        raise AssertionError("build_table called")
+
+    monkeypatch.setattr(tables, "build_table", never)
+    with pytest.raises(DomainError, match="unknown format"):
+        render_table("3", max_n=12, fmt="xml")
