@@ -12,7 +12,9 @@ Rows of an entry:
 - ``kernels_us``: microseconds per call of each kernel on every element of
   the B6, PB5 and P4 streams (the streams of ``diagmon verify --profile
   full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
-  order 0, ``green_signature`` is the R side.  Best of ``ROUNDS`` rounds,
+  order 0, ``green_signature`` is the R side.  ``graph_rank`` is
+  ``lambda_graph`` plus the component classification, timed on each
+  idempotent of the B6 and PB5 streams only.  Best of ``ROUNDS`` rounds,
   each round timing every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
@@ -41,8 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from diagmon.core import format_diagram, multiply, parse_diagram, profile  # noqa: E402
-from diagmon.idempotency import is_idempotent_structural, is_twisted_idempotent  # noqa: E402
+from diagmon.core import format_diagram, lambda_graph, multiply, parse_diagram, profile  # noqa: E402
+from diagmon.idempotency import (  # noqa: E402
+    classify_lambda_components,
+    is_idempotent_direct,
+    is_idempotent_structural,
+    is_twisted_idempotent,
+    rank_from_components,
+)
 from diagmon.oracle import brute_report, enumerate_elements, green_signature  # noqa: E402
 from diagmon.verify import FULL_SWEEPS  # noqa: E402
 
@@ -57,6 +65,12 @@ KERNELS = {
     "green_signature": lambda a: green_signature(a, "R"),
     "format_diagram": format_diagram,
 }
+GRAPH_STREAMS = ("B6", "PB5")
+
+
+def graph_rank(a) -> int:
+    return rank_from_components(classify_lambda_components(lambda_graph(a)))
+
 
 def best_us(timings: dict, key: tuple, fn, items: list) -> None:
     """Time one pass of fn over the items; keep the best µs per call seen."""
@@ -74,12 +88,17 @@ def kernel_rows() -> dict:
     for fam, n in STREAMS:
         elements = list(enumerate_elements(fam, n))
         streams[f"{fam}{n}"] = (elements, [format_diagram(a) for a in elements])
+    idempotents = {
+        label: [a for a in streams[label][0] if is_idempotent_direct(a)] for label in GRAPH_STREAMS
+    }
     best: dict[tuple[str, str], float] = {}
     for _ in range(ROUNDS):
         for label, (elements, texts) in streams.items():
             for name, fn in KERNELS.items():
                 best_us(best, (name, label), fn, elements)
             best_us(best, ("parse_diagram", label), parse_diagram, texts)
+            if label in idempotents:
+                best_us(best, ("graph_rank", label), graph_rank, idempotents[label])
     rows: dict[str, dict[str, float]] = {}
     for (name, label), us in best.items():
         rows.setdefault(name, {})[label] = round(us, 3)

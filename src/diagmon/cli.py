@@ -82,7 +82,20 @@ def cmd_count(
     cap: int,
 ) -> None:
     """Print one exact count: idempotents, by rank, or twisted."""
-    click.echo(str(_count(MonoidFamily(family), n, rank, m_order, method, cap)))
+    click.echo(_decimal(_count(MonoidFamily(family), n, rank, m_order, method, cap)))
+
+
+def _decimal(x: int) -> str:
+    """All the digits of x.  Interpreters that limit int-to-text conversion
+    (to 4300 digits by default) have the limit lifted for this one call."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _count(

@@ -337,19 +337,43 @@ def _halves(a: DiagramPartition) -> list[tuple[Block, Block]]:
     return [(blk[: (k := bisect_left(blk, n))], blk[k:]) for blk in a.blocks]
 
 
+def _row(
+    halves: list[tuple[Block, Block]], i: int, n: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(domain, kernel classes) of the upper (i = 0) or lower (i = 1) row,
+    both sorted, in 1-based labels."""
+    relabel = (1 - i * n).__add__
+    domain = [v for half in halves if half[0] and half[1] for v in half[i]]
+    classes = [tuple(map(relabel, half[i])) for half in halves if half[i]]
+    return tuple(sorted(map(relabel, domain))), tuple(sorted(classes))
+
+
+def _kernel(halves: list[tuple[Block, Block]], n: int) -> list[int]:
+    """Union-find parents on the points 0..n-1 whose classes are the kernel,
+    the join of the upper and the lower kernel.  A lower point v stands for
+    v - n: each block's upper part is one upper class and its lower part
+    one lower class."""
+    parent = list(range(n))
+    for upper, lower in halves:
+        for v in upper[1:]:
+            _union(parent, upper[0], v)
+        for v in lower[1:]:
+            _union(parent, lower[0] - n, v - n)
+    return parent
+
+
 def profile(a: DiagramPartition) -> StructuralProfile:
     """Rank, upper/lower domains, upper/lower kernels, and their join."""
     n = a.n
-    up, low = (1).__add__, (1 - n).__add__
-    halves = [(tuple(map(up, upper)), tuple(map(low, lower))) for upper, lower in _halves(a)]
-    transversals = [(upper, lower) for upper, lower in halves if upper and lower]
-    # upper parts come in block order, which is already the order of their minima
-    upper_kernel = EquivalenceRelation(n, tuple(upper for upper, _ in halves if upper))
-    lower_kernel = EquivalenceRelation(n, tuple(sorted(lower for _, lower in halves if lower)))
+    halves = _halves(a)
+    upper_domain, upper_classes = _row(halves, 0, n)
+    lower_domain, lower_classes = _row(halves, 1, n)
+    upper_kernel = EquivalenceRelation(n, upper_classes)
+    lower_kernel = EquivalenceRelation(n, lower_classes)
     return StructuralProfile(
-        rank=len(transversals),
-        upper_domain=frozenset(x for upper, _ in transversals for x in upper),
-        lower_domain=frozenset(x for _, lower in transversals for x in lower),
+        rank=sum(1 for upper, lower in halves if upper and lower),
+        upper_domain=frozenset(upper_domain),
+        lower_domain=frozenset(lower_domain),
         upper_kernel=upper_kernel,
         lower_kernel=lower_kernel,
         kernel=upper_kernel.join(lower_kernel),
@@ -368,30 +392,29 @@ def decompose_irreducible(
     which happens exactly for the non-idempotent-shaped elements.
     """
     n = a.n
-    classes = profile(a).kernel.classes
-    class_of: dict[int, int] = {}
-    position: dict[int, int] = {}
-    for ci, cls in enumerate(classes):
-        for j, x in enumerate(cls):
-            class_of[x] = ci
-            position[x] = j
-    pieces: list[list[Block]] = [[] for _ in classes]
+    parent = _kernel(_halves(a), n)
+    root = [_find(parent, x) for x in range(n)]
+    classes: dict[int, list[int]] = {}  # by root, in order of their minima
+    position = []  # each point's place in its class
+    for x in range(n):
+        members = classes.setdefault(root[x], [])
+        position.append(len(members))
+        members.append(x)
+    pieces: dict[int, list[Block]] = {r: [] for r in classes}
     for blk in a.blocks:
-        ground = [(v + 1) if v < n else (v - n + 1) for v in blk]
-        owners = {class_of[x] for x in ground}
-        if len(owners) != 1:
+        owners = {root[v % n] for v in blk}
+        if len(owners) > 1:
             raise NotDecomposableError(
                 f"block {{{','.join(str(v + 1) if v < n else str(v - n + 1) + chr(39) for v in blk)}}}"
                 f" straddles kernel classes"
             )
-        ci = owners.pop()
-        m = len(classes[ci])
-        pieces[ci].append(
-            tuple(sorted(position[x] if v < n else m + position[x] for v, x in zip(blk, ground)))
-        )
+        r = owners.pop()
+        m = len(classes[r])
+        # relabelled in vertex order, each block and the piece stay canonical
+        pieces[r].append(tuple(position[v] if v < n else m + position[v - n] for v in blk))
     return [
-        (classes[ci], DiagramPartition(len(classes[ci]), tuple(sorted(piece))))
-        for ci, piece in enumerate(pieces)
+        (tuple(x + 1 for x in members), DiagramPartition(len(members), tuple(pieces[r])))
+        for r, members in classes.items()
     ]
 
 
@@ -421,32 +444,25 @@ def lambda_graph(a: DiagramPartition) -> LambdaGraph:
 
     Red edge for each 2-point upper block, red loop at each singleton upper
     block; blue likewise on the lower row.  Points sitting in transversal
-    blocks get no item of that color.
+    blocks get no item of that color.  Read in canonical block order, each
+    of the four lists comes out sorted.
     """
     n = a.n
     red_edges: list[tuple[int, int]] = []
     red_loops: list[int] = []
     blue_edges: list[tuple[int, int]] = []
     blue_loops: list[int] = []
-    for blk in a.blocks:
-        if len(blk) > 2:
+    for upper, lower in _halves(a):
+        if len(upper) + len(lower) > 2:
             raise NotPartialBrauerError(
-                f"block of size {len(blk)} (partial Brauer blocks have at most 2 points)"
+                f"block of size {len(upper) + len(lower)} (partial Brauer blocks have at most 2 points)"
             )
-        uppers = [v + 1 for v in blk if v < n]
-        lowers = [v - n + 1 for v in blk if v >= n]
-        if len(uppers) == 2:
-            red_edges.append((uppers[0], uppers[1]))
-        elif len(blk) == 1 and uppers:
-            red_loops.append(uppers[0])
-        if len(lowers) == 2:
-            blue_edges.append((lowers[0], lowers[1]))
-        elif len(blk) == 1 and lowers:
-            blue_loops.append(lowers[0])
-    return LambdaGraph(
-        n,
-        tuple(sorted(red_edges)),
-        tuple(sorted(red_loops)),
-        tuple(sorted(blue_edges)),
-        tuple(sorted(blue_loops)),
-    )
+        if len(upper) == 2:
+            red_edges.append((upper[0] + 1, upper[1] + 1))
+        elif len(lower) == 2:
+            blue_edges.append((lower[0] - n + 1, lower[1] - n + 1))
+        elif not lower:
+            red_loops.append(upper[0] + 1)
+        elif not upper:
+            blue_loops.append(lower[0] - n + 1)
+    return LambdaGraph(n, tuple(red_edges), tuple(red_loops), tuple(blue_edges), tuple(blue_loops))

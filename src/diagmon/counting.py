@@ -78,13 +78,6 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _poly_pow(a: list[int], k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, a)
-    return out
-
-
 # --------------------------------------------------------------------------
 # c-values: irreducible idempotent counts by rank (0 or 1) per family
 
@@ -159,8 +152,11 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
         for spec in integer_partitions(n):
             poly = [1]
             for i, mult in enumerate(spec.parts):
-                if mult:
-                    poly = _poly_mul(poly, _poly_pow(list(cs[i + 1][:2]), mult))
+                if mult:  # (c0 + c1·x)^mult, by its binomial row
+                    c0, c1 = cs[i + 1][:2]
+                    poly = _poly_mul(
+                        poly, [math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(mult + 1)]
+                    )
             weight = pi_count(spec)
             row = grid[len(poly) - 1]
             for r, coef in enumerate(poly):

@@ -14,11 +14,12 @@ number of components of the plain even-path shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DiagramPartition, LambdaGraph, _find, _halves, _union, multiply
-from .errors import DomainError, NotBalancedError, NotDecomposableError
+from .core import DiagramPartition, LambdaGraph, _find, _halves, _kernel, _union, multiply
+from .errors import DomainError, NotBalancedError
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,21 +75,10 @@ def is_idempotent_direct(a: DiagramPartition) -> bool:
 
 def _kernel_excess(a: DiagramPartition) -> int | None:
     """Kernel classes minus rank, or None when some block straddles two kernel
-    classes or some class holds two transversals.
-
-    The kernel, the join of the upper and the lower kernel, is found by
-    union-find on the points 0..n-1, where a lower point v stands for v - n:
-    each block's upper part is one upper class and its lower part one lower
-    class.
-    """
+    classes or some class holds two transversals."""
     n = a.n
     halves = _halves(a)
-    parent = list(range(n))
-    for upper, lower in halves:
-        for v in upper[1:]:
-            _union(parent, upper[0], v)
-        for v in lower[1:]:
-            _union(parent, lower[0] - n, v - n)
+    parent = _kernel(halves, n)
     holding: set[int] = set()  # the kernel classes that hold a transversal
     for upper, lower in halves:
         if upper and lower:
@@ -130,89 +120,40 @@ def classify_lambda_components(
     which happens exactly when the graph does not come from an idempotent.
     """
     n = g.n
-    red_edge_at: dict[int, int] = {}
-    blue_edge_at: dict[int, int] = {}
-    red_loop_at = set(g.red_loops)
-    blue_loop_at = set(g.blue_loops)
-
-    if len(g.red_loops) != len(red_loop_at) or len(g.blue_loops) != len(blue_loop_at):
-        raise NotBalancedError("repeated loop")
-    for edges, edge_at, loops, color in (
-        (g.red_edges, red_edge_at, red_loop_at, "red"),
-        (g.blue_edges, blue_edge_at, blue_loop_at, "blue"),
-    ):
+    parent = list(range(n + 1))  # union-find over the vertices, joined along edges
+    for color, edges, loops in (("red", g.red_edges, g.red_loops), ("blue", g.blue_edges, g.blue_loops)):
+        held = [x for edge in edges for x in edge] + list(loops)
+        if not all(1 <= x <= n for x in held):
+            raise NotBalancedError(f"{color} item outside the vertices 1..{n}")
+        if len(set(held)) < len(held):
+            raise NotBalancedError(f"some vertex carries two {color} items")
         for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise NotBalancedError(f"bad {color} edge ({u},{v})")
-            for x in (u, v):
-                if x in edge_at or x in loops:
-                    raise NotBalancedError(f"vertex {x} carries two {color} items")
-            edge_at[u] = v
-            edge_at[v] = u
-        for x in loops:
-            if not 1 <= x <= n:
-                raise NotBalancedError(f"bad {color} loop at {x}")
-
+            _union(parent, u, v)
+    components: dict[int, list[int]] = {}  # by root, in order of their smallest vertex
+    for x in range(1, n + 1):
+        components.setdefault(_find(parent, x), []).append(x)
+    endpoints = Counter(_find(parent, x) for edge in g.red_edges + g.blue_edges for x in edge)
+    looped = Counter(_find(parent, x) for x in g.red_loops + g.blue_loops)
+    # every vertex carries at most one item of each color, so a component is
+    # an alternating circuit (as many edges as vertices) or a path with two
+    # free color slots, at its ends (both on a lone vertex); loops can only
+    # fill those slots
     out: list[tuple[tuple[int, ...], ComponentType]] = []
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        component = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for edge_at in (red_edge_at, blue_edge_at):
-                y = edge_at.get(x)
-                if y is not None and not seen[y]:
-                    seen[y] = True
-                    component.append(y)
-                    frontier.append(y)
-        component.sort()
-        out.append((tuple(component), _classify_one(component, red_edge_at, blue_edge_at, red_loop_at, blue_loop_at)))
+    for root, vertices in components.items():
+        edge_count, loop_count = endpoints[root] // 2, looped[root]
+        if edge_count == len(vertices):
+            shape = ComponentType.EVEN_CIRCUIT
+        elif loop_count == 2:
+            shape = ComponentType.ODD_PATH_LOOPS if edge_count % 2 else ComponentType.EVEN_PATH_LOOPS
+        elif loop_count == 0 and edge_count % 2 == 0:
+            shape = ComponentType.EVEN_PATH
+        else:
+            raise NotBalancedError(
+                f"component {vertices} has {len(vertices)} vertices, {edge_count} edges"
+                f" and {loop_count} loops: no balanced shape"
+            )
+        out.append((tuple(vertices), shape))
     return out
-
-
-def _classify_one(
-    vertices: list[int],
-    red_edge_at: dict[int, int],
-    blue_edge_at: dict[int, int],
-    red_loops: set[int],
-    blue_loops: set[int],
-) -> ComponentType:
-    degree = {x: (x in red_edge_at) + (x in blue_edge_at) for x in vertices}
-    ends = [x for x in vertices if degree[x] < 2]
-    if not ends:
-        # every vertex meets one red and one blue edge: an alternating cycle,
-        # even by color alternation; loops are impossible on degree-2 vertices
-        return ComponentType.EVEN_CIRCUIT
-
-    if len(vertices) == 1:
-        x = vertices[0]
-        looped = (x in red_loops) + (x in blue_loops)
-        if looped == 0:
-            return ComponentType.EVEN_PATH
-        if looped == 2:
-            return ComponentType.EVEN_PATH_LOOPS
-        raise NotBalancedError(f"vertex {x} carries a single loop")
-
-    assert len(ends) == 2, "a component with max degree 2 is a path or cycle"
-    edge_count = sum(degree[x] for x in vertices) // 2
-    # interior vertices have both color slots taken, so any loop the validation
-    # let through sits at an end, in that end's free color slot
-    loops_at_ends = sum((x in red_loops) + (x in blue_loops) for x in ends)
-    if loops_at_ends == 0:
-        if edge_count % 2 == 0:
-            return ComponentType.EVEN_PATH
-        raise NotBalancedError(f"odd path without end loops at {vertices}")
-    if loops_at_ends == 2:
-        return (
-            ComponentType.EVEN_PATH_LOOPS
-            if edge_count % 2 == 0
-            else ComponentType.ODD_PATH_LOOPS
-        )
-    raise NotBalancedError(f"path with a single end loop at {vertices}")
 
 
 def rank_from_components(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .combinat import bell, involutions, odd_double_factorial
 from .core import (
@@ -27,6 +27,7 @@ from .core import (
     DiagramPartition,
     MonoidFamily,
     _halves,
+    _row,
     as_family,
     family_check,
     lambda_graph,
@@ -108,11 +109,17 @@ def enumerate_elements(
     exceed the cap.
     """
     fam = as_family(f)
-    predicted = predicted_element_count(fam, n)
+    # stream sizes never shrink as n grows, so the first size past the cap
+    # settles it, without the cost of a count thousands of digits long
+    m = min(n, 0)  # the count itself refuses a negative n
+    while (predicted := predicted_element_count(fam, m)) <= cap and m < n:
+        m += 1
     if predicted > cap:
+        streams = f"{predicted} candidates" if m == n else (
+            f"at least the {predicted} candidates of {fam.value}_{m}"
+        )
         raise TooLargeError(
-            f"enumerating {fam.value}_{n} means streaming {predicted} candidates,"
-            f" over the cap of {cap}"
+            f"enumerating {fam.value}_{n} means streaming {streams}, over the cap of {cap}"
         )
 
     def generate() -> Iterator[DiagramPartition]:
@@ -141,14 +148,8 @@ def green_signature(a: DiagramPartition, side: str = "R") -> Signature:
     if side not in ("R", "L", "H"):
         raise DomainError(f"unknown Green side {side!r} (valid: R, L, H, D)")
 
-    def row(i: int, relabel: Callable[[int], int]) -> tuple:
-        """(domain, kernel classes) of the upper (i = 0) or lower (i = 1) row."""
-        domain = [v for half in halves if half[0] and half[1] for v in half[i]]
-        classes = [tuple(map(relabel, half[i])) for half in halves if half[i]]
-        return tuple(sorted(map(relabel, domain))), tuple(sorted(classes))
-
-    upper = row(0, (1).__add__) if side != "L" else ()
-    lower = row(1, (1 - a.n).__add__) if side != "R" else ()
+    upper = _row(halves, 0, a.n) if side != "L" else ()
+    lower = _row(halves, 1, a.n) if side != "R" else ()
     return (side, a.n) + upper + lower
 
 

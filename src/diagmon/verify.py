@@ -140,25 +140,21 @@ def check_rclass_reconstruction(max_n: int = 10) -> CheckResult:
         expected = e_total(MonoidFamily.B, n)
         if total != expected:
             failures.append(f"sum rho*a over ranks of B_{n} {total} != e_total {expected}")
-        total_pb = 0
-        for r in range(n + 1):
-            for t in range(n - r + 1):
-                if (n - r - t) % 2 == 0:
-                    total_pb += rho(MonoidFamily.PB, n, r, t) * a_nrt(n, r, t)
-        expected_pb = e_total(MonoidFamily.PB, n)
-        if total_pb != expected_pb:
-            failures.append(f"sum rho*a over (r,t) of PB_{n} {total_pb} != e_total {expected_pb}")
-        for r in range(n + 1):
-            per_rank = sum(
+        per_rank = [
+            sum(
                 rho(MonoidFamily.PB, n, r, t) * a_nrt(n, r, t)
                 for t in range(n - r + 1)
                 if (n - r - t) % 2 == 0
             )
-            if per_rank != e_rank(MonoidFamily.PB, n, r):
-                failures.append(
-                    f"sum over t of rho*a for PB_{n} rank {r}: {per_rank}"
-                    f" != e_rank {e_rank(MonoidFamily.PB, n, r)}"
-                )
+            for r in range(n + 1)
+        ]
+        expected_pb = e_total(MonoidFamily.PB, n)
+        if sum(per_rank) != expected_pb:
+            failures.append(f"sum rho*a over (r,t) of PB_{n} {sum(per_rank)} != e_total {expected_pb}")
+        for r, total_r in enumerate(per_rank):
+            expected_r = e_rank(MonoidFamily.PB, n, r)
+            if total_r != expected_r:
+                failures.append(f"sum over t of rho*a for PB_{n} rank {r}: {total_r} != e_rank {expected_r}")
     return _result("R-class counts rebuild the totals", failures)
 
 

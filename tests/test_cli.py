@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import decimal
 import json
 import re
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from diagmon import cli
+from diagmon import cli, combinat
 from diagmon.cli import main
+from diagmon.combinat import odd_double_factorial
 from diagmon.core import parse_diagram
 from diagmon.counting import a_nr, exi_total, rho
 
@@ -114,6 +116,15 @@ def test_count_large_n_has_no_recursion_limit():
     result = run("count", "--family", "B", "--n", "499")
     assert result.exit_code == 0
     assert int(result.output) == sum(rho("B", 499, r) * a_nr(499, r) for r in range(1, 500, 2))
+
+
+def test_count_prints_every_digit_of_a_long_result():
+    # about 11,500 digits, past the interpreter's default int-to-text limit
+    result = run("count", "--family", "B", "--n", "2000", "--rank", "0")
+    assert result.exit_code == 0, result.output
+    digits = result.output.strip()
+    assert digits.isdigit() and len(digits) > 4300
+    assert decimal.Decimal(digits) == odd_double_factorial(1999) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +251,16 @@ def test_enumerate_negative_order_exits_2():
 def test_enumerate_cap_exits_3():
     result = run("enumerate", "--family", "P", "--n", "4", "--cap", "100")
     assert result.exit_code == 3
+
+
+def test_cap_refuses_a_huge_stream_cheaply(monkeypatch):
+    # the refusal stops at the first size past the cap, so it never grows
+    # the Stirling grid towards Bell(3000)
+    monkeypatch.setattr(combinat, "_STIRLING2", [])
+    result = run("enumerate", "--family", "P", "--n", "1500")
+    assert result.exit_code == 3
+    assert "P_1500" in result.output and "P_7" in result.output
+    assert len(combinat._STIRLING2) < 30
 
 
 def test_count_bruteforce_cap_exits_3():

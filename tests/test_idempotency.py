@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from diagmon.core import identity, lambda_graph, multiply, parse_diagram, profile
+from diagmon.core import MonoidFamily, identity, lambda_graph, multiply, parse_diagram, profile
 from diagmon.errors import DomainError, NotBalancedError
 from diagmon.idempotency import (
     ComponentType,
@@ -14,6 +14,7 @@ from diagmon.idempotency import (
     is_twisted_idempotent,
     rank_from_components,
 )
+from diagmon.oracle import enumerate_elements
 
 from .oracles import naive_is_idempotent
 
@@ -127,8 +128,22 @@ def test_single_loop_vertex_is_unbalanced():
         classify_lambda_components(g)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,2|3,1'|4,2'|3',4'",  # red edge 1-2 alone: an odd path with no loops
+        "1|2|3,2'|1',3'",  # path 1-3 with a loop at one end only
+    ],
+)
+def test_unbalanced_paths_are_refused(text):
+    g = lambda_graph(parse_diagram(text))
+    assert not is_balanced(g)
+    with pytest.raises(NotBalancedError):
+        classify_lambda_components(g)
+
+
 def test_even_path_count_equals_rank(all_pb3):
-    for a in all_pb3:
+    for a in [*all_pb3, *enumerate_elements(MonoidFamily.PB, 4)]:
         if not is_idempotent_structural(a):
             continue
         comps = classify_lambda_components(lambda_graph(a))
