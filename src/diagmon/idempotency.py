@@ -149,8 +149,8 @@ def classify_lambda_components(
             shape = ComponentType.EVEN_PATH
         else:
             raise NotBalancedError(
-                f"component {vertices} has {len(vertices)} vertices, {edge_count} edges"
-                f" and {loop_count} loops: no balanced shape"
+                f"component {vertices} has no balanced shape:"
+                f" vertices {len(vertices)}, edges {edge_count}, loops {loop_count}"
             )
         out.append((tuple(vertices), shape))
     return out

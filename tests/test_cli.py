@@ -119,7 +119,7 @@ def test_count_large_n_has_no_recursion_limit():
 
 
 def test_count_prints_every_digit_of_a_long_result():
-    # about 11,500 digits, past the interpreter's default int-to-text limit
+    # 5,734 digits, past the interpreter's default int-to-text limit of 4300
     result = run("count", "--family", "B", "--n", "2000", "--rank", "0")
     assert result.exit_code == 0, result.output
     digits = result.output.strip()

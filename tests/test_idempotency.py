@@ -129,16 +129,16 @@ def test_single_loop_vertex_is_unbalanced():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, counts",
     [
-        "1,2|3,1'|4,2'|3',4'",  # red edge 1-2 alone: an odd path with no loops
-        "1|2|3,2'|1',3'",  # path 1-3 with a loop at one end only
+        ("1,2|3,1'|4,2'|3',4'", "edges 1, loops 0"),  # red edge 1-2 alone: an odd path with no loops
+        ("1|2|3,2'|1',3'", "edges 1, loops 1"),  # path 1-3 with a loop at one end only
     ],
 )
-def test_unbalanced_paths_are_refused(text):
+def test_unbalanced_paths_are_refused(text, counts):
     g = lambda_graph(parse_diagram(text))
     assert not is_balanced(g)
-    with pytest.raises(NotBalancedError):
+    with pytest.raises(NotBalancedError, match=counts):
         classify_lambda_components(g)
 
 
