@@ -7,6 +7,11 @@ the script from another checkout measures that checkout.  Writes one entry,
 keyed by the label, into the JSON file (``BENCH_core_kernels.json`` at the
 repository root by default), keeping the entries already there.  Stdlib only.
 
+Every time is scaled to a reference host speed with perfbench's host probe
+(``probe_factor`` in ``perfbench/worker.py``): a round's times are multiplied
+by the mean of the factors probed just before and just after that round, so
+a round run while a shared host is slow is not taken for a slow kernel.
+
 Rows of an entry:
 
 - ``kernels_us``: microseconds per call of each kernel on every element of
@@ -14,19 +19,20 @@ Rows of an entry:
   full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
   order 0, ``green_signature`` is the R side.  ``graph_rank`` is
   ``lambda_graph`` plus the component classification, timed on each
-  idempotent of the B6 and PB5 streams only.  Best of ``ROUNDS`` rounds,
-  each round timing every kernel once.
+  idempotent of the B6 and PB5 streams only.  Median of ``ROUNDS`` scaled
+  rounds, each round timing every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
-  Best of ``ROUNDS`` rounds.
+  Median of ``ROUNDS`` scaled rounds.
+- ``host_factors``: the factor each round of either row was scaled by, in
+  round order.
 - ``python`` (the interpreter's version) and ``git_sha`` (the checkout's
   HEAD).
 
-Older entries in that file also carry ``run_full_cold_s``, the wall times
-of a cold ``run_full()``, a row this script no longer writes.  Those times
-had no correction for the speed of a shared host, so two commits could
-rank the wrong way round; perfbench's verify-full workload, which is
-host-scaled, measures the same run.
+Entries without ``host_factors`` are unscaled and take the best round.
+Older entries also carry ``run_full_cold_s``, the wall times of a cold
+``run_full()``, a row this script no longer writes; perfbench's verify-full
+workload measures the same run.
 """
 
 from __future__ import annotations
@@ -38,10 +44,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
-sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
 
 from diagmon.core import format_diagram, lambda_graph, multiply, parse_diagram, profile  # noqa: E402
 from diagmon.idempotency import (  # noqa: E402
@@ -53,6 +60,7 @@ from diagmon.idempotency import (  # noqa: E402
 )
 from diagmon.oracle import brute_report, enumerate_elements, green_signature  # noqa: E402
 from diagmon.verify import FULL_SWEEPS  # noqa: E402
+from worker import probe_factor  # noqa: E402
 
 STREAMS = (("B", 6), ("PB", 5), ("P", 4))
 ROUNDS = 7
@@ -72,18 +80,33 @@ def graph_rank(a) -> int:
     return rank_from_components(classify_lambda_components(lambda_graph(a)))
 
 
-def best_us(timings: dict, key: tuple, fn, items: list) -> None:
-    """Time one pass of fn over the items; keep the best µs per call seen."""
+def us_per_call(fn, items: list) -> float:
     started = time.perf_counter()
     for x in items:
         fn(x)
-    us = 1e6 * (time.perf_counter() - started) / len(items)
-    timings[key] = min(us, timings.get(key, us))
+    return 1e6 * (time.perf_counter() - started) / len(items)
 
 
-def kernel_rows() -> dict:
+def median_scaled(run_round) -> tuple[dict, list[float]]:
+    """The median over ROUNDS rounds of run_round(), a dict of times, each
+    round scaled by the mean host factor probed just before and after it;
+    and the factors.  The median, not the best: the best scaled round is
+    often one whose probes happened to read the host slow."""
+    scaled: dict = {}
+    factors = []
+    for _ in range(ROUNDS):
+        before = probe_factor()
+        times = run_round()
+        factor = (before + probe_factor()) / 2
+        factors.append(round(factor, 4))
+        for key, t in times.items():
+            scaled.setdefault(key, []).append(t * factor)
+    return {key: median(ts) for key, ts in scaled.items()}, factors
+
+
+def kernel_rows() -> tuple[dict, list[float]]:
     """Each round times every kernel once on every stream, so a slow stretch
-    of a shared host hits all kernels alike; the best round counts."""
+    of a shared host hits all kernels alike."""
     streams = {}
     for fam, n in STREAMS:
         elements = list(enumerate_elements(fam, n))
@@ -91,37 +114,46 @@ def kernel_rows() -> dict:
     idempotents = {
         label: [a for a in streams[label][0] if is_idempotent_direct(a)] for label in GRAPH_STREAMS
     }
-    best: dict[tuple[str, str], float] = {}
-    for _ in range(ROUNDS):
+
+    def one_round() -> dict:
+        times = {}
         for label, (elements, texts) in streams.items():
             for name, fn in KERNELS.items():
-                best_us(best, (name, label), fn, elements)
-            best_us(best, ("parse_diagram", label), parse_diagram, texts)
+                times[name, label] = us_per_call(fn, elements)
+            times["parse_diagram", label] = us_per_call(parse_diagram, texts)
             if label in idempotents:
-                best_us(best, ("graph_rank", label), graph_rank, idempotents[label])
+                times["graph_rank", label] = us_per_call(graph_rank, idempotents[label])
+        return times
+
+    median_times, factors = median_scaled(one_round)
     rows: dict[str, dict[str, float]] = {}
-    for (name, label), us in best.items():
+    for (name, label), us in median_times.items():
         rows.setdefault(name, {})[label] = round(us, 3)
-    return rows
+    return rows, factors
 
 
-def sweep_rows() -> dict:
-    best: dict[str, float] = {}
+def sweep_rows() -> tuple[dict, list[float]]:
     elements: dict[str, int] = {}
-    for _ in range(ROUNDS):
+
+    def one_round() -> dict:
+        times = {}
         for fam, n in FULL_SWEEPS:
             report = brute_report(fam, n, M=0)
             label = f"{fam.value}{n}"
-            best[label] = min(report.elapsed_seconds, best.get(label, report.elapsed_seconds))
+            times[label] = report.elapsed_seconds
             elements[label] = report.total_elements
-    return {
+        return times
+
+    median_times, factors = median_scaled(one_round)
+    rows = {
         label: {
             "elements": elements[label],
             "seconds": round(seconds, 4),
             "us_per_element": round(1e6 * seconds / elements[label], 2),
         }
-        for label, seconds in best.items()
+        for label, seconds in median_times.items()
     }
+    return rows, factors
 
 
 def main() -> None:
@@ -134,9 +166,10 @@ def main() -> None:
         "git_sha": subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
         ).stdout.strip(),
-        "kernels_us": kernel_rows(),
-        "brute_report": sweep_rows(),
     }
+    entry["kernels_us"], kernel_factors = kernel_rows()
+    entry["brute_report"], sweep_factors = sweep_rows()
+    entry["host_factors"] = {"kernels_us": kernel_factors, "brute_report": sweep_factors}
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry
     args.out.write_text(json.dumps(data, indent=1) + "\n")

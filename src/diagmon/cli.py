@@ -26,6 +26,7 @@ from .verify import run_full, run_quick
 MAX_TABLE_N = 12
 
 _FAMILY = click.Choice([f.value for f in MonoidFamily])
+_CAP = click.IntRange(min=0)
 
 
 def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
@@ -71,7 +72,7 @@ def main() -> None:
     default=None,
     help="Computation route; defaults to the cheapest for the query.",
 )
-@click.option("--cap", type=int, default=DEFAULT_CAP, help="Brute-force feasibility cap.")
+@click.option("--cap", type=_CAP, default=DEFAULT_CAP, help="Brute-force feasibility cap.")
 @_guarded
 def cmd_count(
     family: str,
@@ -150,11 +151,10 @@ def cmd_table(which: str, max_n: int, fmt: str, out: str | None) -> None:
     default="quick",
     show_default=True,
 )
-@click.option("--cap", type=int, default=DEFAULT_CAP)
 @_guarded
-def cmd_verify(profile: str, cap: int) -> None:
+def cmd_verify(profile: str) -> None:
     """Run the verification matrix; exit 1 on any mismatch."""
-    report = run_quick(cap) if profile == "quick" else run_full(cap)
+    report = run_quick() if profile == "quick" else run_full()
     click.echo(report.render())
     if not report.ok:
         sys.exit(1)
@@ -171,7 +171,7 @@ def cmd_verify(profile: str, cap: int) -> None:
     show_default=True,
 )
 @click.option("--M", "m_order", type=int, default=None, help="Twist order for --filter twisted.")
-@click.option("--cap", type=int, default=DEFAULT_CAP)
+@click.option("--cap", type=_CAP, default=DEFAULT_CAP)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guarded
 def cmd_enumerate(

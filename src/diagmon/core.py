@@ -418,25 +418,24 @@ def decompose_irreducible(
     ]
 
 
-def family_check(a: DiagramPartition, f: MonoidFamily) -> bool:
+def family_check(a: DiagramPartition, f: MonoidFamily | str) -> bool:
     """Membership predicate for the six families."""
-    if f is MonoidFamily.P:
+    fam = as_family(f)
+    if fam is MonoidFamily.P:
         return True
-    if f is MonoidFamily.B:
+    if fam is MonoidFamily.B:
         return all(len(blk) == 2 for blk in a.blocks)
-    if f is MonoidFamily.PB:
+    if fam is MonoidFamily.PB:
         return all(len(blk) <= 2 for blk in a.blocks)
     halves = _halves(a)
-    if f is MonoidFamily.T:
+    if fam is MonoidFamily.T:
         # full upper domain and discrete lower kernel: one lower point per block
         return all(len(lower) == 1 for _, lower in halves)
-    if f is MonoidFamily.I:
+    if fam is MonoidFamily.I:
         # both kernels discrete
         return all(len(upper) <= 1 and len(lower) <= 1 for upper, lower in halves)
-    if f is MonoidFamily.IDUAL:
-        # both domains full: every block is a transversal
-        return all(upper and lower for upper, lower in halves)
-    raise DomainError(f"unknown family {f!r}")
+    # Idual: both domains full, so every block is a transversal
+    return all(upper and lower for upper, lower in halves)
 
 
 def lambda_graph(a: DiagramPartition) -> LambdaGraph:

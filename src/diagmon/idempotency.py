@@ -34,8 +34,8 @@ class TwistOrder:
     M: int
 
     def __post_init__(self) -> None:
-        if self.M < 0:
-            raise DomainError(f"twist order must be nonnegative, got {self.M}")
+        if not isinstance(self.M, int) or self.M < 0:
+            raise DomainError(f"twist order must be a nonnegative integer, got {self.M!r}")
 
     def annihilates(self, exponent: int) -> bool:
         """Whether the twist raised to this exponent is 1."""
@@ -43,7 +43,7 @@ class TwistOrder:
 
 
 def as_twist_order(t: TwistOrder | int) -> TwistOrder:
-    """The order itself, or the order M = t; DomainError when t < 0."""
+    """The order itself, or the order M = t; DomainError unless t is an int >= 0."""
     return t if isinstance(t, TwistOrder) else TwistOrder(t)
 
 

@@ -15,6 +15,7 @@ note, since the recomputed values are what the package stands behind.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -31,7 +32,6 @@ from .counting import (
     rho,
 )
 from .oracle import (
-    DEFAULT_CAP,
     BruteReport,
     brute_report,
     enumerate_elements,
@@ -79,136 +79,125 @@ def _result(name: str, failures: list[str], note: str = "") -> CheckResult:
     return CheckResult(name, True, note)
 
 
+def _compare(name: str, cases: Iterable[tuple[tuple, int, int]], note: str = "") -> CheckResult:
+    """The result over cases (what, computed, expected).  what is a format
+    string and its arguments, naming the identity and its indices; it is
+    formatted only for a case that fails.  A family goes in as itself and
+    the format reads {.value}: an eager fam.value in every case made the
+    e_rank check about 20 % slower on warm tables."""
+    failures = [
+        f"{what[0].format(*what[1:])}: {computed} != {expected}"
+        for what, computed, expected in cases
+        if computed != expected
+    ]
+    return _result(name, failures, note)
+
+
 # --------------------------------------------------------------------------
 # engine-internal identities
 
-def check_total_methods(max_n: int = 10) -> CheckResult:
-    failures = []
-    for fam in FAMILIES:
-        for n in range(max_n + 1):
-            formula = e_total(fam, n, "formula")
-            rec = e_total(fam, n, "recurrence")
-            if formula != rec:
-                failures.append(f"e_total({fam.value},{n}): formula {formula} != recurrence {rec}")
-    return _result("e_total formula vs recurrence", failures)
+ENGINE_MAX_N = 10  # every engine identity but e_nrs's is checked at n = 0..10
+B, PB = MonoidFamily.B, MonoidFamily.PB
 
 
-def check_rank_methods(max_n: int = 10) -> CheckResult:
-    failures = []
+def check_total_methods() -> CheckResult:
+    return _compare("e_total formula vs recurrence", (
+        (("e_total({.value},{}) formula vs recurrence", fam, n),
+         e_total(fam, n, "formula"), e_total(fam, n, "recurrence"))
+        for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
+    ))
+
+
+def check_rank_methods() -> CheckResult:
+    cases = []
     for fam in FAMILIES:
-        for n in range(max_n + 1):
+        methods = ("mu_sum", "closed") if fam in (B, PB) else ("mu_sum",)
+        for n in range(ENGINE_MAX_N + 1):
             for r in range(n + 1):
-                mu = e_rank(fam, n, r, "mu_sum")
                 rec = e_rank(fam, n, r, "recurrence")
-                if mu != rec:
-                    failures.append(f"e_rank({fam.value},{n},{r}): mu_sum {mu} != recurrence {rec}")
-                if fam in (MonoidFamily.B, MonoidFamily.PB):
-                    closed = e_rank(fam, n, r, "closed")
-                    if closed != rec:
-                        failures.append(
-                            f"e_rank({fam.value},{n},{r}): closed {closed} != recurrence {rec}"
-                        )
-    return _result("e_rank methods agree", failures)
+                for method in methods:
+                    cases.append((("e_rank({.value},{},{}) {} vs recurrence", fam, n, r, method),
+                                  e_rank(fam, n, r, method), rec))
+    return _compare("e_rank methods agree", cases)
 
 
-def check_rank_sums(max_n: int = 10) -> CheckResult:
-    failures = []
-    for fam in FAMILIES:
-        for n in range(max_n + 1):
-            total = sum(e_rank(fam, n, r) for r in range(n + 1))
-            expected = e_total(fam, n)
-            if total != expected:
-                failures.append(f"sum of e_rank({fam.value},{n},r) {total} != e_total {expected}")
-    return _result("per-rank counts sum to totals", failures)
+def check_rank_sums() -> CheckResult:
+    return _compare("per-rank counts sum to totals", (
+        (("sum of e_rank({.value},{},r) vs e_total", fam, n),
+         sum(e_rank(fam, n, r) for r in range(n + 1)), e_total(fam, n))
+        for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
+    ))
 
 
-def check_parity_zeros(max_n: int = 10) -> CheckResult:
-    failures = []
-    for n in range(max_n + 1):
-        for r in range(n + 1):
-            if (n - r) % 2 and e_rank(MonoidFamily.B, n, r) != 0:
-                failures.append(f"e_rank(B,{n},{r}) nonzero across parity")
-    return _result("parity zeros in family B", failures)
+def check_parity_zeros() -> CheckResult:
+    return _compare("parity zeros in family B", (
+        (("e_rank(B,{},{}) across parity", n, r), e_rank(B, n, r), 0)
+        for n in range(ENGINE_MAX_N + 1) for r in range(n + 1) if (n - r) % 2
+    ))
 
 
-def check_rclass_reconstruction(max_n: int = 10) -> CheckResult:
-    failures = []
-    for n in range(max_n + 1):
-        total = sum(
-            rho(MonoidFamily.B, n, r) * a_nr(n, r) for r in range(n % 2, n + 1, 2)
-        )
-        expected = e_total(MonoidFamily.B, n)
-        if total != expected:
-            failures.append(f"sum rho*a over ranks of B_{n} {total} != e_total {expected}")
+def check_rclass_reconstruction() -> CheckResult:
+    cases = []
+    for n in range(ENGINE_MAX_N + 1):
+        total = sum(rho(B, n, r) * a_nr(n, r) for r in range(n % 2, n + 1, 2))
+        cases.append((("sum rho*a over ranks of B_{} vs e_total", n), total, e_total(B, n)))
         per_rank = [
-            sum(
-                rho(MonoidFamily.PB, n, r, t) * a_nrt(n, r, t)
-                for t in range(n - r + 1)
-                if (n - r - t) % 2 == 0
-            )
+            sum(rho(PB, n, r, t) * a_nrt(n, r, t) for t in range(n - r + 1) if (n - r - t) % 2 == 0)
             for r in range(n + 1)
         ]
-        expected_pb = e_total(MonoidFamily.PB, n)
-        if sum(per_rank) != expected_pb:
-            failures.append(f"sum rho*a over (r,t) of PB_{n} {sum(per_rank)} != e_total {expected_pb}")
-        for r, total_r in enumerate(per_rank):
-            expected_r = e_rank(MonoidFamily.PB, n, r)
-            if total_r != expected_r:
-                failures.append(f"sum over t of rho*a for PB_{n} rank {r}: {total_r} != e_rank {expected_r}")
-    return _result("R-class counts rebuild the totals", failures)
-
-
-def check_twisted_reconstruction(max_n: int = 10) -> CheckResult:
-    failures = []
-    for n in range(max_n + 1):
-        total = sum(
-            rho(MonoidFamily.B, n, r) * b_nr(n, r) for r in range(n % 2, n + 1, 2)
+        cases.append(
+            (("sum rho*a over (r,t) of PB_{} vs e_total", n), sum(per_rank), e_total(PB, n))
         )
-        twisted_b = exi_total(MonoidFamily.B, n, 0)
-        twisted_pb = exi_total(MonoidFamily.PB, n, 0)
-        if total != twisted_b:
-            failures.append(f"sum rho*b over ranks of B_{n} {total} != exi_total {twisted_b}")
-        if twisted_b != twisted_pb:
-            failures.append(f"exi_total at order 0 differs: B_{n} {twisted_b} vs PB_{n} {twisted_pb}")
-        for r in range(n % 2, n + 1, 2):
-            product = rho(MonoidFamily.B, n, r) * b_nr(n, r)
-            via_rank = exi_rank(MonoidFamily.B, n, r)
-            if product != via_rank:
-                failures.append(f"rho*b at B_{n} rank {r}: {product} != exi_rank {via_rank}")
-    return _result("twisted R-class counts rebuild the totals", failures)
+        cases += [
+            (("sum over t of rho*a for PB_{} rank {} vs e_rank", n, r), total_r, e_rank(PB, n, r))
+            for r, total_r in enumerate(per_rank)
+        ]
+    return _compare("R-class counts rebuild the totals", cases)
 
 
-def check_embedded_families(max_n: int = 10) -> CheckResult:
-    failures = []
-    for n in range(max_n + 1):
+def check_twisted_reconstruction() -> CheckResult:
+    cases = []
+    for n in range(ENGINE_MAX_N + 1):
+        ranks = range(n % 2, n + 1, 2)
+        total = sum(rho(B, n, r) * b_nr(n, r) for r in ranks)
+        twisted_b = exi_total(B, n, 0)
+        cases.append((("sum rho*b over ranks of B_{} vs exi_total", n), total, twisted_b))
+        cases.append((("exi_total at order 0, B_{0} vs PB_{0}", n), twisted_b, exi_total(PB, n, 0)))
+        cases += [
+            (("rho*b at B_{} rank {} vs exi_rank", n, r),
+             rho(B, n, r) * b_nr(n, r), exi_rank(B, n, r))
+            for r in ranks
+        ]
+    return _compare("twisted R-class counts rebuild the totals", cases)
+
+
+def check_embedded_families() -> CheckResult:
+    cases = []
+    for n in range(ENGINE_MAX_N + 1):
         t_expected = sum(binomial(n, k) * k ** (n - k) for k in range(1, n + 1)) if n else 1
-        if e_total(MonoidFamily.T, n) != t_expected:
-            failures.append(f"e_total(T,{n}) {e_total(MonoidFamily.T, n)} != {t_expected}")
-        if e_total(MonoidFamily.I, n) != 2**n:
-            failures.append(f"e_total(I,{n}) {e_total(MonoidFamily.I, n)} != 2^{n}")
-        if e_total(MonoidFamily.IDUAL, n) != bell(n):
-            failures.append(f"e_total(Idual,{n}) {e_total(MonoidFamily.IDUAL, n)} != bell({n})")
-        if bell(n + 1) != sum(binomial(n, k) * bell(k) for k in range(n + 1)):
-            failures.append(f"bell({n + 1}) fails its binomial recurrence")
-    return _result("embedded-family totals", failures)
+        cases += [
+            (("e_total(T,{})", n), e_total(MonoidFamily.T, n), t_expected),
+            (("e_total(I,{0}) vs 2^{0}", n), e_total(MonoidFamily.I, n), 2**n),
+            (("e_total(Idual,{0}) vs bell({0})", n), e_total(MonoidFamily.IDUAL, n), bell(n)),
+            (("bell({}) vs its binomial recurrence", n + 1), bell(n + 1),
+             sum(binomial(n, k) * bell(k) for k in range(n + 1))),
+        ]
+    return _compare("embedded-family totals", cases)
 
 
-def check_twist_collapse(max_n: int = 10) -> CheckResult:
-    failures = []
-    for fam in FAMILIES:
-        for n in range(max_n + 1):
-            collapsed = exi_total(fam, n, 1)
-            plain = e_total(fam, n)
-            if collapsed != plain:
-                failures.append(f"exi_total({fam.value},{n},order 1) {collapsed} != e_total {plain}")
-    return _result("twist order 1 collapses to plain counts", failures)
+def check_twist_collapse() -> CheckResult:
+    return _compare("twist order 1 collapses to plain counts", (
+        (("exi_total({.value},{},order 1) vs e_total", fam, n),
+         exi_total(fam, n, 1), e_total(fam, n))
+        for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
+    ))
 
 
-def check_reference_tables(max_n: int = 10) -> CheckResult:
+def check_reference_tables() -> CheckResult:
     failures = []
     known = 0
     for wid in TABLE_IDS:
-        for cmp in compare_table(wid, max_n):
+        for cmp in compare_table(wid, ENGINE_MAX_N):
             if cmp.known:
                 known += 1
             else:
@@ -224,7 +213,7 @@ def check_reference_tables(max_n: int = 10) -> CheckResult:
 
 
 def check_enrs_oracle(max_n: int = 5) -> CheckResult:
-    failures = []
+    cases = []
     for n in range(1, max_n + 1):
         relations = [
             EquivalenceRelation(n, tuple(tuple(x + 1 for x in b) for b in blocks))
@@ -236,115 +225,87 @@ def check_enrs_oracle(max_n: int = 5) -> CheckResult:
             for lower in relations
             if upper.join(lower).class_count == 1
         )
-        for r in range(1, n + 1):
-            for s in range(1, n + 1):
-                expected = direct[(r, s)]
-                got = e_nrs(n, r, s)
-                if got != expected:
-                    failures.append(f"e_nrs({n},{r},{s}) {got} != direct count {expected}")
-    return _result("pair-of-partitions recurrence vs direct count", failures)
+        cases += [
+            (("e_nrs({},{},{}) vs direct count", n, r, s), e_nrs(n, r, s), direct[(r, s)])
+            for r in range(1, n + 1)
+            for s in range(1, n + 1)
+        ]
+    return _compare("pair-of-partitions recurrence vs direct count", cases)
 
 
 # --------------------------------------------------------------------------
 # oracle sweeps
 
 @cache
-def _sweep(fam: MonoidFamily, n: int, cap: int) -> BruteReport:
+def _sweep(fam: MonoidFamily, n: int) -> BruteReport:
     """The one sweep of (fam, n), at twist order 0, that every sweep check reads."""
-    return brute_report(fam, n, M=0, cap=cap)
+    return brute_report(fam, n, M=0)
 
 
-def check_oracle_counts(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    failures = []
-    report = _sweep(fam, n, cap)
-    engine_total = e_total(fam, n)
-    if report.idempotents_total != engine_total:
-        failures.append(
-            f"e_total({fam.value},{n}) formula vs oracle:"
-            f" {engine_total} != {report.idempotents_total}"
-        )
-    for r in range(n + 1):
-        engine_rank = e_rank(fam, n, r)
-        seen = report.idempotents_by_rank.get(r, 0)
-        if engine_rank != seen:
-            failures.append(f"e_rank({fam.value},{n},{r}) {engine_rank} != oracle {seen}")
-    engine_twisted = exi_total(fam, n, 0)
-    if report.twisted_total != engine_twisted:
-        failures.append(
-            f"exi_total({fam.value},{n},order 0) {engine_twisted}"
-            f" != oracle {report.twisted_total}"
-        )
-    for r in range(n + 1):
-        engine_rank = exi_rank(fam, n, r)
-        seen = report.twisted_by_rank.get(r, 0)
-        if engine_rank != seen:
-            failures.append(f"exi_rank({fam.value},{n},{r}) {engine_rank} != oracle {seen}")
-    return _result(
+def check_oracle_counts(fam: MonoidFamily, n: int) -> CheckResult:
+    report = _sweep(fam, n)
+    where = (fam.value, n)
+    cases = [
+        (("e_total({},{}) formula vs oracle", *where), e_total(fam, n), report.idempotents_total),
+        *((("e_rank({},{},{}) vs oracle", *where, r), e_rank(fam, n, r),
+           report.idempotents_by_rank.get(r, 0)) for r in range(n + 1)),
+        (("exi_total({},{},order 0) vs oracle", *where),
+         exi_total(fam, n, 0), report.twisted_total),
+        *((("exi_rank({},{},{}) vs oracle", *where, r), exi_rank(fam, n, r),
+           report.twisted_by_rank.get(r, 0)) for r in range(n + 1)),
+    ]
+    return _compare(
         f"oracle sweep {fam.value}_{n}",
-        failures,
+        cases,
         note=f"{report.total_elements} elements in {report.elapsed_seconds:.2f}s"
         f" ({1e6 * report.elapsed_seconds / max(report.total_elements, 1):.0f} µs/element)",
     )
 
 
-def check_idempotency_agreement(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    disagreements = _sweep(fam, n, cap).structural_disagreements
+def check_idempotency_agreement(fam: MonoidFamily, n: int) -> CheckResult:
+    disagreements = _sweep(fam, n).structural_disagreements
     failures = [f"{test} vs direct disagree on {a}" for test, a in disagreements]
     return _result(f"structural idempotency test {fam.value}_{n}", failures)
 
 
-def check_rclass_uniformity(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    failures = []
-    report = _sweep(fam, n, cap)
+def check_rclass_uniformity(fam: MonoidFamily, n: int) -> CheckResult:
+    report = _sweep(fam, n)
+    cases = []
     for sig, count in report.r_class_counts.items():
         r, t = report.r_class_params[sig]
-        if fam is MonoidFamily.B:
-            expected = a_nr(n, r)
-            expected_twisted = b_nr(n, r)
+        if fam is B:
+            expected, expected_twisted = a_nr(n, r), b_nr(n, r)
         else:
-            expected = a_nrt(n, r, t)
-            expected_twisted = b_nr(n, r) if t == 0 else 0
-        if count != expected:
-            failures.append(
-                f"an R-class of {fam.value}_{n} at (rank {r}, idle {t})"
-                f" holds {count} idempotents, expected {expected}"
-            )
-        twisted = report.r_class_twisted[sig]
-        if twisted != expected_twisted:
-            failures.append(
-                f"an R-class of {fam.value}_{n} at (rank {r}, idle {t})"
-                f" holds {twisted} twisted idempotents, expected {expected_twisted}"
-            )
-    return _result(f"per-R-class uniformity {fam.value}_{n}", failures)
+            expected, expected_twisted = a_nrt(n, r, t), (b_nr(n, r) if t == 0 else 0)
+        where = (fam, n, r, t)
+        cases.append((("idempotents of an R-class of {.value}_{} at (rank {}, idle {})", *where),
+                      count, expected))
+        cases.append((("twisted idempotents of an R-class of {.value}_{} at (rank {}, idle {})",
+                       *where), report.r_class_twisted[sig], expected_twisted))
+    return _compare(f"per-R-class uniformity {fam.value}_{n}", cases)
 
 
-def check_rho_against_signatures(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
-    failures = []
-    report = _sweep(fam, n, cap)
-    strata: dict[tuple[int, int], int] = {}
-    for sig in report.r_class_counts:
-        r, t = report.r_class_params[sig]
-        strata[(r, t)] = strata.get((r, t), 0) + 1
-    for (r, t), seen in sorted(strata.items()):
-        expected = rho(fam, n, r) if fam is MonoidFamily.B else rho(fam, n, r, t)
-        if seen != expected:
-            failures.append(
-                f"{fam.value}_{n} has {seen} R-classes at (rank {r}, idle {t}), expected {expected}"
-            )
-    return _result(f"R-class census {fam.value}_{n}", failures)
+def check_rho_against_signatures(fam: MonoidFamily, n: int) -> CheckResult:
+    report = _sweep(fam, n)
+    strata = Counter(report.r_class_params[sig] for sig in report.r_class_counts)
+    return _compare(f"R-class census {fam.value}_{n}", (
+        (("R-classes of {.value}_{} at (rank {}, idle {})", fam, n, r, t), seen,
+         rho(fam, n, r) if fam is B else rho(fam, n, r, t))
+        for (r, t), seen in sorted(strata.items())
+    ))
 
 
 # --------------------------------------------------------------------------
 # Green cross-checks (orbit computation vs signatures)
 
-def check_green_orbits(fam: MonoidFamily, n: int, cap: int = DEFAULT_CAP) -> CheckResult:
+def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     """Green's relations by definition, from one table of product indices:
     row i is the right ideal a_i·S and column j the left ideal S·a_j (S
     holds the identity).  A side's two partitions, by ideal and by signature,
     agree exactly when each element's class has the same first element.
     """
     name = f"Green orbits vs signatures {fam.value}_{n}"
-    elements = list(enumerate_elements(fam, n, cap))
+    elements = list(enumerate_elements(fam, n))
     index = {a: i for i, a in enumerate(elements)}
     table = [[index.get(multiply(a, x)[0]) for x in elements] for a in elements]
     for a, row in zip(elements, table):
@@ -378,7 +339,7 @@ FULL_SWEEPS = ((MonoidFamily.P, 4), (MonoidFamily.B, 6), (MonoidFamily.PB, 5))
 GREEN_SWEEPS = ((MonoidFamily.P, 2), (MonoidFamily.P, 3), (MonoidFamily.B, 4))
 
 
-def run_quick(cap: int = DEFAULT_CAP) -> VerificationReport:
+def run_quick() -> VerificationReport:
     checks = [
         check_total_methods(),
         check_rank_methods(),
@@ -392,20 +353,20 @@ def run_quick(cap: int = DEFAULT_CAP) -> VerificationReport:
         check_enrs_oracle(4),
     ]
     for fam, n in QUICK_SWEEPS:
-        checks.append(check_oracle_counts(fam, n, cap))
-        checks.append(check_idempotency_agreement(fam, n, cap))
+        checks.append(check_oracle_counts(fam, n))
+        checks.append(check_idempotency_agreement(fam, n))
     return VerificationReport("quick", tuple(checks))
 
 
-def run_full(cap: int = DEFAULT_CAP) -> VerificationReport:
-    checks = list(run_quick(cap).checks)
+def run_full() -> VerificationReport:
+    checks = list(run_quick().checks)
     for fam, n in FULL_SWEEPS:
-        checks.append(check_oracle_counts(fam, n, cap))
-        checks.append(check_idempotency_agreement(fam, n, cap))
+        checks.append(check_oracle_counts(fam, n))
+        checks.append(check_idempotency_agreement(fam, n))
     checks.append(check_enrs_oracle(5))
     for fam, n in ((MonoidFamily.B, 6), (MonoidFamily.PB, 5)):
-        checks.append(check_rclass_uniformity(fam, n, cap))
-        checks.append(check_rho_against_signatures(fam, n, cap))
+        checks.append(check_rclass_uniformity(fam, n))
+        checks.append(check_rho_against_signatures(fam, n))
     for fam, n in GREEN_SWEEPS:
-        checks.append(check_green_orbits(fam, n, cap))
+        checks.append(check_green_orbits(fam, n))
     return VerificationReport("full", tuple(checks))

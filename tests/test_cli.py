@@ -192,6 +192,12 @@ def test_verify_quick():
     assert "FAIL" not in result.output
 
 
+def test_verify_takes_no_cap():
+    result = run("verify", "--cap", "1")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
 # --------------------------------------------------------------------------
 # enumerate
 
@@ -261,6 +267,16 @@ def test_cap_refuses_a_huge_stream_cheaply(monkeypatch):
     assert result.exit_code == 3
     assert "P_1500" in result.output and "P_7" in result.output
     assert len(combinat._STIRLING2) < 30
+
+
+def test_negative_cap_is_a_usage_error():
+    for command in (
+        ("count", "--family", "B", "--n", "3", "--method", "bruteforce"),
+        ("enumerate", "--family", "B", "--n", "3"),
+    ):
+        result = run(*command, "--cap", "-5")
+        assert result.exit_code == 2, (command, result.output)
+        assert "--cap" in result.output, command
 
 
 def test_count_bruteforce_cap_exits_3():

@@ -329,6 +329,13 @@ def test_family_sizes_at_n2():
     assert sizes[MonoidFamily.IDUAL] == 3
 
 
+@pytest.mark.parametrize("fam", list(MonoidFamily))
+def test_family_check_accepts_family_names(fam):
+    for blocks in set_partitions((0, 1, 2, 3)):
+        a = DiagramPartition(2, blocks)
+        assert family_check(a, fam.value) == family_check(a, fam), (a, fam)
+
+
 # --------------------------------------------------------------------------
 # lambda graphs
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from diagmon.core import MonoidFamily, identity, lambda_graph, multiply, parse_diagram, profile
+from diagmon.counting import exi_total
 from diagmon.errors import DomainError, NotBalancedError
 from diagmon.idempotency import (
     ComponentType,
@@ -27,6 +28,13 @@ def test_twist_order_validation():
     assert TwistOrder(1).annihilates(5)
     with pytest.raises(DomainError):
         TwistOrder(-1)
+
+
+def test_twist_order_must_be_an_int():
+    with pytest.raises(DomainError, match="integer"):
+        TwistOrder("2")
+    with pytest.raises(DomainError, match="integer"):
+        exi_total("B", 3, 1.5)
 
 
 def test_structural_matches_direct(all_p3, all_b3, all_pb3):

@@ -17,6 +17,7 @@ from diagmon.verify import (
     check_rclass_uniformity,
     check_reference_tables,
     check_rho_against_signatures,
+    check_total_methods,
     run_quick,
 )
 
@@ -125,6 +126,36 @@ def test_rclass_uniformity_values():
     assert check_rclass_uniformity(B, 4).ok
     # the uniform per-class count in the middle layer of the n=6 monoid
     assert a_nr(6, 2) == 35
+
+
+def test_failures_past_four_are_counted(monkeypatch):
+    # an off-by-one formula route breaks every (family, n): the detail shows
+    # the first four failures, from e_total(P,0) on, and counts the rest
+    honest = verify.e_total
+
+    def off_by_one(f, n, method="recurrence"):
+        return honest(f, n, method) + (method == "formula")
+
+    monkeypatch.setattr(verify, "e_total", off_by_one)
+    result = check_total_methods()
+    assert not result.ok
+    shown = result.detail.split("; ")
+    assert len(shown) == 5
+    assert shown[0] == "e_total(P,0) formula vs recurrence: 2 != 1"
+    cases = len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1)
+    assert shown[4] == f"and {cases - 4} more"
+
+
+def test_census_failure_names_the_stratum(monkeypatch):
+    honest = verify.rho
+
+    def one_too_many(f, n, r=None, t=None):
+        return honest(f, n, r, t) + (r == 2)
+
+    monkeypatch.setattr(verify, "rho", one_too_many)
+    result = check_rho_against_signatures(B, 4)
+    assert not result.ok
+    assert result.detail == "R-classes of B_4 at (rank 2, idle 0): 6 != 7"
 
 
 def test_tampered_c1_fails_oracle_sweep(monkeypatch):
