@@ -8,9 +8,10 @@ keyed by the label, into the JSON file (``BENCH_core_kernels.json`` at the
 repository root by default), keeping the entries already there.  Stdlib only.
 
 Every time is scaled to a reference host speed with perfbench's host probe
-(``probe_factor`` in ``perfbench/worker.py``): a round's times are multiplied
-by the mean of the factors probed just before and just after that round, so
-a round run while a shared host is slow is not taken for a slow kernel.
+(``probe_factor`` in ``perfbench/worker.py``): each pass, one kernel on one
+stream or one sweep, is multiplied by the mean of the factors probed just
+before and just after that pass, so a pass run while a shared host is slow
+is not taken for a slow kernel.
 
 Rows of an entry:
 
@@ -19,17 +20,20 @@ Rows of an entry:
   full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
   order 0, ``green_signature`` is the R side.  ``graph_rank`` is
   ``lambda_graph`` plus the component classification, timed on each
-  idempotent of the B6 and PB5 streams only.  Median of ``ROUNDS`` scaled
-  rounds, each round timing every kernel once.
+  idempotent of the B6 and PB5 streams only.  ``generate`` is microseconds
+  per element of running ``enumerate_elements`` through the whole stream.
+  Median of ``ROUNDS`` scaled passes; each round times every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
-  Median of ``ROUNDS`` scaled rounds.
-- ``host_factors``: the factor each round of either row was scaled by, in
-  round order.
+  Median of ``ROUNDS`` scaled passes.
+- ``host_factors``: for either row, the lowest, median and highest factor
+  its passes were scaled by.
 - ``python`` (the interpreter's version) and ``git_sha`` (the checkout's
   HEAD).
 
 Entries without ``host_factors`` are unscaled and take the best round.
+The ``host-scaled-a`` and ``host-scaled-b`` entries scaled whole rounds
+instead; their ``host_factors`` list one factor per round, in round order.
 Older entries also carry ``run_full_cold_s``, the wall times of a cold
 ``run_full()``, a row this script no longer writes; perfbench's verify-full
 workload measures the same run.
@@ -43,6 +47,8 @@ import platform
 import subprocess
 import sys
 import time
+from collections import deque
+from functools import partial
 from pathlib import Path
 from statistics import median
 
@@ -87,64 +93,64 @@ def us_per_call(fn, items: list) -> float:
     return 1e6 * (time.perf_counter() - started) / len(items)
 
 
-def median_scaled(run_round) -> tuple[dict, list[float]]:
-    """The median over ROUNDS rounds of run_round(), a dict of times, each
-    round scaled by the mean host factor probed just before and after it;
-    and the factors.  The median, not the best: the best scaled round is
-    often one whose probes happened to read the host slow."""
-    scaled: dict = {}
+def us_per_element(fam: str, n: int, elements: int) -> float:
+    started = time.perf_counter()
+    deque(enumerate_elements(fam, n), maxlen=0)
+    return 1e6 * (time.perf_counter() - started) / elements
+
+
+def median_scaled(passes: dict) -> tuple[dict, list[float]]:
+    """For each key, the median over ROUNDS rounds of passes[key](), a time,
+    each pass scaled by the mean host factor probed just before and just
+    after it; and the lowest, median and highest of those factors.  The
+    median, not the best: the best scaled pass is often one whose probes
+    happened to read the host slow."""
+    scaled: dict = {key: [] for key in passes}
     factors = []
     for _ in range(ROUNDS):
-        before = probe_factor()
-        times = run_round()
-        factor = (before + probe_factor()) / 2
-        factors.append(round(factor, 4))
-        for key, t in times.items():
-            scaled.setdefault(key, []).append(t * factor)
-    return {key: median(ts) for key, ts in scaled.items()}, factors
+        for key, timed in passes.items():
+            before = probe_factor()
+            t = timed()
+            factor = (before + probe_factor()) / 2
+            factors.append(factor)
+            scaled[key].append(t * factor)
+    spread = [round(f, 4) for f in (min(factors), median(factors), max(factors))]
+    return {key: median(ts) for key, ts in scaled.items()}, spread
 
 
 def kernel_rows() -> tuple[dict, list[float]]:
     """Each round times every kernel once on every stream, so a slow stretch
     of a shared host hits all kernels alike."""
-    streams = {}
+    passes = {}
     for fam, n in STREAMS:
+        label = f"{fam}{n}"
         elements = list(enumerate_elements(fam, n))
-        streams[f"{fam}{n}"] = (elements, [format_diagram(a) for a in elements])
-    idempotents = {
-        label: [a for a in streams[label][0] if is_idempotent_direct(a)] for label in GRAPH_STREAMS
-    }
+        texts = [format_diagram(a) for a in elements]
+        for name, fn in KERNELS.items():
+            passes[name, label] = partial(us_per_call, fn, elements)
+        passes["parse_diagram", label] = partial(us_per_call, parse_diagram, texts)
+        if label in GRAPH_STREAMS:
+            idempotents = [a for a in elements if is_idempotent_direct(a)]
+            passes["graph_rank", label] = partial(us_per_call, graph_rank, idempotents)
+        passes["generate", label] = partial(us_per_element, fam, n, len(elements))
 
-    def one_round() -> dict:
-        times = {}
-        for label, (elements, texts) in streams.items():
-            for name, fn in KERNELS.items():
-                times[name, label] = us_per_call(fn, elements)
-            times["parse_diagram", label] = us_per_call(parse_diagram, texts)
-            if label in idempotents:
-                times["graph_rank", label] = us_per_call(graph_rank, idempotents[label])
-        return times
-
-    median_times, factors = median_scaled(one_round)
+    median_times, factors = median_scaled(passes)
     rows: dict[str, dict[str, float]] = {}
     for (name, label), us in median_times.items():
         rows.setdefault(name, {})[label] = round(us, 3)
     return rows, factors
 
 
+def sweep_seconds(fam, n: int, elements: dict) -> float:
+    report = brute_report(fam, n, M=0)
+    elements[f"{fam.value}{n}"] = report.total_elements
+    return report.elapsed_seconds
+
+
 def sweep_rows() -> tuple[dict, list[float]]:
     elements: dict[str, int] = {}
-
-    def one_round() -> dict:
-        times = {}
-        for fam, n in FULL_SWEEPS:
-            report = brute_report(fam, n, M=0)
-            label = f"{fam.value}{n}"
-            times[label] = report.elapsed_seconds
-            elements[label] = report.total_elements
-        return times
-
-    median_times, factors = median_scaled(one_round)
+    passes = {f"{fam.value}{n}": partial(sweep_seconds, fam, n, elements) for fam, n in FULL_SWEEPS}
+    median_times, factors = median_scaled(passes)
     rows = {
         label: {
             "elements": elements[label],

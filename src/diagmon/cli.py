@@ -185,16 +185,13 @@ def cmd_enumerate(
     """List elements, one diagram per line, with a count trailer."""
     fam = MonoidFamily(family)
     order = as_twist_order(0 if m_order is None else m_order)
-    lines: list[str] = []
-    count = 0
-    for a in enumerate_elements(fam, n, cap):
-        if keep == "idempotent" and not is_idempotent_direct(a):
-            continue
-        if keep == "twisted" and not is_twisted_idempotent(a, order):
-            continue
-        lines.append(format_diagram(a))
-        count += 1
-    lines.append(f"# count: {count}")
+    kept = {
+        "all": lambda a: True,
+        "idempotent": is_idempotent_direct,
+        "twisted": lambda a: is_twisted_idempotent(a, order),
+    }[keep]
+    lines = [format_diagram(a) for a in enumerate_elements(fam, n, cap) if kept(a)]
+    lines.append(f"# count: {len(lines)}")
     _emit("\n".join(lines) + "\n", out)
 
 

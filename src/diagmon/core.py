@@ -21,7 +21,6 @@ upper points are written 1..n and lower points 1'..n'.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -232,9 +231,6 @@ def identity(n: int) -> DiagramPartition:
     return DiagramPartition(n, tuple((i, n + i) for i in range(n)))
 
 
-_POINT = re.compile(r"(\d+)\s*('?)", re.ASCII)
-
-
 def format_diagram(a: DiagramPartition) -> str:
     """Canonical text form, e.g. ``1,4|2,3,4',5'|5,6|1',3',6'|2'``.
 
@@ -244,6 +240,17 @@ def format_diagram(a: DiagramPartition) -> str:
     return "|".join(
         ",".join(str(v + 1) if v < n else f"{v - n + 1}'" for v in blk) for blk in a.blocks
     )
+
+
+def _point(token: str) -> int:
+    """The point k as k, the point k' as -k: a label of ASCII digits, at
+    least 1, then for k' a prime, after any ASCII whitespace."""
+    token = token.strip()
+    lower = token.endswith("'")
+    digits = token[:-1].rstrip(" \t\n\r\f\v") if lower else token
+    if digits.isascii() and digits.isdigit() and (label := int(digits)) >= 1:
+        return -label if lower else label
+    raise DomainError(f"cannot parse point {token!r}")
 
 
 def parse_diagram(text: str) -> DiagramPartition:
@@ -256,22 +263,9 @@ def parse_diagram(text: str) -> DiagramPartition:
     stripped = text.strip()
     if not stripped:
         return DiagramPartition(0, ())
-    raw: list[list[tuple[int, bool]]] = []
-    n = 0
-    for chunk in stripped.split("|"):
-        blk: list[tuple[int, bool]] = []
-        for token in chunk.split(","):
-            token = token.strip()
-            m = _POINT.fullmatch(token)
-            if not m or int(m.group(1)) < 1:
-                raise DomainError(f"cannot parse point {token!r}")
-            label = int(m.group(1))
-            n = max(n, label)
-            blk.append((label, m.group(2) == "'"))
-        raw.append(blk)
-    return make_partition(
-        n, [[label - 1 + (n if primed else 0) for label, primed in blk] for blk in raw]
-    )
+    blocks = [list(map(_point, chunk.split(","))) for chunk in stripped.split("|")]
+    n = max(max(map(abs, blk)) for blk in blocks)
+    return make_partition(n, ([v - 1 if v > 0 else n - v - 1 for v in blk] for blk in blocks))
 
 
 # --------------------------------------------------------------------------
@@ -405,8 +399,7 @@ def decompose_irreducible(
         owners = {root[v % n] for v in blk}
         if len(owners) > 1:
             raise NotDecomposableError(
-                f"block {{{','.join(str(v + 1) if v < n else str(v - n + 1) + chr(39) for v in blk)}}}"
-                f" straddles kernel classes"
+                f"block {{{format_diagram(DiagramPartition(n, (blk,)))}}} straddles kernel classes"
             )
         r = owners.pop()
         m = len(classes[r])

@@ -8,17 +8,19 @@ counting formulas; the only shared ground is the base sequences used to
 predict how many elements will stream past (to refuse hopeless requests up
 front).
 
-Generation is streaming and deterministic.  Set partitions come out in
-lexicographic order of their restricted growth strings, and matchings pair
-the smallest free point with partners in ascending order (for partial
-matchings the singleton option comes first), so every generator yields
-blocks already in canonical form.
+Generation streams deterministically and walks without recursion, keeping
+its state in flat lists.  Set partitions come out in lexicographic order of
+their restricted growth strings, and matchings pair the smallest free point
+with partners in ascending order (for partial matchings the singleton
+option comes first), so every walker yields blocks already in canonical
+form.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 from .combinat import bell, involutions, odd_double_factorial
@@ -60,44 +62,56 @@ def predicted_element_count(f: MonoidFamily | str, n: int) -> int:
     return bell(2 * n)
 
 
-def set_partition_blocks(size: int) -> Iterator[list[list[int]]]:
-    """All set partitions of {0..size-1}, in restricted-growth order.
-
-    Blocks are created in order of their minima and filled ascending, so
-    each yielded list is canonical as-is.  The yielded lists are live;
-    consumers must copy before mutating or storing.
-    """
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[list[list[int]]]:
-        if i == size:
-            yield blocks
+def set_partition_blocks(size: int) -> Iterator[tuple[Block, ...]]:
+    """All set partitions of {0..size-1}: each point joins a block, in order
+    of the blocks' minima, or opens the next one."""
+    blocks: list[Block] = []
+    joined: list[int] = []  # the block that each placed point joined
+    j = 0  # the block the next point joins; len(blocks) opens one
+    while True:
+        for i in range(len(joined), size):
+            if j < len(blocks):
+                blocks[j] += (i,)
+            else:
+                blocks.append((i,))
+            joined.append(j)
+            j = 0
+        yield tuple(blocks)
+        while joined:  # move the last point that has a later block to try
+            j = joined.pop()
+            if len(blocks[j]) > 1:
+                blocks[j] = blocks[j][:-1]
+                j += 1
+                break
+            blocks.pop()  # the point had opened the last block
+        else:
             return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(0)
 
 
-def _matchings(points: tuple[int, ...], partial: bool) -> Iterator[list[Block]]:
-    """Perfect matchings of the points, or partial ones (singleton option first)."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    if partial:
-        for sub in _matchings(rest, partial):
-            sub.insert(0, (first,))
-            yield sub
-    for idx, partner in enumerate(rest):
-        for sub in _matchings(rest[:idx] + rest[idx + 1 :], partial):
-            sub.insert(0, (first, partner))
-            yield sub
+def _matchings(size: int, partial: bool) -> Iterator[tuple[Block, ...]]:
+    """Perfect matchings of {0..size-1}, or partial ones; each block tuple
+    is made once and shared by every matching that contains it."""
+    free = list(range(size - 1, -1, -1))  # descending: the smallest free point is last
+    blocks: list[Block] = []
+    partners: list[int] = []  # each block's partner index in free; len(free) for a singleton
+    while True:
+        while free:
+            first = free.pop()
+            k = len(free) if partial else len(free) - 1
+            blocks.append((first,) if k == len(free) else (first, free.pop(k)))
+            partners.append(k)
+        yield tuple(blocks)
+        while blocks:
+            blk, k = blocks.pop(), partners.pop()
+            if len(blk) == 2:
+                free.insert(k, blk[1])  # the partner goes back to its old index
+            if k:  # the next partner up sits just below it
+                blocks.append((blk[0], free.pop(k - 1)))
+                partners.append(k - 1)
+                break
+            free.append(blk[0])
+        else:
+            return
 
 
 def enumerate_elements(
@@ -121,18 +135,12 @@ def enumerate_elements(
         raise TooLargeError(
             f"enumerating {fam.value}_{n} means streaming {streams}, over the cap of {cap}"
         )
-
-    def generate() -> Iterator[DiagramPartition]:
-        if fam in (MonoidFamily.B, MonoidFamily.PB):
-            for blocks in _matchings(tuple(range(2 * n)), fam is MonoidFamily.PB):
-                yield DiagramPartition(n, tuple(blocks))
-        else:
-            for blocks in set_partition_blocks(2 * n):
-                a = DiagramPartition(n, tuple(tuple(b) for b in blocks))
-                if fam is MonoidFamily.P or family_check(a, fam):
-                    yield a
-
-    return generate()
+    if fam in (MonoidFamily.B, MonoidFamily.PB):
+        return (DiagramPartition(n, blocks) for blocks in _matchings(2 * n, fam is MonoidFamily.PB))
+    return (
+        a for a in map(partial(DiagramPartition, n), set_partition_blocks(2 * n))
+        if fam is MonoidFamily.P or family_check(a, fam)
+    )
 
 
 def green_signature(a: DiagramPartition, side: str = "R") -> Signature:

@@ -246,7 +246,8 @@ def check_oracle_counts(fam: MonoidFamily, n: int) -> CheckResult:
     report = _sweep(fam, n)
     where = (fam.value, n)
     cases = [
-        (("e_total({},{}) formula vs oracle", *where), e_total(fam, n), report.idempotents_total),
+        (("e_total({},{}) formula vs oracle", *where),
+         e_total(fam, n, "formula"), report.idempotents_total),
         *((("e_rank({},{},{}) vs oracle", *where, r), e_rank(fam, n, r),
            report.idempotents_by_rank.get(r, 0)) for r in range(n + 1)),
         (("exi_total({},{},order 0) vs oracle", *where),

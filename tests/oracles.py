@@ -5,15 +5,24 @@ algorithms than the package uses: set partitions by recursive insertion
 (the package generates restricted growth strings), products by breadth
 first search over an explicit adjacency map (the package uses union-find),
 profiles point by point rather than block by block, involutions by
-filtering permutations.  Expected values in the tests were
+filtering permutations, the text form by a regular expression per point
+(the package reads each point by hand).  Expected values in the tests were
 computed with these and then frozen.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
-from diagmon.core import DiagramPartition, EquivalenceRelation, MonoidFamily, StructuralProfile
+from diagmon.core import (
+    DiagramPartition,
+    EquivalenceRelation,
+    MonoidFamily,
+    StructuralProfile,
+    make_partition,
+)
+from diagmon.errors import DomainError
 from diagmon.idempotency import TwistOrder
 
 
@@ -28,6 +37,32 @@ def set_partitions(items: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
             out.append(smaller[:i] + (tuple(sorted((first,) + block)),) + smaller[i + 1 :])
         out.append(((first,),) + smaller)
     return [tuple(sorted(p)) for p in out]
+
+
+_POINT = re.compile(r"(\d+)\s*('?)", re.ASCII)
+
+
+def naive_parse(text: str) -> DiagramPartition:
+    """The text form read in two passes: each point matched whole by a
+    regular expression into (label, primed), then turned into a vertex once
+    the largest label has fixed n."""
+    stripped = text.strip()
+    if not stripped:
+        return DiagramPartition(0, ())
+    raw: list[list[tuple[int, bool]]] = []
+    for chunk in stripped.split("|"):
+        blk = []
+        for token in chunk.split(","):
+            token = token.strip()
+            m = _POINT.fullmatch(token)
+            if not m or int(m.group(1)) < 1:
+                raise DomainError(f"cannot parse point {token!r}")
+            blk.append((int(m.group(1)), m.group(2) == "'"))
+        raw.append(blk)
+    n = max(label for blk in raw for label, _ in blk)
+    return make_partition(
+        n, [[label - 1 + (n if primed else 0) for label, primed in blk] for blk in raw]
+    )
 
 
 def bfs_components(vertices: list[int], edges: list[tuple[int, int]]) -> list[set[int]]:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import json
 import re
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from diagmon import cli, combinat
@@ -224,6 +226,56 @@ def test_enumerate_twisted_b3():
     lines = result.output.strip().splitlines()
     assert lines[-1] == "# count: 7"
     assert len(lines) == 8
+
+
+# sha256 of the enumerate listings of n = 0..4, concatenated, under
+# --filter all, --filter idempotent and --filter twisted --M 2
+LISTINGS_TO_4 = {
+    "P": (
+        "5e5f0ed727b044ae19114601923d98dc2c401d0ecff10e24b50fc94a96263e59",
+        "1105e25cdb5229ddd6c0fb6cffebbf8222db6847a221dad2585eb22cf702c358",
+        "b3ee25ba1b1f7d6ee207957ab85ca47621ba8cc13fa12710e68020236f8fda1e",
+    ),
+    "B": (
+        "8a878ba811cacfd4a3fdd7692bc7c1dcca7c5f7912fa3dc17a7065aab6dc06b2",
+        "83061d27e3438a16797891a2e5d4c50ffdc0b0fa35ec1d97989c43578e9c5c07",
+        "fdd6b9ce77bcf455d5a427f98180c9985af18398942095735d551d32beb1829e",
+    ),
+    "PB": (
+        "ae944cd8d4a6fe7387d637c0fa938218adcd58519a220736a28b1227e4c45620",
+        "a625e2d720dda666e2dc627131606cea146cab0b6c289f89081482526e91a40d",
+        "fd0d1c35a9c3cb216bb58ad25188683ea7aff4e51bb48158c699554c47380f18",
+    ),
+    "T": (
+        "6e89318fafdcdfac75b06bc5bae706ff8ddf759a80117ec172d2d5425b2f4598",
+        "3a155e7802339010901533101cc3b0311206fcb9d39d93a45770778b1070f67f",
+        "3a155e7802339010901533101cc3b0311206fcb9d39d93a45770778b1070f67f",
+    ),
+    "I": (
+        "5f88375f81944864e1c15ea99334862c721f13574320cc0196dc2ea199d785b9",
+        "0922694d3a548892c0d0f4a233db45cda7cdf9b29ae94fb980d73eb5d6e4c41f",
+        "2bef144389b46a3b8de4a648bad66d56b7e94937e41cad1a955ab9142c81509c",
+    ),
+    "Idual": (
+        "b275bde1363e31d496549604fbdbe77969bb1249fb9019c013b62f590d62a506",
+        "048f74c02c94334816039f7b83a0135459ff592010456709943629d249044687",
+        "048f74c02c94334816039f7b83a0135459ff592010456709943629d249044687",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", LISTINGS_TO_4)
+def test_enumerate_listings_are_byte_identical(family):
+    got = []
+    filters = (("--filter", "all"), ("--filter", "idempotent"), ("--filter", "twisted", "--M", "2"))
+    for keep in filters:
+        digest = hashlib.sha256()
+        for n in range(5):
+            result = run("enumerate", "--family", family, "--n", str(n), *keep)
+            assert result.exit_code == 0, result.output
+            digest.update(result.output.encode())
+        got.append(digest.hexdigest())
+    assert tuple(got) == LISTINGS_TO_4[family]
 
 
 def test_enumerate_lines_reparse():

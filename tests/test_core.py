@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,8 @@ from diagmon.errors import (
     OverlapError,
 )
 
-from .conftest import diagram_pairs, diagrams
-from .oracles import bfs_components, naive_join, naive_multiply, set_partitions
+from .conftest import _diagram_from_raw, diagram_pairs, diagrams
+from .oracles import bfs_components, naive_join, naive_multiply, naive_parse, set_partitions
 
 ALPHA = parse_diagram("1,4|2,3,4',5'|5,6|1',3',6'|2'")
 BETA = parse_diagram("1,3|2,4,3'|5,4',5',6'|6|1'|2'")
@@ -104,6 +105,38 @@ def test_parse_rejects_non_ascii_digits():
 
 def test_parse_empty_gives_empty_diagram():
     assert parse_diagram("") == identity(0)
+
+
+# digits, separators, ASCII and other whitespace, primes, and characters a
+# looser grammar would take for digits or signs
+FUZZ_CHARS = "0123456789'',,|  \t\n\x0b\x1c\xa0\u0661\uff11\xb2_+-"
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    """Random characters, or the text of a random diagram with a few edits."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(FUZZ_CHARS) for _ in range(rng.randrange(12)))
+    n = rng.randrange(5)
+    raw = [rng.randrange(2 * n + 1) for _ in range(2 * n)]
+    text = list(format_diagram(_diagram_from_raw(n, raw)))
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(text) + 1)
+        text[at : at + rng.randrange(2)] = rng.choice(FUZZ_CHARS) * rng.randrange(2)
+    return "".join(text)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def test_parse_matches_the_regex_grammar():
+    rng = random.Random(9)
+    for _ in range(20_000):
+        text = _fuzz_text(rng)
+        assert _outcome(parse_diagram, text) == _outcome(naive_parse, text), repr(text)
 
 
 # --------------------------------------------------------------------------
@@ -247,8 +280,10 @@ def test_decompose_irreducible_alpha():
 
 
 def test_decompose_beta_fails():
-    with pytest.raises(NotDecomposableError):
+    with pytest.raises(NotDecomposableError, match=re.escape("block {2,4,3'} straddles kernel")):
         decompose_irreducible(BETA)
+    with pytest.raises(NotDecomposableError, match="^block {1,2'} straddles kernel classes$"):
+        decompose_irreducible(parse_diagram("1,2'|2,1'"))
 
 
 def test_decompose_rank0_brauer():

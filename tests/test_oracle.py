@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -85,6 +88,38 @@ def test_enumerate_guards():
         enumerate_elements("Q", 2)
     with pytest.raises(DomainError):
         enumerate_elements(B, -1)
+
+
+_DEEP_STREAMS = textwrap.dedent(
+    """
+    import sys
+    from itertools import islice
+
+    from diagmon.oracle import enumerate_elements, set_partition_blocks
+
+    sys.setrecursionlimit(120)
+    b = [a.blocks for a in islice(enumerate_elements("B", 600, cap=10**4000), 3)]
+    assert b[0] == tuple((i, i + 1) for i in range(0, 1200, 2))
+    assert b[1] == b[0][:-2] + ((1196, 1198), (1197, 1199))
+    pb = [a.blocks for a in islice(enumerate_elements("PB", 600, cap=10**4000), 3)]
+    assert pb[0] == tuple((i,) for i in range(1200))
+    assert pb[1] == pb[0][:-2] + ((1198, 1199),)
+    partitions = list(islice(set_partition_blocks(1200), 3))
+    assert partitions[0] == (tuple(range(1200)),)
+    assert partitions[2] == (tuple(range(1198)) + (1199,), (1198,))
+    print("ok")
+    """
+)
+
+
+def test_deep_streams_need_no_recursion():
+    # the walkers keep their state in flat lists, so streams of 1200 points
+    # start under a recursion limit far below their depth
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_STREAMS], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "ok"
 
 
 # --------------------------------------------------------------------------

@@ -176,6 +176,20 @@ def test_tampered_c1_fails_oracle_sweep(monkeypatch):
     assert "e_total(B,3) formula vs oracle" in result.detail
 
 
+def test_oracle_total_takes_the_formula_route(monkeypatch):
+    # the total case is labelled the formula route, so a formula off by one
+    # must fail it while the recurrence stays right
+    honest = verify.e_total
+
+    def formula_off_by_one(fam, n, method="recurrence"):
+        return honest(fam, n, method) + (method == "formula")
+
+    monkeypatch.setattr(verify, "e_total", formula_off_by_one)
+    result = check_oracle_counts(B, 3)
+    assert not result.ok
+    assert result.detail.startswith("e_total(B,3) formula vs oracle"), result.detail
+
+
 def test_oracle_sweep_note_reports_cost_per_element():
     result = check_oracle_counts(B, 4)
     assert result.ok
