@@ -22,6 +22,9 @@ Rows of an entry:
   ``lambda_graph`` plus the component classification, timed on each
   idempotent of the B6 and PB5 streams only.  ``generate`` is microseconds
   per element of running ``enumerate_elements`` through the whole stream.
+  ``green_table`` is microseconds per product of building the P3 and B4
+  product tables of ``diagmon verify --profile full`` the way
+  ``check_green_orbits`` builds them (``verify._product_table``).
   Median of ``ROUNDS`` scaled passes; each round times every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
@@ -65,7 +68,7 @@ from diagmon.idempotency import (  # noqa: E402
     rank_from_components,
 )
 from diagmon.oracle import brute_report, enumerate_elements, green_signature  # noqa: E402
-from diagmon.verify import FULL_SWEEPS  # noqa: E402
+from diagmon.verify import FULL_SWEEPS, _product_table  # noqa: E402
 from worker import probe_factor  # noqa: E402
 
 STREAMS = (("B", 6), ("PB", 5), ("P", 4))
@@ -80,6 +83,7 @@ KERNELS = {
     "format_diagram": format_diagram,
 }
 GRAPH_STREAMS = ("B6", "PB5")
+GREEN_TABLES = (("P", 3), ("B", 4))
 
 
 def graph_rank(a) -> int:
@@ -91,6 +95,12 @@ def us_per_call(fn, items: list) -> float:
     for x in items:
         fn(x)
     return 1e6 * (time.perf_counter() - started) / len(items)
+
+
+def us_per_product(n: int, elements: list) -> float:
+    started = time.perf_counter()
+    _product_table(n, elements)
+    return 1e6 * (time.perf_counter() - started) / len(elements) ** 2
 
 
 def us_per_element(fam: str, n: int, elements: int) -> float:
@@ -133,6 +143,8 @@ def kernel_rows() -> tuple[dict, list[float]]:
             idempotents = [a for a in elements if is_idempotent_direct(a)]
             passes["graph_rank", label] = partial(us_per_call, graph_rank, idempotents)
         passes["generate", label] = partial(us_per_element, fam, n, len(elements))
+    for fam, n in GREEN_TABLES:
+        passes["green_table", f"{fam}{n}"] = partial(us_per_product, n, list(enumerate_elements(fam, n)))
 
     median_times, factors = median_scaled(passes)
     rows: dict[str, dict[str, float]] = {}

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import click
 
@@ -44,13 +43,17 @@ def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
     return wrapper
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Print the text, or write it to the file named by --out."""
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk of text as it is made, to stdout or to the file
+    named by --out, which is opened once."""
     if out is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            for chunk in chunks:
+                stream.write(chunk)
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -141,7 +144,7 @@ def cmd_table(which: str, max_n: int, fmt: str, out: str | None) -> None:
     """Rebuild one of the ten reference tables."""
     if max_n > MAX_TABLE_N:
         raise DomainError(f"max-n is limited to {MAX_TABLE_N}, got {max_n}")
-    _emit(render_table(which, max_n, fmt), out)
+    _emit([render_table(which, max_n, fmt)], out)
 
 
 @main.command("verify")
@@ -190,9 +193,17 @@ def cmd_enumerate(
         "idempotent": is_idempotent_direct,
         "twisted": lambda a: is_twisted_idempotent(a, order),
     }[keep]
-    lines = [format_diagram(a) for a in enumerate_elements(fam, n, cap) if kept(a)]
-    lines.append(f"# count: {len(lines)}")
-    _emit("\n".join(lines) + "\n", out)
+    elements = enumerate_elements(fam, n, cap)  # refuses an over-cap stream before any output
+
+    def listing() -> Iterator[str]:
+        count = 0
+        for a in elements:
+            if kept(a):
+                count += 1
+                yield format_diagram(a) + "\n"
+        yield f"# count: {count}\n"
+
+    _emit(listing(), out)
 
 
 if __name__ == "__main__":

@@ -271,33 +271,49 @@ def parse_diagram(text: str) -> DiagramPartition:
 # --------------------------------------------------------------------------
 # the product
 
-def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition, int]:
-    """Product diagram together with the number of components that the
-    gluing traps entirely in the middle row.
-
-    The components are unions of whole blocks: block i of ``a`` and block
-    ``len(a.blocks) + j`` of ``b`` are the nodes of a union-find, and each
-    middle point joins the block of ``a`` holding it as a lower point to the
-    block of ``b`` holding it as an upper point.  The upper points of ``a``
-    and the lower points of ``b`` are then read off in vertex order, so each
-    product block comes out sorted and the blocks come out ordered by their
-    minimum.  Every component that no upper or lower point reaches was
-    swallowed.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError(f"product of diagrams on {a.n} and {b.n} strands")
-    n = a.n
-    top = [0] * (2 * n)  # block of a at each of a's vertices
+def _labels(a: DiagramPartition) -> list[int]:
+    """The block index of each vertex.  Blocks are ordered by their minimum,
+    so this is the diagram's restricted growth string."""
+    labels = [0] * (2 * a.n)
     for i, blk in enumerate(a.blocks):
         for v in blk:
-            top[v] = i
-    bottom = [0] * (2 * n)  # likewise for b, numbered after a's blocks
-    for i, blk in enumerate(b.blocks, len(a.blocks)):
-        for v in blk:
-            bottom[v] = i
-    parent = list(range(len(a.blocks) + len(b.blocks)))
-    components = len(parent)
+            labels[v] = i
+    return labels
+
+
+def _partition(n: int, labels: list[int]) -> DiagramPartition:
+    """The diagram whose restricted growth string is labels: read in vertex
+    order, each block comes out sorted and the blocks ordered by minimum."""
+    groups: list[list[int]] = []
+    for v, i in enumerate(labels):
+        if i == len(groups):  # label i first appears here
+            groups.append([v])
+        else:
+            groups[i].append(v)
+    # built from a list, the tuple is allocated at its final size; one built
+    # from an iterator is shrunk from a guess, and the freed product tuples
+    # then pile up on the interpreter's tuple free lists
+    return DiagramPartition(n, tuple([tuple(members) for members in groups]))
+
+
+def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[list[int], int]:
+    """The product of two diagrams on n strands given by their restricted
+    growth strings, top with k blocks and bottom with m: the product's
+    restricted growth string and the number of components that the gluing
+    traps entirely in the middle row.
+
+    The components are unions of whole blocks: block i of the top factor and
+    block k + j of the bottom one are the nodes of a union-find, and each
+    middle point joins the top block holding it as a lower point to the
+    bottom block holding it as an upper point.  The product numbers its
+    blocks in order of first appearance along the top factor's upper points
+    and then the bottom factor's lower points; every component that none of
+    them reaches was swallowed.
+    """
+    parent = list(range(k + m))
+    components = k + m
     for x, y in zip(top[n:], bottom[:n]):  # the glued middle row
+        y += k
         while parent[x] != x:  # path halving: parent[x] is assigned before x
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -309,16 +325,35 @@ def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition
         elif y < x:
             parent[x] = y
             components -= 1
-    for i in range(len(parent)):  # in index order, one step reaches the root
+    for i in range(k + m):  # in index order, one step reaches the root
         parent[i] = parent[parent[i]]
-    groups: dict[int, list[int]] = {}
-    for v, i in enumerate(top[:n] + bottom[n:]):
-        groups.setdefault(parent[i], []).append(v)
-    # built from a list, the tuple is allocated at its final size; one built
-    # from an iterator is shrunk from a guess, and the freed product tuples
-    # then pile up on the interpreter's tuple free lists
-    blocks = tuple([tuple(members) for members in groups.values()])
-    return DiagramPartition(n, blocks), components - len(blocks)
+    name = [-1] * (k + m)  # each root's product block, once it has appeared
+    rgs = []
+    blocks = 0
+    # one loop per row, not one loop over both: the row offset would cost an
+    # addition per vertex in the hottest loop of the oracle
+    for i in top[:n]:
+        r = parent[i]
+        if name[r] < 0:
+            name[r] = blocks
+            blocks += 1
+        rgs.append(name[r])
+    for i in bottom[n:]:
+        r = parent[k + i]
+        if name[r] < 0:
+            name[r] = blocks
+            blocks += 1
+        rgs.append(name[r])
+    return rgs, components - blocks
+
+
+def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition, int]:
+    """Product diagram together with the number of components that the
+    gluing traps entirely in the middle row."""
+    if a.n != b.n:
+        raise DimensionMismatchError(f"product of diagrams on {a.n} and {b.n} strands")
+    rgs, swallowed = _glue(a.n, _labels(a), len(a.blocks), _labels(b), len(b.blocks))
+    return _partition(a.n, rgs), swallowed
 
 
 # --------------------------------------------------------------------------
@@ -335,11 +370,13 @@ def _row(
     halves: list[tuple[Block, Block]], i: int, n: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(domain, kernel classes) of the upper (i = 0) or lower (i = 1) row,
-    both sorted, in 1-based labels."""
+    both sorted, in 1-based labels.  Upper parts already come in block
+    order, which is their order by minimum, so only the lower classes need
+    a sort."""
     relabel = (1 - i * n).__add__
     domain = [v for half in halves if half[0] and half[1] for v in half[i]]
     classes = [tuple(map(relabel, half[i])) for half in halves if half[i]]
-    return tuple(sorted(map(relabel, domain))), tuple(sorted(classes))
+    return tuple(sorted(map(relabel, domain))), tuple(sorted(classes) if i else classes)
 
 
 def _kernel(halves: list[tuple[Block, Block]], n: int) -> list[int]:

@@ -14,11 +14,10 @@ number of components of the plain even-path shape.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DiagramPartition, LambdaGraph, _find, _halves, _kernel, _union, multiply
+from .core import DiagramPartition, LambdaGraph, _find, _glue, _halves, _kernel, _labels, _union
 from .errors import DomainError, NotBalancedError
 
 
@@ -68,9 +67,11 @@ class ComponentType(Enum):
 
 
 def is_idempotent_direct(a: DiagramPartition) -> bool:
-    """Plain semigroup test: square the element and compare."""
-    product, _ = multiply(a, a)
-    return product == a
+    """Plain semigroup test: square the element and compare, in label form
+    (a·a = a exactly when their restricted growth strings agree)."""
+    labels = _labels(a)
+    k = len(a.blocks)
+    return _glue(a.n, labels, k, labels, k)[0] == labels
 
 
 def _kernel_excess(a: DiagramPartition) -> int | None:
@@ -129,18 +130,23 @@ def classify_lambda_components(
             raise NotBalancedError(f"some vertex carries two {color} items")
         for u, v in edges:
             _union(parent, u, v)
+    root = [_find(parent, x) for x in range(n + 1)]
     components: dict[int, list[int]] = {}  # by root, in order of their smallest vertex
     for x in range(1, n + 1):
-        components.setdefault(_find(parent, x), []).append(x)
-    endpoints = Counter(_find(parent, x) for edge in g.red_edges + g.blue_edges for x in edge)
-    looped = Counter(_find(parent, x) for x in g.red_loops + g.blue_loops)
+        components.setdefault(root[x], []).append(x)
+    edge_counts = [0] * (n + 1)  # by root
+    loop_counts = [0] * (n + 1)
+    for u, _ in g.red_edges + g.blue_edges:  # an edge's two ends share a root
+        edge_counts[root[u]] += 1
+    for x in g.red_loops + g.blue_loops:
+        loop_counts[root[x]] += 1
     # every vertex carries at most one item of each color, so a component is
     # an alternating circuit (as many edges as vertices) or a path with two
     # free color slots, at its ends (both on a lone vertex); loops can only
     # fill those slots
     out: list[tuple[tuple[int, ...], ComponentType]] = []
-    for root, vertices in components.items():
-        edge_count, loop_count = endpoints[root] // 2, looped[root]
+    for r, vertices in components.items():
+        edge_count, loop_count = edge_counts[r], loop_counts[r]
         if edge_count == len(vertices):
             shape = ComponentType.EVEN_CIRCUIT
         elif loop_count == 2:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .combinat import bell, binomial, e_nrs
-from .core import EquivalenceRelation, MonoidFamily, multiply
+from .core import EquivalenceRelation, MonoidFamily, _glue, _labels, _partition
 from .counting import (
     a_nr,
     a_nrt,
@@ -299,6 +299,18 @@ def check_rho_against_signatures(fam: MonoidFamily, n: int) -> CheckResult:
 # --------------------------------------------------------------------------
 # Green cross-checks (orbit computation vs signatures)
 
+def _product_table(n: int, elements: list) -> list[list[int | None]]:
+    """Row i holds the index in elements of each product a_i·x, in the order
+    of elements, or None for a product outside them.  Each element is put in
+    label form once, and each product is looked up by its label form."""
+    labels = [(_labels(a), len(a.blocks)) for a in elements]
+    index = {tuple(top): i for i, (top, _) in enumerate(labels)}
+    return [
+        [index.get(tuple(_glue(n, top, k, bottom, m)[0])) for bottom, m in labels]
+        for top, k in labels
+    ]
+
+
 def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     """Green's relations by definition, from one table of product indices:
     row i is the right ideal a_i·S and column j the left ideal S·a_j (S
@@ -307,12 +319,12 @@ def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     """
     name = f"Green orbits vs signatures {fam.value}_{n}"
     elements = list(enumerate_elements(fam, n))
-    index = {a: i for i, a in enumerate(elements)}
-    table = [[index.get(multiply(a, x)[0]) for x in elements] for a in elements]
+    table = _product_table(n, elements)
     for a, row in zip(elements, table):
         if None in row:
             x = elements[row.index(None)]
-            return _result(name, [f"{a} * {x} = {multiply(a, x)[0]} is not in {fam.value}_{n}"])
+            rgs, _ = _glue(n, _labels(a), len(a.blocks), _labels(x), len(x.blocks))
+            return _result(name, [f"{a} * {x} = {_partition(n, rgs)} is not in {fam.value}_{n}"])
     rows = [frozenset(row) for row in table]
     columns = [frozenset(column) for column in zip(*table)]
     failures = []

@@ -118,6 +118,19 @@ def naive_is_idempotent(a: DiagramPartition) -> bool:
     return naive_multiply(a, a)[0] == a
 
 
+def naive_rgs(a: DiagramPartition) -> list[int]:
+    """Restricted growth string, point by point: each vertex is labelled by
+    the order in which its block is first met, searching the blocks for it."""
+    met: list[tuple[int, ...]] = []
+    out = []
+    for v in range(2 * a.n):
+        blk = next(b for b in a.blocks if v in b)
+        if blk not in met:
+            met.append(blk)
+        out.append(met.index(blk))
+    return out
+
+
 def naive_join(
     n: int,
     left: tuple[tuple[int, ...], ...],

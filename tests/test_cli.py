@@ -14,6 +14,8 @@ from diagmon.cli import main
 from diagmon.combinat import odd_double_factorial
 from diagmon.core import parse_diagram
 from diagmon.counting import a_nr, exi_total, rho
+from diagmon.errors import DomainError
+from diagmon.oracle import enumerate_elements
 
 
 def run(*args: str):
@@ -297,6 +299,35 @@ def test_enumerate_out_file(tmp_path):
     )
     assert result.exit_code == 0
     assert target.read_text().strip().splitlines()[-1] == "# count: 3"
+
+
+def test_enumerate_writes_each_line_as_it_is_made(monkeypatch, tmp_path):
+    # a stream that breaks after three elements leaves their three lines
+    # written, on stdout and in the --out file alike
+    elements = list(enumerate_elements("B", 2))
+    lines = [str(a) for a in elements]
+    assert len(lines) == 3
+
+    def breaking(fam, n, cap):
+        yield from elements
+        raise DomainError("the stream broke")
+
+    monkeypatch.setattr(cli, "enumerate_elements", breaking)
+    result = run("enumerate", "--family", "B", "--n", "2")
+    assert result.exit_code == 2
+    assert result.stdout.splitlines() == lines
+    assert "error: the stream broke" in result.stderr
+    target = tmp_path / "b2.txt"
+    result = run("enumerate", "--family", "B", "--n", "2", "--out", str(target))
+    assert result.exit_code == 2
+    assert target.read_text().splitlines() == lines
+
+
+def test_enumerate_refused_cap_writes_nothing(tmp_path):
+    target = tmp_path / "p4.txt"
+    result = run("enumerate", "--family", "P", "--n", "4", "--cap", "100", "--out", str(target))
+    assert result.exit_code == 3
+    assert not target.exists()
 
 
 def test_enumerate_negative_order_exits_2():

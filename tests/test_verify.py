@@ -5,7 +5,7 @@ import re
 import pytest
 
 from diagmon import counting, oracle, verify
-from diagmon.core import MonoidFamily, identity, parse_diagram
+from diagmon.core import MonoidFamily, _labels, identity, parse_diagram
 from diagmon.counting import a_nr
 from diagmon.verify import (
     CheckResult,
@@ -109,14 +109,16 @@ def test_green_check_fails_on_split_l_class(monkeypatch):
 
 def test_green_check_fails_on_product_outside_the_monoid(monkeypatch):
     # a product that is no Brauer diagram must fail the check, not raise
-    honest = verify.multiply
+    # the table glues label forms, so the leak goes in at that seam
+    honest = verify._glue
     stray = parse_diagram("1,2,3,1',2',3'")
+    unit = _labels(identity(3))
 
-    def leaking(a, b):
-        product, swallowed = honest(a, b)
-        return (stray, swallowed) if a == b == identity(3) else (product, swallowed)
+    def leaking(n, top, k, bottom, m):
+        rgs, swallowed = honest(n, top, k, bottom, m)
+        return (_labels(stray), swallowed) if top == bottom == unit else (rgs, swallowed)
 
-    monkeypatch.setattr(verify, "multiply", leaking)
+    monkeypatch.setattr(verify, "_glue", leaking)
     result = check_green_orbits(B, 3)
     assert not result.ok
     assert result.detail == f"{identity(3)} * {identity(3)} = {stray} is not in B_3"
