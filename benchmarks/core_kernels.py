@@ -31,8 +31,11 @@ Rows of an entry:
   Median of ``ROUNDS`` scaled passes.
 - ``host_factors``: for either row, the lowest, median and highest factor
   its passes were scaled by.
-- ``python`` (the interpreter's version) and ``git_sha`` (the checkout's
-  HEAD).
+- ``python`` (the interpreter's version), ``git_sha`` (the checkout's
+  HEAD) and ``src_sha256``, the digest over ``src/diagmon`` that perfbench
+  stamps on its runs (``src_digest`` in ``perfbench/run.py``).  ``git_sha``
+  names the parent commit when the tree is not yet committed; the digest
+  names the code measured either way.  Entries older than it lack it.
 
 Entries without ``host_factors`` are unscaled and take the best round.
 The ``host-scaled-a`` and ``host-scaled-b`` entries scaled whole rounds
@@ -69,6 +72,7 @@ from diagmon.idempotency import (  # noqa: E402
 )
 from diagmon.oracle import brute_report, enumerate_elements, green_signature  # noqa: E402
 from diagmon.verify import FULL_SWEEPS, _product_table  # noqa: E402
+from run import src_digest  # noqa: E402
 from worker import probe_factor  # noqa: E402
 
 STREAMS = (("B", 6), ("PB", 5), ("P", 4))
@@ -184,6 +188,7 @@ def main() -> None:
         "git_sha": subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
         ).stdout.strip(),
+        "src_sha256": src_digest(),
     }
     entry["kernels_us"], kernel_factors = kernel_rows()
     entry["brute_report"], sweep_factors = sweep_rows()

@@ -202,11 +202,14 @@ def make_partition(n: int, blocks: Iterable[Iterable[int]]) -> DiagramPartition:
     """Validate raw blocks as a partition of {0,..,2n-1} and canonicalize.
 
     Raises EmptyBlockError, VertexRangeError, OverlapError or CoverageError
-    when the input is not a partition.
+    when the input is not a partition: the first bad point met block by
+    block, each block sorted, and only then the first vertex in no block.
+    The checks hold only the points given, so a huge n costs nothing until
+    the blocks really cover it.
     """
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    seen = bytearray(2 * n)
+    seen: set[int] = set()
     canon: list[Block] = []
     for raw in blocks:
         blk = tuple(sorted(raw))
@@ -215,13 +218,13 @@ def make_partition(n: int, blocks: Iterable[Iterable[int]]) -> DiagramPartition:
         for v in blk:
             if not 0 <= v < 2 * n:
                 raise VertexRangeError(f"vertex {v} outside 0..{2 * n - 1}")
-            if seen[v]:
+            if v in seen:
                 raise OverlapError(f"vertex {v} appears more than once")
-            seen[v] = 1
+            seen.add(v)
         canon.append(blk)
-    for v in range(2 * n):
-        if not seen[v]:
-            raise CoverageError(f"vertex {v} is in no block")
+    if len(seen) < 2 * n:  # the first gap in the sorted points, or just past them
+        missing = next((v for v, w in enumerate(sorted(seen)) if v != w), len(seen))
+        raise CoverageError(f"vertex {missing} is in no block")
     canon.sort()  # blocks are disjoint, so this orders them by minimum
     return DiagramPartition(n, tuple(canon))
 
@@ -231,15 +234,25 @@ def identity(n: int) -> DiagramPartition:
     return DiagramPartition(n, tuple((i, n + i) for i in range(n)))
 
 
+# "1".."n", "1'".."n'" for the last n formatted: they depend on n alone, so
+# every caller may share them
+_names: list[str] = []
+
+
 def format_diagram(a: DiagramPartition) -> str:
     """Canonical text form, e.g. ``1,4|2,3,4',5'|5,6|1',3',6'|2'``.
 
-    The empty diagram (n=0) formats as the empty string.
+    The empty diagram (n=0) formats as the empty string.  Each vertex is
+    looked up in a table of names kept for the last n formatted only, so
+    the table is never larger than the largest diagram.
     """
-    n = a.n
-    return "|".join(
-        ",".join(str(v + 1) if v < n else f"{v - n + 1}'" for v in blk) for blk in a.blocks
-    )
+    global _names
+    names = _names
+    if len(names) != 2 * a.n:
+        upper = [str(k) for k in range(1, a.n + 1)]
+        names = _names = upper + [k + "'" for k in upper]
+    name = names.__getitem__
+    return "|".join([",".join(map(name, blk)) for blk in a.blocks])
 
 
 def _point(token: str) -> int:
@@ -257,14 +270,47 @@ def parse_diagram(text: str) -> DiagramPartition:
     """Parse the text form back into a diagram.
 
     Whitespace around points and separators is ignored.  n is inferred from
-    the largest point label; every point 1..n and 1'..n' must occur exactly
-    once, enforced by make_partition.
+    the largest point label, and every point 1..n and 1'..n' must occur
+    exactly once.  A point written as format_diagram writes it is read
+    inline, any other token by _point, the one point grammar.  When the text
+    holds 2n points and none is missing from the owner array, grouping the
+    vertices in vertex order gives the canonical blocks with no sort.  Any
+    other text goes to make_partition, so a parse error is the one it reports.
     """
     stripped = text.strip()
     if not stripped:
         return DiagramPartition(0, ())
-    blocks = [list(map(_point, chunk.split(","))) for chunk in stripped.split("|")]
-    n = max(max(map(abs, blk)) for blk in blocks)
+    blocks = []  # each point k as k and k' as -k, as _point gives them
+    n = 0
+    for chunk in stripped.split("|"):
+        blk = []
+        for token in chunk.split(","):
+            if token.isdigit() and token.isascii() and token[0] != "0":
+                label = int(token)
+                blk.append(label)
+            elif (
+                token[-1:] == "'"
+                and (digits := token[:-1]).isdigit()
+                and digits.isascii()
+                and digits[0] != "0"
+            ):
+                label = int(digits)
+                blk.append(-label)
+            else:
+                blk.append(point := _point(token))
+                label = abs(point)
+            if label > n:
+                n = label
+        blocks.append(blk)
+    # allocated only for 2n points, so never larger than the text
+    if sum(map(len, blocks)) == 2 * n:
+        owner = [-1] * (2 * n + 1)  # the block of k at owner[k], of k' at owner[-k]
+        for i, blk in enumerate(blocks):
+            for point in blk:
+                owner[point] = i
+        labels = owner[1 : n + 1] + owner[:n:-1]  # in vertex order
+        if -1 not in labels:  # 2n points and none missing, so none repeated
+            return _partition(n, labels)
     return make_partition(n, ([v - 1 if v > 0 else n - v - 1 for v in blk] for blk in blocks))
 
 
@@ -282,18 +328,22 @@ def _labels(a: DiagramPartition) -> list[int]:
 
 
 def _partition(n: int, labels: list[int]) -> DiagramPartition:
-    """The diagram whose restricted growth string is labels: read in vertex
-    order, each block comes out sorted and the blocks ordered by minimum."""
-    groups: list[list[int]] = []
+    """The diagram whose vertex v lies in the block labelled labels[v], each
+    label below len(labels): read in vertex order, each block comes out
+    sorted and the blocks ordered by minimum."""
+    groups: list[list[int] | None] = [None] * len(labels)  # by label
+    blocks = []  # the same lists, in order of first appearance
     for v, i in enumerate(labels):
-        if i == len(groups):  # label i first appears here
-            groups.append([v])
+        members = groups[i]
+        if members is None:
+            groups[i] = members = [v]
+            blocks.append(members)
         else:
-            groups[i].append(v)
+            members.append(v)
     # built from a list, the tuple is allocated at its final size; one built
     # from an iterator is shrunk from a guess, and the freed product tuples
     # then pile up on the interpreter's tuple free lists
-    return DiagramPartition(n, tuple([tuple(members) for members in groups]))
+    return DiagramPartition(n, tuple([tuple(members) for members in blocks]))
 
 
 def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[list[int], int]:

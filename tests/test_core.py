@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,68 @@ def test_parse_matches_the_regex_grammar():
         text = _fuzz_text(rng)
         assert _outcome(parse_diagram, text) == _outcome(naive_parse, text), repr(text)
 
+
+
+@settings(max_examples=60)
+@given(diagrams(min_n=9, max_n=13))
+def test_format_parse_round_trip_with_multi_digit_labels(a: DiagramPartition):
+    assert parse_diagram(format_diagram(a)) == a
+
+
+def test_format_empty_diagram():
+    assert format_diagram(identity(0)) == ""
+
+
+# tokens a canonical reader must not take for the label it resembles
+NEAR_LABELS = ("01", "0", "010'", "10 '", "010", "0'", " 11", "1 0", "10''", "+10", "1_0", "1\u0661")
+
+
+def _multi_digit_text(rng: random.Random) -> str:
+    """The text of a random diagram on 9..13 strands, whose points include
+    labels of two digits, with a few of its points replaced, repeated,
+    dropped or pushed past n."""
+    n = rng.randrange(9, 14)
+    raw = [rng.randrange(2 * n + 1) for _ in range(2 * n)]
+    blocks = [blk.split(",") for blk in format_diagram(_diagram_from_raw(n, raw)).split("|")]
+    for _ in range(rng.randrange(3)):
+        blk = rng.choice(blocks)
+        at = rng.randrange(len(blk))
+        edit = rng.randrange(5)
+        if edit == 0:
+            blk[at] = rng.choice(NEAR_LABELS)
+        elif edit == 1:
+            blk[at] = "0" + blk[at]
+        elif edit == 2:
+            rng.choice(blocks).append(blk[at])
+        elif edit == 3 and len(blk) > 1:
+            del blk[at]
+        else:
+            blk[at] = str(rng.randrange(n + 1, 100)) + rng.choice(("", "'"))
+    return "|".join(",".join(blk) for blk in blocks)
+
+
+def test_parse_matches_the_regex_grammar_on_multi_digit_labels():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(3_000):
+        text = _multi_digit_text(rng)
+        outcome = _outcome(parse_diagram, text)
+        assert outcome == _outcome(naive_parse, text), repr(text)
+        outcomes.add(outcome[0] if isinstance(outcome, tuple) else DiagramPartition)
+    # the edits reach every outcome: a diagram, a bad point, a repeat, a gap
+    assert outcomes == {DiagramPartition, DomainError, OverlapError, CoverageError}
+
+
+def test_parse_huge_label_reports_the_gap_without_allocating_for_n():
+    started = time.perf_counter()
+    for text in ("1|3000000000000'", "1|300000000'"):
+        with pytest.raises(CoverageError, match="^vertex 1 is in no block$"):
+            parse_diagram(text)
+    with pytest.raises(OverlapError, match="^vertex 0 appears more than once$"):
+        parse_diagram("1,1|3000000000000'")
+    with pytest.raises(CoverageError, match="^vertex 2 is in no block$"):
+        make_partition(10**12, [[0, 1], [5]])
+    assert time.perf_counter() - started < 0.2
 
 # --------------------------------------------------------------------------
 # multiplication
