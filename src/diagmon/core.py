@@ -86,7 +86,8 @@ class DiagramPartition:
 
 @dataclass(frozen=True, slots=True)
 class EquivalenceRelation:
-    """A partition of {1,..,n}, canonical like diagram blocks."""
+    """A partition of {1,..,n}, canonical like diagram blocks: a kernel of
+    a profile.  It joins nothing; the kernel join is _kernel's."""
 
     n: int
     classes: tuple[tuple[int, ...], ...]
@@ -108,42 +109,12 @@ class EquivalenceRelation:
             raise CoverageError("classes do not cover 1..n")
         return EquivalenceRelation(n, tuple(canon))
 
-    @staticmethod
-    def discrete(n: int) -> "EquivalenceRelation":
-        return EquivalenceRelation(n, tuple((i,) for i in range(1, n + 1)))
-
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
     def is_discrete(self) -> bool:
         return all(len(c) == 1 for c in self.classes)
-
-    def class_index(self) -> dict[int, int]:
-        """Map each point to the position of its class in the canonical list."""
-        out: dict[int, int] = {}
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                out[x] = i
-        return out
-
-    def join(self, other: "EquivalenceRelation") -> "EquivalenceRelation":
-        """Smallest equivalence containing both: transitive closure of the union.
-
-        Computed by seeding a disjoint-set structure with both class lists.
-        """
-        if self.n != other.n:
-            raise DimensionMismatchError(f"join of relations on {self.n} and {other.n} points")
-        parent = list(range(self.n + 1))
-        for rel in (self, other):
-            for cls in rel.classes:
-                head = cls[0]
-                for x in cls[1:]:
-                    _union(parent, head, x)
-        groups: dict[int, list[int]] = {}
-        for x in range(1, self.n + 1):
-            groups.setdefault(_find(parent, x), []).append(x)
-        return EquivalenceRelation(self.n, tuple(sorted(tuple(g) for g in groups.values())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,26 +253,29 @@ def parse_diagram(text: str) -> DiagramPartition:
         return DiagramPartition(0, ())
     blocks = []  # each point k as k and k' as -k, as _point gives them
     n = 0
-    for chunk in stripped.split("|"):
-        blk = []
-        for token in chunk.split(","):
-            if token.isdigit() and token.isascii() and token[0] != "0":
-                label = int(token)
-                blk.append(label)
-            elif (
-                token[-1:] == "'"
-                and (digits := token[:-1]).isdigit()
-                and digits.isascii()
-                and digits[0] != "0"
-            ):
-                label = int(digits)
-                blk.append(-label)
-            else:
-                blk.append(point := _point(token))
-                label = abs(point)
-            if label > n:
-                n = label
-        blocks.append(blk)
+    try:
+        for chunk in stripped.split("|"):
+            blk = []
+            for token in chunk.split(","):
+                if token.isdigit() and token.isascii() and token[0] != "0":
+                    label = int(token)
+                    blk.append(label)
+                elif (
+                    token[-1:] == "'"
+                    and (digits := token[:-1]).isdigit()
+                    and digits.isascii()
+                    and digits[0] != "0"
+                ):
+                    label = int(digits)
+                    blk.append(-label)
+                else:
+                    blk.append(point := _point(token))
+                    label = abs(point)
+                if label > n:
+                    n = label
+            blocks.append(blk)
+    except ValueError:  # _point's own error, or int() refusing a label past the digit limit
+        raise DomainError(f"cannot parse point {token.strip()!r}") from None
     # allocated only for 2n points, so never larger than the text
     if sum(map(len, blocks)) == 2 * n:
         owner = [-1] * (2 * n + 1)  # the block of k at owner[k], of k' at owner[-k]
@@ -433,7 +407,8 @@ def _kernel(halves: list[tuple[Block, Block]], n: int) -> list[int]:
     """Union-find parents on the points 0..n-1 whose classes are the kernel,
     the join of the upper and the lower kernel.  A lower point v stands for
     v - n: each block's upper part is one upper class and its lower part
-    one lower class."""
+    one lower class.  This is the one kernel join; _kernel_classes reads
+    it for everyone but the idempotency tests, which read the roots."""
     parent = list(range(n))
     for upper, lower in halves:
         for v in upper[1:]:
@@ -443,21 +418,31 @@ def _kernel(halves: list[tuple[Block, Block]], n: int) -> list[int]:
     return parent
 
 
+def _kernel_classes(halves: list[tuple[Block, Block]], n: int) -> dict[int, list[int]]:
+    """The kernel classes on the points 0..n-1, keyed by their union-find
+    root.  Grouped in point order, each class comes out sorted and the
+    classes in order of their minima, so they are canonical with no sort."""
+    parent = _kernel(halves, n)
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(_find(parent, x), []).append(x)
+    return classes
+
+
 def profile(a: DiagramPartition) -> StructuralProfile:
     """Rank, upper/lower domains, upper/lower kernels, and their join."""
     n = a.n
     halves = _halves(a)
     upper_domain, upper_classes = _row(halves, 0, n)
     lower_domain, lower_classes = _row(halves, 1, n)
-    upper_kernel = EquivalenceRelation(n, upper_classes)
-    lower_kernel = EquivalenceRelation(n, lower_classes)
+    kernel = _kernel_classes(halves, n).values()
     return StructuralProfile(
         rank=sum(1 for upper, lower in halves if upper and lower),
         upper_domain=frozenset(upper_domain),
         lower_domain=frozenset(lower_domain),
-        upper_kernel=upper_kernel,
-        lower_kernel=lower_kernel,
-        kernel=upper_kernel.join(lower_kernel),
+        upper_kernel=EquivalenceRelation(n, upper_classes),
+        lower_kernel=EquivalenceRelation(n, lower_classes),
+        kernel=EquivalenceRelation(n, tuple([tuple([x + 1 for x in cls]) for cls in kernel])),
     )
 
 
@@ -473,14 +458,12 @@ def decompose_irreducible(
     which happens exactly for the non-idempotent-shaped elements.
     """
     n = a.n
-    parent = _kernel(_halves(a), n)
-    root = [_find(parent, x) for x in range(n)]
-    classes: dict[int, list[int]] = {}  # by root, in order of their minima
-    position = []  # each point's place in its class
-    for x in range(n):
-        members = classes.setdefault(root[x], [])
-        position.append(len(members))
-        members.append(x)
+    classes = _kernel_classes(_halves(a), n)
+    root = [0] * n
+    position = [0] * n  # each point's place in its class
+    for r, members in classes.items():
+        for i, x in enumerate(members):
+            root[x], position[x] = r, i
     pieces: dict[int, list[Block]] = {r: [] for r in classes}
     for blk in a.blocks:
         owners = {root[v % n] for v in blk}

@@ -55,9 +55,13 @@ def naive_parse(text: str) -> DiagramPartition:
         for token in chunk.split(","):
             token = token.strip()
             m = _POINT.fullmatch(token)
-            if not m or int(m.group(1)) < 1:
+            try:
+                label = int(m.group(1)) if m else 0
+            except ValueError:  # more digits than the interpreter converts
+                label = 0
+            if label < 1:
                 raise DomainError(f"cannot parse point {token!r}")
-            blk.append((int(m.group(1)), m.group(2) == "'"))
+            blk.append((label, m.group(2) == "'"))
         raw.append(blk)
     n = max(label for blk in raw for label, _ in blk)
     return make_partition(

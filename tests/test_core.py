@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from diagmon.core import (
     DiagramPartition,
-    EquivalenceRelation,
     MonoidFamily,
     decompose_irreducible,
     family_check,
@@ -31,6 +30,7 @@ from diagmon.errors import (
     NotPartialBrauerError,
     OverlapError,
 )
+from diagmon.oracle import enumerate_elements
 
 from .conftest import _diagram_from_raw, diagram_pairs, diagrams
 from .oracles import bfs_components, naive_join, naive_multiply, naive_parse, set_partitions
@@ -191,6 +191,20 @@ def test_parse_matches_the_regex_grammar_on_multi_digit_labels():
     assert outcomes == {DiagramPartition, DomainError, OverlapError, CoverageError}
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "1|" + "2" * 5000 + "'", "1|" + "2" * 5000 + " '"],
+    ids=["upper", "lower", "lower-after-a-space"],
+)
+def test_parse_label_past_the_int_digit_limit_is_a_domain_error(text):
+    # int() refuses more than 4300 digits; read inline or by the point
+    # grammar, the label is a bad point like any other
+    token = text.split("|")[-1]
+    for parse in (parse_diagram, naive_parse):
+        with pytest.raises(DomainError, match=f"^cannot parse point {re.escape(repr(token))}$"):
+            parse(text)
+
+
 def test_parse_huge_label_reports_the_gap_without_allocating_for_n():
     started = time.perf_counter()
     for text in ("1|3000000000000'", "1|300000000'"):
@@ -328,10 +342,12 @@ def test_kernel_join_matches_naive(a: DiagramPartition):
     )
 
 
-def test_equivalence_relation_join():
-    left = EquivalenceRelation.from_classes(4, [[1, 2], [3], [4]])
-    right = EquivalenceRelation.from_classes(4, [[2, 3], [1], [4]])
-    assert left.join(right).classes == ((1, 2, 3), (4,))
+def test_profile_kernel_joins_upper_and_lower_kernels():
+    # a rank-0 diagram is just its two kernels, so its kernel is their join
+    prof = profile(parse_diagram("1,2|3|4|2',3'|1'|4'"))
+    assert prof.upper_kernel.classes == ((1, 2), (3,), (4,))
+    assert prof.lower_kernel.classes == ((1,), (2, 3), (4,))
+    assert prof.kernel.classes == ((1, 2, 3), (4,))
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +368,19 @@ def test_decompose_beta_fails():
 def test_decompose_rank0_brauer():
     a = make_partition(2, [{0, 1}, {2, 3}])
     assert decompose_irreducible(a) == [((1, 2), a)]
+
+
+@pytest.mark.parametrize("fam, n", [(MonoidFamily.P, 3), (MonoidFamily.PB, 4)])
+def test_decompose_classes_are_the_profile_kernel(fam, n):
+    decomposed = 0
+    for a in enumerate_elements(fam, n):
+        try:
+            pieces = decompose_irreducible(a)
+        except NotDecomposableError:
+            continue
+        decomposed += 1
+        assert tuple(cls for cls, _ in pieces) == profile(a).kernel.classes, a
+    assert decomposed
 
 
 def test_decompose_reassembles(all_pb3):

@@ -21,6 +21,8 @@ from diagmon.verify import (
     run_quick,
 )
 
+from .oracles import naive_e_nrs
+
 B = MonoidFamily.B
 
 
@@ -60,6 +62,40 @@ def test_embedded_families_check():
 
 def test_enrs_oracle_check():
     assert check_enrs_oracle(4).ok
+
+
+def test_enrs_oracle_direct_counts_are_the_naive_ones(monkeypatch):
+    # a referee that counted every pair, or joined one side only, would
+    # still compare e_nrs with something; the direct counts must be right
+    direct = {}
+
+    def recording(name, cases, note=""):
+        for (_, n, r, s), _, expected in cases:
+            direct[n, r, s] = expected
+        return CheckResult(name, True)
+
+    monkeypatch.setattr(verify, "_compare", recording)
+    check_enrs_oracle(5)
+    naive = {n: naive_e_nrs(n) for n in range(1, 6)}
+    assert direct == {
+        (n, r, s): naive[n].get((r, s), 0)
+        for n in naive
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+    }
+
+
+def test_enrs_oracle_check_fails_on_a_wrong_count(monkeypatch):
+    honest = verify.e_nrs
+
+    def off_by_one(n, r, s):
+        return honest(n, r, s) + ((n, r, s) == (5, 2, 3))
+
+    monkeypatch.setattr(verify, "e_nrs", off_by_one)
+    assert check_enrs_oracle(4).ok
+    result = check_enrs_oracle(5)
+    assert not result.ok
+    assert result.detail == f"e_nrs(5,2,3) vs direct count: {honest(5, 2, 3) + 1} != {honest(5, 2, 3)}"
 
 
 @pytest.mark.parametrize(
