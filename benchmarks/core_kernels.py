@@ -29,13 +29,25 @@ Rows of an entry:
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
   Median of ``ROUNDS`` scaled passes.
-- ``host_factors``: for either row, the lowest, median and highest factor
+- ``counting_ms``: milliseconds of the counting recurrences, each pass
+  on fresh counting tables (``counting._TABLES``; the tables of
+  ``combinat`` stay warm).  ``e_rank_triangle`` is ``e_rank(fam, 80, 80)``,
+  which grows every rank of B or PB up to n = 80; ``e_total`` and
+  ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
+  order 0) for each family in ``WIDE_FAMILIES``; ``e_rank_cells`` asks
+  ``e_rank(fam, n, r)`` cell by cell for every n <= 10 and r <= n in every
+  family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
+  Median of ``ROUNDS`` scaled passes.  Entries before ``pr13-parent`` lack
+  it.
+- ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
   HEAD) and ``src_sha256``, the digest over ``src/diagmon`` that perfbench
   stamps on its runs (``src_digest`` in ``perfbench/run.py``).  ``git_sha``
-  names the parent commit when the tree is not yet committed; the digest
-  names the code measured either way.  Entries older than it lack it.
+  names the parent commit when the tree is not yet committed, and is
+  ``null`` (with a note on stderr) when the checkout is not a git
+  repository; the digest names the code measured either way.  Entries
+  older than it lack it.
 
 Entries without ``host_factors`` are unscaled and take the best round.
 The ``host-scaled-a`` and ``host-scaled-b`` entries scaled whole rounds
@@ -62,7 +74,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))
 
-from diagmon.core import format_diagram, lambda_graph, multiply, parse_diagram, profile  # noqa: E402
+from diagmon import counting  # noqa: E402
+from diagmon.core import (  # noqa: E402
+    MonoidFamily,
+    format_diagram,
+    lambda_graph,
+    multiply,
+    parse_diagram,
+    profile,
+)
 from diagmon.idempotency import (  # noqa: E402
     classify_lambda_components,
     is_idempotent_direct,
@@ -88,6 +108,8 @@ KERNELS = {
 }
 GRAPH_STREAMS = ("B6", "PB5")
 GREEN_TABLES = (("P", 3), ("B", 4))
+TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
+WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 
 
 def graph_rank(a) -> int:
@@ -157,6 +179,44 @@ def kernel_rows() -> tuple[dict, list[float]]:
     return rows, factors
 
 
+def cold_ms(query, *args) -> float:
+    """Milliseconds of query(*args) on fresh counting tables."""
+    counting._TABLES = {fam: counting._FamilyTables() for fam in MonoidFamily}
+    started = time.perf_counter()
+    query(*args)
+    return 1e3 * (time.perf_counter() - started)
+
+
+def rank_cells(fam: str) -> None:
+    for n in range(CELLS_N + 1):
+        for r in range(n + 1):
+            counting.e_rank(fam, n, r)
+
+
+def counting_rows() -> tuple[dict, list[float]]:
+    passes = {("e_rank_triangle", f"{fam}{TRIANGLE_N}"):
+              partial(cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N) for fam in ("B", "PB")}
+    for fam in WIDE_FAMILIES:
+        passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N)
+        passes["exi_total", f"{fam}{WIDE_N}"] = partial(
+            cold_ms, counting.exi_total, fam, WIDE_N, 0, "recurrence")
+    for fam in MonoidFamily:
+        passes["e_rank_cells", f"{fam.value}{CELLS_N}"] = partial(cold_ms, rank_cells, fam.value)
+    median_times, factors = median_scaled(passes)
+    rows: dict[str, dict[str, float]] = {}
+    for (name, label), ms in median_times.items():
+        rows.setdefault(name, {})[label] = round(ms, 3)
+    return rows, factors
+
+
+def git_sha() -> str | None:
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    if done.returncode:
+        print(f"note: {ROOT} is not a git checkout; git_sha is null", file=sys.stderr)
+        return None
+    return done.stdout.strip()
+
+
 def sweep_seconds(fam, n: int, elements: dict) -> float:
     report = brute_report(fam, n, M=0)
     elements[f"{fam.value}{n}"] = report.total_elements
@@ -185,14 +245,15 @@ def main() -> None:
     args = parser.parse_args()
     entry = {
         "python": platform.python_version(),
-        "git_sha": subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-        ).stdout.strip(),
+        "git_sha": git_sha(),
         "src_sha256": src_digest(),
     }
     entry["kernels_us"], kernel_factors = kernel_rows()
     entry["brute_report"], sweep_factors = sweep_rows()
-    entry["host_factors"] = {"kernels_us": kernel_factors, "brute_report": sweep_factors}
+    entry["counting_ms"], counting_factors = counting_rows()
+    entry["host_factors"] = {
+        "kernels_us": kernel_factors, "brute_report": sweep_factors, "counting_ms": counting_factors,
+    }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = entry
     args.out.write_text(json.dumps(data, indent=1) + "\n")

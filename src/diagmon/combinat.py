@@ -2,9 +2,9 @@
 
 Everything here returns Python ints (arbitrary precision) and raises
 DomainError on arguments outside the defined range.  Recurrences are
-evaluated bottom-up: each one owns a table that grow / grow_grid extend,
-row by row, to the largest index a query has needed so far.  Nothing
-recurses, so the reachable n is bounded by time and memory only.
+evaluated bottom-up: each one owns a table that grow / grow_grid extend
+to the largest index a query has needed so far.  Nothing recurses, so the
+reachable n is bounded by time and memory only.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError
@@ -40,17 +39,23 @@ def grow(table: list[T], n: int, entry: Callable[[int], T]) -> list[T]:
 def grow_grid(grid: list[list[T]], i: int, j: int, entry: Callable[[int, int], T]) -> T:
     """grid[i][j], after growing rows 0..i of the grid to column j.
 
-    Rows are grown in order, so entry(row, col) may read any earlier row up
-    to column j and its own row before col.  That fills O(i·j) cells, the
-    rectangle a two-index recurrence at (i, j) can depend on.
+    The grid grows column by column, each column from row 0 down, so
+    entry(row, col) may read any cell of an earlier row up to column col
+    and its own row before col; the entries of one column run one after
+    another.  That fills O(i·j) cells, the rectangle a two-index recurrence
+    at (i, j) can depend on.
     """
     if i < len(grid) and j < len(grid[i]):  # rows below i are at least as long
         return grid[i][j]
     with _GROWING:
         while len(grid) <= i:
             grid.append([])
-        for row in range(i + 1):
-            grow(grid[row], j, partial(entry, row))
+        top = i  # rows top..i are those whose next column is col
+        for col in range(len(grid[i]), j + 1):
+            while top and len(grid[top - 1]) == col:
+                top -= 1
+            for row in range(top, i + 1):
+                grid[row].append(entry(row, col))
     return grid[i][j]
 
 

@@ -5,11 +5,17 @@ two or three independent routes (sum over integer partitions, recurrence,
 closed form); the routes are deliberately kept separate so they can be
 played against each other by the verifier.
 
-The recurrences are bottom-up tables, grown with combinat.grow and
-grow_grid to the largest index a query has needed.  Each family's tables
-sit in one _FamilyTables.  The partition routes share one sweep over the
-integer partitions of n per (family, n): it fills a grid by kernel classes
-and rank, and each route is a sum over part of that grid.
+The recurrences are bottom-up tables grown to the largest index a query
+has needed.  Each splits an idempotent at the irreducible piece holding
+its first point: a binomial convolution of a c-value column with an
+earlier table, summed in C (_convolve).  The totals grow with
+combinat.grow and the two rank grids with grow_grid, column by column,
+so the weight rows of one column (_weights), and the row of Pascal's
+triangle carried from each column to the next, serve every rank that
+column needs.  Each family's tables sit in one _FamilyTables.  The
+partition routes share one sweep over the integer partitions of n per
+(family, n): it fills a grid by kernel classes and rank, and each route
+is a sum over part of that grid.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import add, mul
 from typing import Callable
 
 from .combinat import (
+    _GROWING,
     bell,
     e_nrs,
     grow,
@@ -53,13 +61,18 @@ class CountTable:
 class _FamilyTables:
     """One family's bottom-up tables, each as long as queries have needed."""
 
-    # (c0, c1, c0 + c1) by n; index 0 is a placeholder
-    c: list[tuple[int, int, int]] = field(default_factory=lambda: [(0, 0, 0)])
+    # the c-value columns c0, c1 and c0 + c1; column[m - 1] is the value at m
+    c: tuple[list[int], list[int], list[int]] = field(default_factory=lambda: ([], [], []))
     total: list[int] = field(default_factory=lambda: [1])  # e_total by recurrence
     twisted: list[int] = field(default_factory=lambda: [1])  # exi_total at order 0
     rank: list[list[int]] = field(default_factory=list)  # rank[r][n]: e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # [r][n]: exi_rank
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
+    # the column _weights served last: its index j, the binomial row
+    # C(j-1, 0..j-1) and the weight rows made from it so far, by c-value column
+    column: tuple[int, list[int], dict[int, list[int]]] = field(
+        default_factory=lambda: (1, [1], {})
+    )
     closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
 
 
@@ -111,30 +124,61 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
     fam = as_family(f)
     if n < 1:
         raise DomainError(f"c-values need n >= 1, got {n}")
-    return grow(_TABLES[fam].c, n, partial(_irreducible, fam))[n]
+    columns = _TABLES[fam].c
+    if len(columns[2]) < n:
+        with _GROWING:
+            for m in range(len(columns[2]) + 1, n + 1):
+                for column, value in zip(columns, _irreducible(fam, m)):
+                    column.append(value)
+    c0, c1, c = columns
+    return c0[n - 1], c1[n - 1], c[n - 1]
 
 
-def _c_table(fam: MonoidFamily, n: int) -> list[tuple[int, int, int]]:
-    """The family's c-value table, grown through c_values to index n."""
+def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
+    """The family's tables, with the c-value columns grown through c_values
+    to n."""
     if n:
         c_values(fam, n)
-    return _TABLES[fam].c
+    return _TABLES[fam]
 
 
-def _first_piece(cs: list[tuple[int, int, int]], which: int, seq: list[int], n: int) -> int:
-    """Σ over m of C(n-1, m-1)·cs[m][which]·seq[n-m].
+def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
+    """[C(j-1, m-1)·c[m-1] for m = 1, ..., j], c the c-value column which
+    (0: c0, 1: c1, 2: c0 + c1): the ways to choose the other m - 1 points
+    of the first point's piece and an irreducible piece on them.
 
-    An idempotent on n points splits into the irreducible piece on the
-    m points joined to the first point and an idempotent on the other
-    n - m points; which picks the piece's c-value (0: c0, 1: c1, 2: c).
+    Made once per column and c-value column, and only the last column is
+    kept, O(j) ints.  The binomial row of the next column comes from the
+    last one by Pascal's rule; any other is built afresh.  Only code that
+    holds _GROWING calls it.
     """
-    total, binom = 0, 1  # binom = C(n-1, m-1)
-    for m in range(1, n + 1):
-        c = cs[m][which]
-        if c:
-            total += binom * c * seq[n - m]
-        binom = binom * (n - m) // m
-    return total
+    col, binomials, rows = tables.column
+    if col != j:
+        if col == j - 1:
+            binomials = [1, *map(add, binomials, binomials[1:]), 1]
+        else:
+            binomials = [math.comb(j - 1, i) for i in range(j)]
+        tables.column = col, binomials, rows = j, binomials, {}
+    if which not in rows:
+        rows[which] = list(map(mul, binomials, tables.c[which]))
+    return rows[which]
+
+
+def _convolve(weights: list[int], seq: list[int], j: int, lo: int = 0) -> int:
+    """Σ over m of weights[m-1]·seq[j-m], summed in C.
+
+    An idempotent on j points splits into the irreducible piece on the m
+    points joined to the first point, counted by weights (see _weights),
+    and an idempotent on the other j - m points, counted by seq.  seq is
+    zero below index lo, so m stops at j - lo.
+    """
+    return sum(map(mul, weights, reversed(seq[lo:j])))
+
+
+def _piece_recurrence(tables: _FamilyTables, seq: list[int], which: int, n: int) -> int:
+    """seq[n], after growing seq[j] = Σ over m of C(j-1, m-1)·c[m-1]·seq[j-m]
+    to j = n, c the c-value column which."""
+    return grow(seq, n, lambda j: _convolve(_weights(tables, which, j), seq, j))[n]
 
 
 def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
@@ -147,13 +191,13 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     """
     grids = _TABLES[fam].partition_grids
     if n not in grids:
-        cs = _c_table(fam, n)
+        c0s, c1s, _ = _grown(fam, n).c
         grid = [[0] * (k + 1) for k in range(n + 1)]
         for spec in integer_partitions(n):
             poly = [1]
             for i, mult in enumerate(spec.parts):
                 if mult:  # (c0 + c1·x)^mult, by its binomial row
-                    c0, c1 = cs[i + 1][:2]
+                    c0, c1 = c0s[i], c1s[i]
                     poly = _poly_mul(
                         poly, [math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(mult + 1)]
                     )
@@ -177,8 +221,8 @@ def e_total(f: MonoidFamily | str, n: int, method: str = "recurrence") -> int:
         raise DomainError(f"unknown e_total method {method!r}")
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
-    cs, total = _c_table(fam, n), _TABLES[fam].total
-    return grow(total, n, partial(_first_piece, cs, 2, total))[n]
+    tables = _grown(fam, n)
+    return _piece_recurrence(tables, tables.total, 2, n)
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +237,11 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") ->
         return sum(row[r] for row in _partition_grid(fam, n)[r:])
     if method == "recurrence":
         grid = _TABLES[fam].rank
-        entry = partial(_e_rank_entry, fam, _c_table(fam, n), grid)
+        if r < len(grid) and n < len(grid[r]):  # a grown cell needs no c-values
+            return grid[r][n]
+        row0 = partial(_rank0_idempotents, fam)
+        # the first point's piece has rank 0 or 1
+        entry = partial(_rank_entry, _grown(fam, n), grid, row0, ((0, 0), (1, 1)))
         return grow_grid(grid, r, n, entry)
     if method == "closed":
         if fam not in (MonoidFamily.B, MonoidFamily.PB):
@@ -202,26 +250,37 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") ->
     raise DomainError(f"unknown e_rank method {method!r}")
 
 
-def _rank0_rclass_count(fam: MonoidFamily, n: int) -> int:
-    """Number of R-classes of rank 0, i.e. of possible upper halves."""
+def _rank0_idempotents(fam: MonoidFamily, n: int) -> int:
+    """Idempotents of rank 0: any upper half with any lower half, so the
+    square of the number of rank-0 R-classes."""
     if fam in (MonoidFamily.P, MonoidFamily.B, MonoidFamily.PB):
-        return rho(fam, n)
+        return rho(fam, n) ** 2
     # T forces a full upper domain and Idual full domains on both sides,
     # so neither contains a rank-0 element once n >= 1
     return 1 if n == 0 or fam is MonoidFamily.I else 0
 
 
-def _e_rank_entry(
-    fam: MonoidFamily, cs: list[tuple[int, int, int]], grid: list[list[int]], r: int, n: int
+def _rank_entry(
+    tables: _FamilyTables,
+    grid: list[list[int]],
+    row0: Callable[[int], int],
+    pieces: tuple[tuple[int, int], ...],
+    r: int,
+    j: int,
 ) -> int:
-    """e_rank(n, r) by recurrence: the first point's piece has rank 0 or 1."""
-    if n < r:
-        return 0
-    if n == r:
-        return 1
+    """Cell (r, j) of a rank grid: row 0 is row0(j) and cells below the
+    diagonal are zero.  Any other cell sums one convolution per (which, d)
+    in pieces, the first point's piece counted by c-value column which and
+    taking d of the r ranks, over row r - d, which is zero below its
+    diagonal."""
     if r == 0:
-        return _rank0_rclass_count(fam, n) ** 2
-    return _first_piece(cs, 0, grid[r], n) + _first_piece(cs, 1, grid[r - 1], n)
+        return row0(j)
+    if j < r:
+        return 0
+    total = 0
+    for which, d in pieces:
+        total += _convolve(_weights(tables, which, j), grid[r - d], j, r - d)
+    return total
 
 
 def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
@@ -377,8 +436,8 @@ def exi_total(
     if method == "recurrence" and order.M != 0:
         raise DomainError("the twisted recurrence applies to order 0 only")
     if method == "recurrence":
-        cs, twisted = _c_table(fam, n), _TABLES[fam].twisted
-        return grow(twisted, n, partial(_first_piece, cs, 1, twisted))[n]
+        tables = _grown(fam, n)
+        return _piece_recurrence(tables, tables.twisted, 1, n)
     return sum(
         count
         for k, row in enumerate(_partition_grid(fam, n))
@@ -398,27 +457,31 @@ def exi_rank(
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
     grid = _TABLES[fam].twisted_rank
-    return grow_grid(grid, r, n, partial(_exi_rank_entry, _c_table(fam, n), grid))
+    if r < len(grid) and n < len(grid[r]):
+        return grid[r][n]
+    # every irreducible piece of a twisted idempotent has rank 1
+    entry = partial(_rank_entry, _grown(fam, n), grid, _only_empty, ((1, 1),))
+    return grow_grid(grid, r, n, entry)
 
 
-def _exi_rank_entry(cs: list[tuple[int, int, int]], grid: list[list[int]], r: int, n: int) -> int:
-    """exi_rank(n, r) by recurrence: every irreducible piece has rank 1."""
-    if r == 0:
-        return 1 if n == 0 else 0
-    if n < r:
-        return 0
-    return _first_piece(cs, 1, grid[r - 1], n)
+def _only_empty(n: int) -> int:
+    """Twisted idempotents of rank 0: only the empty diagram has one."""
+    return 1 if n == 0 else 0
 
 
 # --------------------------------------------------------------------------
 # derived helpers
+#
+# Each asks for its highest rank first: that one query grows every lower
+# row of the rank grid column by column, where the lowest rank first would
+# grow one row at a time and remake each column's weights for every row.
 
 def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
     """Number of elements lying in a subgroup: r! per idempotent of rank r."""
     fam = as_family(f)
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    return sum(math.factorial(r) * e_rank(fam, n, r) for r in range(n + 1))
+    return sum(math.factorial(r) * e_rank(fam, n, r) for r in range(n, -1, -1))
 
 
 def ideal_idempotent_count(f: MonoidFamily | str, n: int, r: int) -> int:
@@ -426,4 +489,4 @@ def ideal_idempotent_count(f: MonoidFamily | str, n: int, r: int) -> int:
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"need 0 <= r <= n, got n={n} r={r}")
-    return sum(e_rank(fam, n, s) for s in range(r + 1))
+    return sum(e_rank(fam, n, s) for s in range(r, -1, -1))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from diagmon.core import (
     DiagramPartition,
+    EquivalenceRelation,
     MonoidFamily,
     decompose_irreducible,
     family_check,
@@ -29,6 +30,7 @@ from diagmon.errors import (
     NotDecomposableError,
     NotPartialBrauerError,
     OverlapError,
+    VertexRangeError,
 )
 from diagmon.oracle import enumerate_elements
 
@@ -81,6 +83,25 @@ def test_make_partition_empty_block():
 def test_make_partition_bad_vertex_is_index_error():
     with pytest.raises(IndexError):
         make_partition(2, [{0, 1}, {2, 3, 4}])
+
+
+def test_equivalence_from_classes_is_canonical():
+    relation = EquivalenceRelation.from_classes(4, [[4, 1], (3,), {2}])
+    assert relation == EquivalenceRelation(4, ((1, 4), (2,), (3,)))
+    assert EquivalenceRelation.from_classes(0, []).classes == ()
+
+
+@pytest.mark.parametrize("classes, error, message", [
+    ([[1, 2], []], EmptyBlockError, "^equivalence class with no members$"),
+    ([[1, 2], [3]], VertexRangeError, r"^point 3 outside 1\.\.2$"),
+    ([[0], [1, 2]], VertexRangeError, r"^point 0 outside 1\.\.2$"),
+    ([[1, 2], [2]], OverlapError, "^point 2 in two classes$"),
+    ([[1, 1], [2]], OverlapError, "^point 1 in two classes$"),
+    ([[2]], CoverageError, r"^classes do not cover 1\.\.n$"),
+], ids=["empty class", "point past n", "point 0", "overlap", "point twice in a class", "gap"])
+def test_equivalence_from_classes_errors(classes, error, message):
+    with pytest.raises(error, match=message):
+        EquivalenceRelation.from_classes(2, classes)
 
 
 def test_empty_diagram_is_legal():

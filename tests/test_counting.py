@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -342,19 +343,68 @@ def test_deep_counts_need_no_recursion():
     assert done.stdout.strip() == "ok"
 
 
+def test_weight_rows_after_any_earlier_column():
+    # each binomial row is reused, stepped by Pascal's rule or built afresh,
+    # and each weight row is made for its own c-value column
+    tables = counting._FamilyTables(c=([1, 0, 2, 0, 24, 0, 720] * 3, list(range(1, 22)), [0] * 21))
+    for j in (1, 2, 2, 7, 3, 4, 5, 1, 12, 11, 12, 13, 21):
+        for which in (0, 1, 2, 1, 0):
+            cs = tables.c[which]
+            expected = [math.comb(j - 1, m - 1) * cs[m - 1] for m in range(1, j + 1)]
+            assert counting._weights(tables, which, j) == expected, (j, which)
+
+
+def _fresh_tables(monkeypatch) -> None:
+    monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
+
+
+def test_rank_grids_do_not_depend_on_query_order(monkeypatch):
+    # the grids grow column by column over rows of unequal length; every
+    # order of queries must leave the same cells behind
+    keys = [(n, r, i) for i in range(len(ALL_FAMILIES)) for n in range(25) for r in range(n + 1)]
+    expected = {(n, r, i): e_rank(ALL_FAMILIES[i], n, r, "mu_sum") for n, r, i in keys}
+    orders = {
+        "shuffled": random.Random(13).sample(keys, len(keys)),
+        "descending": sorted(keys, reverse=True),
+        "row first": sorted(keys, key=lambda key: (key[1], key[0], key[2])),
+        # a small rank at a large n after a larger rank at a smaller n
+        "unequal rows": [(12, 12, i) for i in range(6)] + [(24, 3, i) for i in range(6)]
+        + [(18, 7, i) for i in range(6)] + keys,
+    }
+    twisted = {}
+    for name, order in orders.items():
+        _fresh_tables(monkeypatch)
+        for n, r, i in order:
+            fam = ALL_FAMILIES[i]
+            assert e_rank(fam, n, r) == expected[n, r, i], (name, fam, n, r)
+            twisted.setdefault((n, r, i), set()).add(exi_rank(fam, n, r))
+    assert all(len(values) == 1 for values in twisted.values())
+    for i, fam in enumerate(ALL_FAMILIES):
+        for n in range(25):
+            rank_sum = sum(twisted[n, r, i].pop() for r in range(n + 1))
+            assert rank_sum == exi_total(fam, n, 0, "formula"), (fam, n)
+
+
 def test_tables_grow_consistently_under_threads(monkeypatch):
     # a lost or doubled append would shift every later entry of a table
-    expected = {
-        (fam, n, r): e_rank(fam, n, r) for fam in (B, PB, T) for n in range(40) for r in range(n + 1)
+    queries = {
+        "e_rank": e_rank,
+        "exi_rank": exi_rank,
+        "e_total": e_total,
+        "exi_total": lambda fam, n: exi_total(fam, n, 0, "recurrence"),
     }
-    expected.update({(fam, n): e_total(fam, n) for fam in (B, PB, T) for n in range(40)})
-    monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
-    keys = list(expected)
+    keys = []
+    for fam in (B, PB, T):
+        for n in range(40):
+            keys += [("e_total", fam, n), ("exi_total", fam, n)]
+            keys += [(name, fam, n, r) for name in ("e_rank", "exi_rank") for r in range(n + 1)]
+    expected = {key: queries[key[0]](*key[1:]) for key in keys}
+    _fresh_tables(monkeypatch)
     results: dict = {}
 
     def work(seed: int) -> None:
         for key in random.Random(seed).sample(keys, len(keys)):
-            results[key, seed] = e_total(*key) if len(key) == 2 else e_rank(*key)
+            results[key, seed] = queries[key[0]](*key[1:])
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
