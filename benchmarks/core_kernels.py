@@ -37,8 +37,11 @@ Rows of an entry:
   order 0) for each family in ``WIDE_FAMILIES``; ``e_rank_cells`` asks
   ``e_rank(fam, n, r)`` cell by cell for every n <= 10 and r <= n in every
   family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
-  Median of ``ROUNDS`` scaled passes.  Entries before ``pr13-parent`` lack
-  it.
+  ``exi_total_default`` is ``exi_total(fam, n)`` with no order and no
+  route, the library's default twisted total, for B and PB at n = 40 and
+  P at n = 20.  Median of ``ROUNDS`` scaled passes.  Entries before
+  ``pr13-parent`` lack the row, and entries before ``pr14-parent`` lack
+  ``exi_total_default``.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -110,6 +113,7 @@ GRAPH_STREAMS = ("B6", "PB5")
 GREEN_TABLES = (("P", 3), ("B", 4))
 TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
+DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 
 
 def graph_rank(a) -> int:
@@ -202,6 +206,8 @@ def counting_rows() -> tuple[dict, list[float]]:
             cold_ms, counting.exi_total, fam, WIDE_N, 0, "recurrence")
     for fam in MonoidFamily:
         passes["e_rank_cells", f"{fam.value}{CELLS_N}"] = partial(cold_ms, rank_cells, fam.value)
+    for fam, n in DEFAULT_TWISTED:
+        passes["exi_total_default", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n)
     median_times, factors = median_scaled(passes)
     rows: dict[str, dict[str, float]] = {}
     for (name, label), ms in median_times.items():

@@ -121,11 +121,10 @@ def _count(
             if method not in (None, "recurrence"):
                 raise DomainError(f"per-rank twisted counts have only the recurrence route, not {method}")
             return exi_rank(fam, n, rank, m_order)
-        # order 0 has a recurrence; every positive order has only the formula
-        return exi_total(fam, n, m_order, method or ("recurrence" if m_order == 0 else "formula"))
+        return exi_total(fam, n, m_order, method)
     if rank is not None:
-        return e_rank(fam, n, rank, method or "recurrence")
-    return e_total(fam, n, method or "recurrence")
+        return e_rank(fam, n, rank, method)
+    return e_total(fam, n, method)
 
 
 @main.command("table")

@@ -52,7 +52,6 @@ class CountTable:
 
     kind: str
     family: str
-    method: str
     index_names: tuple[str, ...]
     entries: dict[tuple[int, ...], int] = field(compare=True)
 
@@ -212,12 +211,16 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 # --------------------------------------------------------------------------
 # total idempotent counts
 
-def e_total(f: MonoidFamily | str, n: int, method: str = "recurrence") -> int:
-    """Number of idempotents in the family's monoid on n strands."""
+def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
+    """Number of idempotents in the family's monoid on n strands.
+
+    method is "formula" or "recurrence"; None, the default, takes the
+    recurrence, O(n) convolutions against the formula's O(p(n)) terms.
+    """
     fam = as_family(f)
     if n < 0:
         raise DomainError(f"e_total needs n >= 0, got {n}")
-    if method not in ("formula", "recurrence"):
+    if method not in (None, "formula", "recurrence"):
         raise DomainError(f"unknown e_total method {method!r}")
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
@@ -228,14 +231,18 @@ def e_total(f: MonoidFamily | str, n: int, method: str = "recurrence") -> int:
 # --------------------------------------------------------------------------
 # per-rank idempotent counts
 
-def e_rank(f: MonoidFamily | str, n: int, r: int, method: str = "recurrence") -> int:
-    """Number of idempotents of rank exactly r."""
+def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> int:
+    """Number of idempotents of rank exactly r.
+
+    method is "mu_sum", "recurrence" or "closed" (B and PB only); None, the
+    default, takes the recurrence, whose grid serves every later cell.
+    """
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
     if method == "mu_sum":
         return sum(row[r] for row in _partition_grid(fam, n)[r:])
-    if method == "recurrence":
+    if method in (None, "recurrence"):
         grid = _TABLES[fam].rank
         if r < len(grid) and n < len(grid[r]):  # a grown cell needs no c-values
             return grid[r][n]
@@ -418,24 +425,25 @@ def exi_total(
     f: MonoidFamily | str,
     n: int,
     t: TwistOrder | int = 0,
-    method: str = "formula",
+    method: str | None = None,
 ) -> int:
     """Number of twisted idempotents for the given twist order.
 
-    The recurrence route exists only for order 0; any positive order goes
-    through the partition formula (order 1 collapses to the plain count).
-    The formula keeps the grid cells whose self-product exponent, kernel
-    classes minus rank, the twist annihilates.
+    method is "formula" or "recurrence".  The recurrence exists only for
+    order 0; None, the default, takes it there and the formula at any
+    positive order (order 1 collapses to the plain count).  The formula
+    keeps the grid cells whose self-product exponent, kernel classes minus
+    rank, the twist annihilates.
     """
     fam = as_family(f)
     order = as_twist_order(t)
     if n < 0:
         raise DomainError(f"exi_total needs n >= 0, got {n}")
-    if method not in ("formula", "recurrence"):
+    if method not in (None, "formula", "recurrence"):
         raise DomainError(f"unknown exi_total method {method!r}")
     if method == "recurrence" and order.M != 0:
         raise DomainError("the twisted recurrence applies to order 0 only")
-    if method == "recurrence":
+    if method == "recurrence" or (method is None and order.M == 0):
         tables = _grown(fam, n)
         return _piece_recurrence(tables, tables.twisted, 1, n)
     return sum(

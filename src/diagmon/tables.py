@@ -84,8 +84,8 @@ def _row(wid: str, n: int) -> dict[int, int]:
     fam, kind, _ = _SPEC[wid]
     if kind == "series":
         row = dict(enumerate(c_values(fam, n))) if n else {}
-        row[3] = e_total(fam, n, "recurrence")
-        row[4] = exi_total(fam, n, 0, "recurrence")
+        row[3] = e_total(fam, n)
+        row[4] = exi_total(fam, n, 0)
         return row
     ranks = range(n % 2, n + 1, 2) if fam is _B else range(n + 1)
     if kind == "a_nr":
@@ -94,7 +94,7 @@ def _row(wid: str, n: int) -> dict[int, int]:
         return {r: b_nr(n, r) for r in ranks}
     if kind == "exi_rank":
         return {r: exi_rank(fam, n, r, 0) for r in ranks}
-    return {r: e_rank(fam, n, r, "recurrence") for r in ranks}
+    return {r: e_rank(fam, n, r) for r in ranks}
 
 
 def build_table(which: int | str, max_n: int = 10) -> CountTable:
@@ -111,7 +111,6 @@ def build_table(which: int | str, max_n: int = 10) -> CountTable:
     return CountTable(
         kind=kind,
         family=fam.value,
-        method="recurrence",
         index_names=("n", "column") if kind == "series" else ("n", "r"),
         entries={(n, j): v for n in range(max_n + 1) for j, v in _row(wid, n).items()},
     )

@@ -101,11 +101,16 @@ B, PB = MonoidFamily.B, MonoidFamily.PB
 
 
 def check_total_methods() -> CheckResult:
-    return _compare("e_total formula vs recurrence", (
-        (("e_total({.value},{}) formula vs recurrence", fam, n),
-         e_total(fam, n, "formula"), e_total(fam, n, "recurrence"))
-        for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
-    ))
+    cases = []
+    for fam in FAMILIES:
+        for n in range(ENGINE_MAX_N + 1):
+            cases += [
+                (("e_total({.value},{}) formula vs recurrence", fam, n),
+                 e_total(fam, n, "formula"), e_total(fam, n, "recurrence")),
+                (("exi_total({.value},{},order 0) formula vs recurrence", fam, n),
+                 exi_total(fam, n, 0, "formula"), exi_total(fam, n, 0, "recurrence")),
+            ]
+    return _compare("e_total formula vs recurrence", cases)
 
 
 def check_rank_methods() -> CheckResult:
@@ -160,9 +165,10 @@ def check_twisted_reconstruction() -> CheckResult:
     for n in range(ENGINE_MAX_N + 1):
         ranks = range(n % 2, n + 1, 2)
         total = sum(rho(B, n, r) * b_nr(n, r) for r in ranks)
-        twisted_b = exi_total(B, n, 0)
+        twisted_b = exi_total(B, n, 0, "formula")
         cases.append((("sum rho*b over ranks of B_{} vs exi_total", n), total, twisted_b))
-        cases.append((("exi_total at order 0, B_{0} vs PB_{0}", n), twisted_b, exi_total(PB, n, 0)))
+        cases.append((("exi_total at order 0, B_{0} vs PB_{0}", n), twisted_b,
+                      exi_total(PB, n, 0, "formula")))
         cases += [
             (("rho*b at B_{} rank {} vs exi_rank", n, r),
              rho(B, n, r) * b_nr(n, r), exi_rank(B, n, r))
@@ -252,8 +258,8 @@ def check_oracle_counts(fam: MonoidFamily, n: int) -> CheckResult:
          e_total(fam, n, "formula"), report.idempotents_total),
         *((("e_rank({},{},{}) vs oracle", *where, r), e_rank(fam, n, r),
            report.idempotents_by_rank.get(r, 0)) for r in range(n + 1)),
-        (("exi_total({},{},order 0) vs oracle", *where),
-         exi_total(fam, n, 0), report.twisted_total),
+        (("exi_total({},{},order 0) formula vs oracle", *where),
+         exi_total(fam, n, 0, "formula"), report.twisted_total),
         *((("exi_rank({},{},{}) vs oracle", *where, r), exi_rank(fam, n, r),
            report.twisted_by_rank.get(r, 0)) for r in range(n + 1)),
     ]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from diagmon import cli, combinat
+from diagmon import cli, combinat, counting
 from diagmon.cli import main
 from diagmon.combinat import odd_double_factorial
 from diagmon.core import parse_diagram
@@ -101,19 +101,30 @@ def test_count_bruteforce_rank_out_of_range_exits_2():
 
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     # order 0 has a recurrence, far cheaper than the partition formula;
-    # positive orders have only the formula
+    # positive orders have only the formula.  counting picks the route.
     seen = []
-
-    def recording(*args):
-        seen.append(args[3])
-        return exi_total(*args)
-
-    monkeypatch.setattr(cli, "exi_total", recording)
+    for name, route in (("_piece_recurrence", "recurrence"), ("_partition_grid", "formula")):
+        honest = getattr(counting, name)
+        monkeypatch.setattr(
+            counting, name, lambda *args, honest=honest, route=route: seen.append(route) or honest(*args)
+        )
     assert run("count", "--family", "PB", "--n", "6", "--M", "0").output.strip() == "1201"
     assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
     formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
     assert formula.output.strip() == "1201"
     assert seen == ["recurrence", "formula", "formula"]
+
+
+def test_count_passes_the_method_through(monkeypatch):
+    seen = []
+    for name in ("e_total", "e_rank", "exi_total"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: seen.append((name, args[-1])) or 0)
+    for args in ((), ("--rank", "2"), ("--M", "0"), ("--M", "2"), ("--M", "0", "--method", "formula")):
+        assert run("count", "--family", "B", "--n", "4", *args).output == "0\n"
+    assert seen == [
+        ("e_total", None), ("e_rank", None), ("exi_total", None), ("exi_total", None),
+        ("exi_total", "formula"),
+    ]
 
 
 def test_count_large_n_has_no_recursion_limit():

@@ -27,6 +27,7 @@ from diagmon.counting import (
 )
 from diagmon.core import MonoidFamily
 from diagmon.errors import DomainError, ParityError
+from diagmon.oracle import brute_report
 
 P, B, PB = MonoidFamily.P, MonoidFamily.B, MonoidFamily.PB
 T, I, IDUAL = MonoidFamily.T, MonoidFamily.I, MonoidFamily.IDUAL
@@ -266,6 +267,41 @@ def test_exi_total_higher_orders():
         assert exi_total(B, n, 2) >= exi_total(B, n, 0)
     with pytest.raises(DomainError):
         exi_total(B, 4, 2, "recurrence")
+
+
+def test_positive_twist_orders_match_the_oracle():
+    # the formula keeps the grid cells whose twist exponent the order
+    # annihilates; the oracle squares every element under the twist
+    for fam, n in ((P, 3), (B, 5), (PB, 4), (T, 3), (I, 3), (IDUAL, 3)):
+        for order in (2, 3, 4):
+            assert exi_total(fam, n, order) == brute_report(fam, n, M=order).twisted_total, (fam, n, order)
+
+
+class FormulaReached(Exception):
+    pass
+
+
+def test_default_routes_are_chosen_in_counting(monkeypatch):
+    # with the partition formula out of reach, each default that is a
+    # recurrence still answers and each route that is the formula raises
+    expected = {(fam, n): exi_total(fam, n, 0, "formula") for fam in ALL_FAMILIES for n in range(13)}
+
+    def refuse(fam, n):
+        raise FormulaReached(fam, n)
+
+    monkeypatch.setattr(counting, "_partition_grid", refuse)
+    for fam in ALL_FAMILIES:
+        for n in range(13):
+            assert exi_total(fam, n) == exi_total(fam, n, 0) == expected[fam, n], (fam, n)
+            assert e_total(fam, n) == e_total(fam, n, "recurrence")
+            assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
+            for order in (1, 2):
+                with pytest.raises(FormulaReached):
+                    exi_total(fam, n, order)
+            with pytest.raises(FormulaReached):
+                exi_total(fam, n, 0, "formula")
+    # where the formula would sweep the 204,226 integer partitions of 50
+    assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
 
 
 def test_exi_rank_examples():

@@ -228,6 +228,35 @@ def test_oracle_total_takes_the_formula_route(monkeypatch):
     assert result.detail.startswith("e_total(B,3) formula vs oracle"), result.detail
 
 
+def test_oracle_twisted_total_takes_the_formula_route(monkeypatch):
+    # the twisted total case is labelled the formula route too
+    honest = verify.exi_total
+
+    def formula_off_by_one(fam, n, t=0, method=None):
+        return honest(fam, n, t, method) + (method == "formula")
+
+    monkeypatch.setattr(verify, "exi_total", formula_off_by_one)
+    result = check_oracle_counts(B, 3)
+    assert not result.ok
+    assert result.detail.startswith("exi_total(B,3,order 0) formula vs oracle"), result.detail
+
+
+def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
+    # a twisted recurrence off by one fails every (family, n), named
+    honest = verify.exi_total
+
+    def recurrence_off_by_one(fam, n, t=0, method=None):
+        return honest(fam, n, t, method) + (method == "recurrence")
+
+    monkeypatch.setattr(verify, "exi_total", recurrence_off_by_one)
+    result = check_total_methods()
+    assert not result.ok
+    shown = result.detail.split("; ")
+    assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
+    cases = len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1)
+    assert shown[4] == f"and {cases - 4} more"
+
+
 def test_oracle_sweep_note_reports_cost_per_element():
     result = check_oracle_counts(B, 4)
     assert result.ok
