@@ -31,17 +31,22 @@ Rows of an entry:
   Median of ``ROUNDS`` scaled passes.
 - ``counting_ms``: milliseconds of the counting recurrences, each pass
   on fresh counting tables (``counting._TABLES``; the tables of
-  ``combinat`` stay warm).  ``e_rank_triangle`` is ``e_rank(fam, 80, 80)``,
-  which grows every rank of B or PB up to n = 80; ``e_total`` and
+  ``combinat`` stay warm except in ``c_values``).  ``e_rank_triangle`` is
+  ``e_rank(fam, 80, 80)``, which grows every rank of B or PB up to n = 80,
+  and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``, the same for the
+  twisted ranks; ``e_total`` and
   ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
   order 0) for each family in ``WIDE_FAMILIES``; ``e_rank_cells`` asks
   ``e_rank(fam, n, r)`` cell by cell for every n <= 10 and r <= n in every
   family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
   ``exi_total_default`` is ``exi_total(fam, n)`` with no order and no
   route, the library's default twisted total, for B and PB at n = 40 and
-  P at n = 20.  Median of ``ROUNDS`` scaled passes.  Entries before
-  ``pr13-parent`` lack the row, and entries before ``pr14-parent`` lack
-  ``exi_total_default``.
+  P at n = 20.  ``c_values`` is ``c_values("P", n)`` at n = 20 and 30 with
+  the ``e_nrs`` table (``combinat._E_PAIRS``) emptied as well, so it
+  measures the ``e_nrs`` route.  Median of ``ROUNDS`` scaled passes.
+  Entries before ``pr13-parent`` lack the row, entries before
+  ``pr14-parent`` lack ``exi_total_default``, and entries before
+  ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -77,7 +82,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.append(str(ROOT / "perfbench"))
 
-from diagmon import counting  # noqa: E402
+from diagmon import combinat, counting  # noqa: E402
 from diagmon.core import (  # noqa: E402
     MonoidFamily,
     format_diagram,
@@ -114,6 +119,7 @@ GREEN_TABLES = (("P", 3), ("B", 4))
 TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
+COLD_PAIRS_N = (20, 30)
 
 
 def graph_rank(a) -> int:
@@ -191,6 +197,13 @@ def cold_ms(query, *args) -> float:
     return 1e3 * (time.perf_counter() - started)
 
 
+def cold_pairs_ms(n: int) -> float:
+    """Milliseconds of c_values("P", n) on fresh counting tables and an
+    empty e_nrs table."""
+    combinat._E_PAIRS.clear()
+    return cold_ms(counting.c_values, "P", n)
+
+
 def rank_cells(fam: str) -> None:
     for n in range(CELLS_N + 1):
         for r in range(n + 1):
@@ -198,8 +211,10 @@ def rank_cells(fam: str) -> None:
 
 
 def counting_rows() -> tuple[dict, list[float]]:
-    passes = {("e_rank_triangle", f"{fam}{TRIANGLE_N}"):
-              partial(cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N) for fam in ("B", "PB")}
+    passes = {}
+    for name, query in (("e_rank_triangle", counting.e_rank), ("exi_rank_triangle", counting.exi_rank)):
+        for fam in ("B", "PB"):
+            passes[name, f"{fam}{TRIANGLE_N}"] = partial(cold_ms, query, fam, TRIANGLE_N, TRIANGLE_N)
     for fam in WIDE_FAMILIES:
         passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N)
         passes["exi_total", f"{fam}{WIDE_N}"] = partial(
@@ -208,6 +223,8 @@ def counting_rows() -> tuple[dict, list[float]]:
         passes["e_rank_cells", f"{fam.value}{CELLS_N}"] = partial(cold_ms, rank_cells, fam.value)
     for fam, n in DEFAULT_TWISTED:
         passes["exi_total_default", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n)
+    for n in COLD_PAIRS_N:
+        passes["c_values", f"P{n}"] = partial(cold_pairs_ms, n)
     median_times, factors = median_scaled(passes)
     rows: dict[str, dict[str, float]] = {}
     for (name, label), ms in median_times.items():

@@ -180,24 +180,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_BASE_SEQUENCES = {
-    "bell": lambda args: bell(*args),
-    "stirling2": lambda args: stirling2(*args),
-    "odd_double_factorial": lambda args: odd_double_factorial(*args),
-    "involutions": lambda args: involutions(*args),
-    "binomial": lambda args: binomial(*args),
-}
-
-
-def base_sequence(kind: str, *args: int) -> int:
-    """Dispatch by name onto the base sequences above."""
-    try:
-        fn = _BASE_SEQUENCES[kind]
-    except KeyError:
-        raise DomainError(f"unknown sequence {kind!r}") from None
-    return fn(args)
-
-
 # --------------------------------------------------------------------------
 # join-universal partition pairs
 
@@ -219,22 +201,23 @@ _E_PAIRS: list[list[list[int]]] = []
 def _e_pairs_row(n: int) -> list[list[int]]:
     """Every e_nrs(n, r, s), from the rows below n.
 
-    Where r or s is 1 the count is a Stirling number.  Otherwise it is
-    three terms from row n - 1 plus, for each m in 1..n-2, C(n-2, m) times
-    the sum over (a, b) + (a', b') = (r, s) of
+    e_nrs(1, 1, 1) = 1 is the one base.  Above it each count is three
+    terms from row n - 1 plus, for each m in 1..n-2, C(n-2, m) times the
+    sum over (a, b) + (a', b') = (r, s) of
     (a·b' + b·a')·e_nrs(m, a, b)·e_nrs(n-1-m, a', b').  That sum is a
     two-dimensional convolution of rows m and n-1-m, so one pass per m
-    serves every (r, s) of row n.
+    serves every (r, s) of row n.  It is empty where r or s is 1, and there
+    the three terms give the Stirling numbers S(n, s) and S(n, r).
     """
     row = [[0] * (n + 1) for _ in range(n + 1)]
-    for r in range(1, n + 1):
-        row[r][1] = row[1][r] = stirling2(n, r)
     if n < 2:
+        if n:
+            row[1][1] = 1
         return row
     # row n - 1 padded with zeros to the shape of row n
     prev = [cells + [0] for cells in _E_PAIRS[n - 1]] + [[0] * (n + 1)]
-    for r in range(2, n + 1):
-        for s in range(2, n + 1):
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
             row[r][s] = s * prev[r - 1][s] + r * prev[r][s - 1] + r * s * prev[r][s]
     for m in range(1, n - 1):
         cm = math.comb(n - 2, m)

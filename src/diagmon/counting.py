@@ -7,15 +7,17 @@ played against each other by the verifier.
 
 The recurrences are bottom-up tables grown to the largest index a query
 has needed.  Each splits an idempotent at the irreducible piece holding
-its first point: a binomial convolution of a c-value column with an
-earlier table, summed in C (_convolve).  The totals grow with
-combinat.grow and the two rank grids with grow_grid, column by column,
-so the weight rows of one column (_weights), and the row of Pascal's
-triangle carried from each column to the next, serve every rank that
-column needs.  Each family's tables sit in one _FamilyTables.  The
-partition routes share one sweep over the integer partitions of n per
-(family, n): it fills a grid by kernel classes and rank, and each route
-is a sum over part of that grid.
+its first point, and each is a grid grown by grow_grid through one helper
+(_first_piece) and one entry (_piece_entry): a new cell is a binomial
+convolution of a c-value column with an earlier row, summed in C.  The
+two rank grids are indexed by rank and n; a total is the same table with
+no rank index, one row.  A grid grows column by column, so the weight
+rows of one column (_weights), and the row of Pascal's triangle carried
+from each column to the next, serve every rank that column needs.  Each
+family's tables sit in one _FamilyTables.  The partition routes share one
+sweep over the integer partitions of n per (family, n): it fills a grid
+by kernel classes and rank, and each route is a sum over part of that
+grid.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .combinat import (
     _GROWING,
     bell,
     e_nrs,
-    grow,
     grow_grid,
     integer_partitions,
     involutions,
@@ -62,10 +63,11 @@ class _FamilyTables:
 
     # the c-value columns c0, c1 and c0 + c1; column[m - 1] is the value at m
     c: tuple[list[int], list[int], list[int]] = field(default_factory=lambda: ([], [], []))
-    total: list[int] = field(default_factory=lambda: [1])  # e_total by recurrence
-    twisted: list[int] = field(default_factory=lambda: [1])  # exi_total at order 0
-    rank: list[list[int]] = field(default_factory=list)  # rank[r][n]: e_rank
-    twisted_rank: list[list[int]] = field(default_factory=list)  # [r][n]: exi_rank
+    # the first-piece grids, [r][n]; the totals have the one row r = 0
+    total: list[list[int]] = field(default_factory=list)  # e_total
+    twisted: list[list[int]] = field(default_factory=list)  # exi_total at order 0
+    rank: list[list[int]] = field(default_factory=list)  # e_rank
+    twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
     # C(j-1, 0..j-1) and the weight rows made from it so far, by c-value column
@@ -76,6 +78,10 @@ class _FamilyTables:
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
+
+_Grid = list[list[int]]
+_Pieces = tuple[tuple[int, int], ...]  # (c-value column, rank) of each kind of piece
+_Row0 = Callable[[MonoidFamily, int], int]
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +140,7 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
 
 
 def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
-    """The family's tables, with the c-value columns grown through c_values
-    to n."""
+    """The family's tables, with the c-value columns grown to n."""
     if n:
         c_values(fam, n)
     return _TABLES[fam]
@@ -163,21 +168,43 @@ def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
     return rows[which]
 
 
-def _convolve(weights: list[int], seq: list[int], j: int, lo: int = 0) -> int:
-    """Σ over m of weights[m-1]·seq[j-m], summed in C.
+def _first_piece(
+    fam: MonoidFamily, grid: _Grid, pieces: _Pieces, r: int, n: int, row0: _Row0 | None = None
+) -> int:
+    """Cell (r, n) of one of the family's first-piece grids, grown there by
+    _piece_entry with these pieces and, if given, row 0 from row0."""
+    try:  # a grown cell needs no c-values
+        return grid[r][n]
+    except IndexError:
+        pass
+    entry = partial(_piece_entry, fam, _grown(fam, n), grid, pieces, row0)
+    return grow_grid(grid, r, n, entry)
 
-    An idempotent on j points splits into the irreducible piece on the m
-    points joined to the first point, counted by weights (see _weights),
-    and an idempotent on the other j - m points, counted by seq.  seq is
-    zero below index lo, so m stops at j - lo.
+
+def _piece_entry(
+    fam: MonoidFamily, tables: _FamilyTables, grid: _Grid, pieces: _Pieces, row0: _Row0 | None,
+    r: int, j: int,
+) -> int:
+    """Cell (r, j) of a first-piece grid: zero below the diagonal, 1 at
+    (0, 0), the empty diagram, and row0(fam, j) in row 0 if row0 is given.
+
+    Any other idempotent on j points splits into the irreducible piece on
+    the m points joined to the first point, taking d of the r ranks, and an
+    idempotent of rank r - d on the other j - m.  Each (which, d) in pieces
+    with d <= r adds that sum over m: the weights of c-value column which
+    times row r - d backwards, stopped where that row is still zero.
     """
-    return sum(map(mul, weights, reversed(seq[lo:j])))
-
-
-def _piece_recurrence(tables: _FamilyTables, seq: list[int], which: int, n: int) -> int:
-    """seq[n], after growing seq[j] = Σ over m of C(j-1, m-1)·c[m-1]·seq[j-m]
-    to j = n, c the c-value column which."""
-    return grow(seq, n, lambda j: _convolve(_weights(tables, which, j), seq, j))[n]
+    if j < r:
+        return 0
+    if r == 0 and row0:
+        return row0(fam, j)
+    if j == 0:
+        return 1
+    total = 0
+    for which, d in pieces:
+        if d <= r:
+            total += sum(map(mul, _weights(tables, which, j), reversed(grid[r - d][r - d : j])))
+    return total
 
 
 def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
@@ -224,8 +251,8 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
         raise DomainError(f"unknown e_total method {method!r}")
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
-    tables = _grown(fam, n)
-    return _piece_recurrence(tables, tables.total, 2, n)
+    # the first point's piece is any irreducible one
+    return _first_piece(fam, _TABLES[fam].total, ((2, 0),), 0, n)
 
 
 # --------------------------------------------------------------------------
@@ -240,16 +267,11 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
+    if method in (None, "recurrence"):
+        # the first point's piece has rank 0 or 1
+        return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n, _rank0_idempotents)
     if method == "mu_sum":
         return sum(row[r] for row in _partition_grid(fam, n)[r:])
-    if method in (None, "recurrence"):
-        grid = _TABLES[fam].rank
-        if r < len(grid) and n < len(grid[r]):  # a grown cell needs no c-values
-            return grid[r][n]
-        row0 = partial(_rank0_idempotents, fam)
-        # the first point's piece has rank 0 or 1
-        entry = partial(_rank_entry, _grown(fam, n), grid, row0, ((0, 0), (1, 1)))
-        return grow_grid(grid, r, n, entry)
     if method == "closed":
         if fam not in (MonoidFamily.B, MonoidFamily.PB):
             raise DomainError(f"no closed per-rank form for family {fam.value}")
@@ -265,29 +287,6 @@ def _rank0_idempotents(fam: MonoidFamily, n: int) -> int:
     # T forces a full upper domain and Idual full domains on both sides,
     # so neither contains a rank-0 element once n >= 1
     return 1 if n == 0 or fam is MonoidFamily.I else 0
-
-
-def _rank_entry(
-    tables: _FamilyTables,
-    grid: list[list[int]],
-    row0: Callable[[int], int],
-    pieces: tuple[tuple[int, int], ...],
-    r: int,
-    j: int,
-) -> int:
-    """Cell (r, j) of a rank grid: row 0 is row0(j) and cells below the
-    diagonal are zero.  Any other cell sums one convolution per (which, d)
-    in pieces, the first point's piece counted by c-value column which and
-    taking d of the r ranks, over row r - d, which is zero below its
-    diagonal."""
-    if r == 0:
-        return row0(j)
-    if j < r:
-        return 0
-    total = 0
-    for which, d in pieces:
-        total += _convolve(_weights(tables, which, j), grid[r - d], j, r - d)
-    return total
 
 
 def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
@@ -444,8 +443,8 @@ def exi_total(
     if method == "recurrence" and order.M != 0:
         raise DomainError("the twisted recurrence applies to order 0 only")
     if method == "recurrence" or (method is None and order.M == 0):
-        tables = _grown(fam, n)
-        return _piece_recurrence(tables, tables.twisted, 1, n)
+        # the first point's piece is any irreducible one of rank 1
+        return _first_piece(fam, _TABLES[fam].twisted, ((1, 0),), 0, n)
     return sum(
         count
         for k, row in enumerate(_partition_grid(fam, n))
@@ -454,9 +453,7 @@ def exi_total(
     )
 
 
-def exi_rank(
-    f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0
-) -> int:
+def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> int:
     """Twisted idempotents of rank exactly r, for twist order 0."""
     fam = as_family(f)
     order = as_twist_order(t)
@@ -464,17 +461,8 @@ def exi_rank(
         raise DomainError("per-rank twisted counts are exposed for order 0 only")
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
-    grid = _TABLES[fam].twisted_rank
-    if r < len(grid) and n < len(grid[r]):
-        return grid[r][n]
     # every irreducible piece of a twisted idempotent has rank 1
-    entry = partial(_rank_entry, _grown(fam, n), grid, _only_empty, ((1, 1),))
-    return grow_grid(grid, r, n, entry)
-
-
-def _only_empty(n: int) -> int:
-    """Twisted idempotents of rank 0: only the empty diagram has one."""
-    return 1 if n == 0 else 0
+    return _first_piece(fam, _TABLES[fam].twisted_rank, ((1, 1),), r, n)
 
 
 # --------------------------------------------------------------------------

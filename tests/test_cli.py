@@ -103,7 +103,7 @@ def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     # order 0 has a recurrence, far cheaper than the partition formula;
     # positive orders have only the formula.  counting picks the route.
     seen = []
-    for name, route in (("_piece_recurrence", "recurrence"), ("_partition_grid", "formula")):
+    for name, route in (("_first_piece", "recurrence"), ("_partition_grid", "formula")):
         honest = getattr(counting, name)
         monkeypatch.setattr(
             counting, name, lambda *args, honest=honest, route=route: seen.append(route) or honest(*args)

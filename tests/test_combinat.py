@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from diagmon.combinat import (
     IntegerPartitionSpec,
-    base_sequence,
     bell,
     binomial,
     e_nrs,
@@ -98,16 +97,6 @@ def test_binomial():
         binomial(-1, 0)
     with pytest.raises(DomainError):
         binomial(4, -2)
-
-
-def test_base_sequence_dispatch():
-    assert base_sequence("bell", 5) == 52
-    assert base_sequence("involutions", 4) == 10
-    assert base_sequence("odd_double_factorial", 5) == 15
-    assert base_sequence("stirling2", 4, 2) == 7
-    assert base_sequence("binomial", 6, 3) == 20
-    with pytest.raises(DomainError):
-        base_sequence("fibonacci", 3)
 
 
 @given(st.integers(0, 12))

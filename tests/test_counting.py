@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -11,7 +12,7 @@ import threading
 import pytest
 
 from diagmon import counting
-from diagmon.combinat import bell, involutions, odd_double_factorial
+from diagmon.combinat import bell, e_nrs, involutions, odd_double_factorial, stirling2
 from diagmon.counting import (
     a_nr,
     a_nrt,
@@ -395,30 +396,75 @@ def _fresh_tables(monkeypatch) -> None:
 
 
 def test_rank_grids_do_not_depend_on_query_order(monkeypatch):
-    # the grids grow column by column over rows of unequal length; every
-    # order of queries must leave the same cells behind
-    keys = [(n, r, i) for i in range(len(ALL_FAMILIES)) for n in range(25) for r in range(n + 1)]
-    expected = {(n, r, i): e_rank(ALL_FAMILIES[i], n, r, "mu_sum") for n, r, i in keys}
+    # the grids grow column by column over rows of unequal length, and the
+    # totals share each family's weight rows with them; every order of
+    # queries must leave the same cells behind.  Rank -1 stands for the
+    # two totals, e_total and exi_total by recurrence.
+    keys = [(n, r, i) for i in range(len(ALL_FAMILIES)) for n in range(25) for r in range(-1, n + 1)]
+    expected = {
+        (n, r, i): e_rank(ALL_FAMILIES[i], n, r, "mu_sum") if r >= 0 else e_total(ALL_FAMILIES[i], n, "formula")
+        for n, r, i in keys
+    }
     orders = {
         "shuffled": random.Random(13).sample(keys, len(keys)),
         "descending": sorted(keys, reverse=True),
         "row first": sorted(keys, key=lambda key: (key[1], key[0], key[2])),
+        "totals last": sorted(keys, key=lambda key: (key[1] < 0, key[1], key[0], key[2])),
         # a small rank at a large n after a larger rank at a smaller n
         "unequal rows": [(12, 12, i) for i in range(6)] + [(24, 3, i) for i in range(6)]
-        + [(18, 7, i) for i in range(6)] + keys,
+        + [(18, -1, i) for i in range(6)] + [(18, 7, i) for i in range(6)] + keys,
     }
     twisted = {}
     for name, order in orders.items():
         _fresh_tables(monkeypatch)
         for n, r, i in order:
             fam = ALL_FAMILIES[i]
-            assert e_rank(fam, n, r) == expected[n, r, i], (name, fam, n, r)
-            twisted.setdefault((n, r, i), set()).add(exi_rank(fam, n, r))
+            if r < 0:
+                assert e_total(fam, n) == expected[n, r, i], (name, fam, n)
+                value = exi_total(fam, n, 0, "recurrence")
+            else:
+                assert e_rank(fam, n, r) == expected[n, r, i], (name, fam, n, r)
+                value = exi_rank(fam, n, r)
+            twisted.setdefault((n, r, i), set()).add(value)
     assert all(len(values) == 1 for values in twisted.values())
     for i, fam in enumerate(ALL_FAMILIES):
         for n in range(25):
+            assert sum(expected[n, r, i] for r in range(n + 1)) == expected[n, -1, i], (fam, n)
             rank_sum = sum(twisted[n, r, i].pop() for r in range(n + 1))
-            assert rank_sum == exi_total(fam, n, 0, "formula"), (fam, n)
+            assert rank_sum == twisted[n, -1, i].pop() == exi_total(fam, n, 0, "formula"), (fam, n)
+
+
+# sha256 of the lines "family n e_total exi_total" for n <= 120 (P: n <= 20),
+# exi_total at order 0 by recurrence, then "family n r e_rank exi_rank" for
+# n <= 40 (P: n <= 20) and every r; pinned from a build whose totals and
+# rank grids grew along separate code paths
+_FIRST_PIECE_DIGEST = "e2378536a8a27368f61f6d86e6925c4d3fccd655a99c3fec4965494d1b788c1e"
+
+
+def test_first_piece_tables_match_their_digest(monkeypatch):
+    _fresh_tables(monkeypatch)
+    digest = hashlib.sha256()
+    for fam in ALL_FAMILIES:
+        deep = fam is P  # c_values(P, n) costs O(n^5)
+        for n in range((20 if deep else 120) + 1):
+            digest.update(f"{fam.value} {n} {e_total(fam, n)} {exi_total(fam, n, 0, 'recurrence')}\n".encode())
+        for n in range((20 if deep else 40) + 1):
+            for r in range(n + 1):
+                digest.update(f"{fam.value} {n} {r} {e_rank(fam, n, r)} {exi_rank(fam, n, r)}\n".encode())
+    assert digest.hexdigest() == _FIRST_PIECE_DIGEST
+
+
+def test_first_piece_boundaries():
+    # only the identity has full rank, and every twisted idempotent but the
+    # empty one has a piece of rank 1
+    for fam in ALL_FAMILIES:
+        for n in range(31):
+            assert e_rank(fam, n, n) == exi_rank(fam, n, n) == 1, (fam, n)
+            assert exi_rank(fam, n, 0) == (n == 0), (fam, n)
+    # the Stirling boundary of the e_nrs recurrence, which it derives
+    for n in range(1, 31):
+        for s in range(1, n + 1):
+            assert e_nrs(n, 1, s) == e_nrs(n, s, 1) == stirling2(n, s), (n, s)
 
 
 def test_tables_grow_consistently_under_threads(monkeypatch):
