@@ -36,7 +36,9 @@ Rows of an entry:
   and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``, the same for the
   twisted ranks; ``e_total`` and
   ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
-  order 0) for each family in ``WIDE_FAMILIES``; ``e_rank_cells`` asks
+  order 0) for each family in ``WIDE_FAMILIES``; ``e_total_default`` is
+  ``e_total(fam, n)`` with no route, the library's default total, at each
+  (fam, n) in ``DEFAULT_TOTALS``; ``e_rank_cells`` asks
   ``e_rank(fam, n, r)`` cell by cell for every n <= 10 and r <= n in every
   family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
   ``exi_total_default`` is ``exi_total(fam, n)`` with no order and no
@@ -45,8 +47,13 @@ Rows of an entry:
   the ``e_nrs`` table (``combinat._E_PAIRS``) emptied as well, so it
   measures the ``e_nrs`` route.  Median of ``ROUNDS`` scaled passes.
   Entries before ``pr13-parent`` lack the row, entries before
-  ``pr14-parent`` lack ``exi_total_default``, and entries before
-  ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``.
+  ``pr14-parent`` lack ``exi_total_default``, entries before
+  ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``, and
+  entries before ``pr16-parent`` lack ``e_total_default``.  Up to
+  ``pr15-change`` the ``e_total`` row took the default route, which was
+  the recurrence for every family.  ``pr16-parent`` lacks
+  ``e_total_default`` at B5000: there its default, the recurrence, was
+  not run (B2000 alone took 103 s).
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -119,6 +126,7 @@ GREEN_TABLES = (("P", 3), ("B", 4))
 TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
+DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 COLD_PAIRS_N = (20, 30)
 
 
@@ -216,13 +224,15 @@ def counting_rows() -> tuple[dict, list[float]]:
         for fam in ("B", "PB"):
             passes[name, f"{fam}{TRIANGLE_N}"] = partial(cold_ms, query, fam, TRIANGLE_N, TRIANGLE_N)
     for fam in WIDE_FAMILIES:
-        passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N)
+        passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N, "recurrence")
         passes["exi_total", f"{fam}{WIDE_N}"] = partial(
             cold_ms, counting.exi_total, fam, WIDE_N, 0, "recurrence")
     for fam in MonoidFamily:
         passes["e_rank_cells", f"{fam.value}{CELLS_N}"] = partial(cold_ms, rank_cells, fam.value)
     for fam, n in DEFAULT_TWISTED:
         passes["exi_total_default", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n)
+    for fam, n in DEFAULT_TOTALS:
+        passes["e_total_default", f"{fam}{n}"] = partial(cold_ms, counting.e_total, fam, n)
     for n in COLD_PAIRS_N:
         passes["c_values", f"P{n}"] = partial(cold_pairs_ms, n)
     median_times, factors = median_scaled(passes)

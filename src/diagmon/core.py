@@ -59,13 +59,19 @@ class MonoidFamily(str, Enum):
     IDUAL = "Idual"
 
 
+_FAMILY_BY_NAME = {fam.value: fam for fam in MonoidFamily}
+
+
 def as_family(f: MonoidFamily | str) -> MonoidFamily:
-    """The family itself, or the family with this name; DomainError otherwise."""
+    """The family itself, or the family with this name; DomainError otherwise.
+
+    Names are looked up in a dict: an Enum call costs about as much as a
+    warm count."""
     if isinstance(f, MonoidFamily):
         return f
     try:
-        return MonoidFamily(f)
-    except ValueError:
+        return _FAMILY_BY_NAME[f]
+    except (KeyError, TypeError):  # TypeError: an unhashable f
         raise DomainError(f"unknown family {f!r}") from None
 
 

@@ -2,22 +2,31 @@
 
 Every count is an exact Python int.  Most quantities can be computed along
 two or three independent routes (sum over integer partitions, recurrence,
-closed form); the routes are deliberately kept separate so they can be
-played against each other by the verifier.
+holonomic recurrence, closed form); the routes are deliberately kept
+separate so they can be played against each other by the verifier.
 
-The recurrences are bottom-up tables grown to the largest index a query
-has needed.  Each splits an idempotent at the irreducible piece holding
-its first point, and each is a grid grown by grow_grid through one helper
-(_first_piece) and one entry (_piece_entry): a new cell is a binomial
-convolution of a c-value column with an earlier row, summed in C.  The
-two rank grids are indexed by rank and n; a total is the same table with
-no rank index, one row.  A grid grows column by column, so the weight
-rows of one column (_weights), and the row of Pascal's triangle carried
-from each column to the next, serve every rank that column needs.  Each
-family's tables sit in one _FamilyTables.  The partition routes share one
-sweep over the integer partitions of n per (family, n): it fills a grid
-by kernel classes and rank, and each route is a sum over part of that
-grid.
+A count asked for with no route takes the one chosen here, the cheapest
+this module has for that family: e_total takes the holonomic recurrence
+for B and PB, the closed form for T and I, and the first-piece recurrence
+for P and Idual; exi_total takes the holonomic recurrence at order 0 for B
+and PB, the first-piece recurrence at order 0 otherwise, and the formula
+at any positive order; e_rank and exi_rank take the first-piece recurrence.
+
+The holonomic recurrences tie a total to its four predecessors, each with
+a polynomial coefficient, so each new term costs O(1) big-int products
+(_holonomic).  The first-piece recurrences are bottom-up tables grown to
+the largest index a query has needed.  Each splits an idempotent at the
+irreducible piece holding its first point, and each is a grid grown by
+grow_grid through one helper (_first_piece) and one entry (_piece_entry):
+a new cell is a binomial convolution of a c-value column with an earlier
+row, summed in C.  The two rank grids are indexed by rank and n; a total
+is the same table with no rank index, one row.  A grid grows column by
+column, so the weight rows of one column (_weights), and the row of
+Pascal's triangle carried from each column to the next, serve every rank
+that column needs.  Each family's tables sit in one _FamilyTables.  The
+partition routes share one sweep over the integer partitions of n per
+(family, n): it fills a grid by kernel classes and rank, and each route
+is a sum over part of that grid.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .combinat import (
     _GROWING,
     bell,
     e_nrs,
+    grow,
     grow_grid,
     integer_partitions,
     involutions,
@@ -63,11 +73,16 @@ class _FamilyTables:
 
     # the c-value columns c0, c1 and c0 + c1; column[m - 1] is the value at m
     c: tuple[list[int], list[int], list[int]] = field(default_factory=lambda: ([], [], []))
+    # each c-value column's length up to its last nonzero value
+    c_support: list[int] = field(default_factory=lambda: [0, 0, 0])
     # the first-piece grids, [r][n]; the totals have the one row r = 0
     total: list[list[int]] = field(default_factory=list)  # e_total
     twisted: list[list[int]] = field(default_factory=list)  # exi_total at order 0
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
+    # the holonomic tables, [n], B and PB only; B's order-0 table serves PB too
+    holonomic: list[int] = field(default_factory=list)  # e_total
+    holonomic_twisted: list[int] = field(default_factory=list)  # exi_total at order 0
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
     # C(j-1, 0..j-1) and the weight rows made from it so far, by c-value column
@@ -129,12 +144,15 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
     fam = as_family(f)
     if n < 1:
         raise DomainError(f"c-values need n >= 1, got {n}")
-    columns = _TABLES[fam].c
+    tables = _TABLES[fam]
+    columns = tables.c
     if len(columns[2]) < n:
         with _GROWING:
             for m in range(len(columns[2]) + 1, n + 1):
-                for column, value in zip(columns, _irreducible(fam, m)):
-                    column.append(value)
+                for which, value in enumerate(_irreducible(fam, m)):
+                    columns[which].append(value)
+                    if value:
+                        tables.c_support[which] = m
     c0, c1, c = columns
     return c0[n - 1], c1[n - 1], c[n - 1]
 
@@ -149,7 +167,8 @@ def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
 def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
     """[C(j-1, m-1)·c[m-1] for m = 1, ..., j], c the c-value column which
     (0: c0, 1: c1, 2: c0 + c1): the ways to choose the other m - 1 points
-    of the first point's piece and an irreducible piece on them.
+    of the first point's piece and an irreducible piece on them.  The row
+    stops at the last nonzero c-value, so I's rows hold one weight.
 
     Made once per column and c-value column, and only the last column is
     kept, O(j) ints.  The binomial row of the next column comes from the
@@ -164,7 +183,7 @@ def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
             binomials = [math.comb(j - 1, i) for i in range(j)]
         tables.column = col, binomials, rows = j, binomials, {}
     if which not in rows:
-        rows[which] = list(map(mul, binomials, tables.c[which]))
+        rows[which] = list(map(mul, binomials, tables.c[which][: tables.c_support[which]]))
     return rows[which]
 
 
@@ -192,7 +211,8 @@ def _piece_entry(
     the m points joined to the first point, taking d of the r ranks, and an
     idempotent of rank r - d on the other j - m.  Each (which, d) in pieces
     with d <= r adds that sum over m: the weights of c-value column which
-    times row r - d backwards, stopped where that row is still zero.
+    times row r - d backwards, stopped where that row is still zero or the
+    weights end.
     """
     if j < r:
         return 0
@@ -203,7 +223,9 @@ def _piece_entry(
     total = 0
     for which, d in pieces:
         if d <= r:
-            total += sum(map(mul, _weights(tables, which, j), reversed(grid[r - d][r - d : j])))
+            weights = _weights(tables, which, j)
+            rest = grid[r - d][max(r - d, j - len(weights)) : j]
+            total += sum(map(mul, weights, reversed(rest)))
     return total
 
 
@@ -238,21 +260,104 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 # --------------------------------------------------------------------------
 # total idempotent counts
 
+# the route of each family's total when none is named, the cheapest it has;
+# the others take the first-piece recurrence.  Idual's Bell numbers come
+# cheaper from it than from combinat.bell (about 12 ms against 30 ms at
+# n = 250), and P has no other route but the formula.
+_E_TOTAL_ROUTE = {
+    MonoidFamily.B: "holonomic",
+    MonoidFamily.PB: "holonomic",
+    MonoidFamily.T: "closed",
+    MonoidFamily.I: "closed",
+}
+
+
 def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
     """Number of idempotents in the family's monoid on n strands.
 
-    method is "formula" or "recurrence"; None, the default, takes the
-    recurrence, O(n) convolutions against the formula's O(p(n)) terms.
+    method is "formula" (a sum over the integer partitions of n, O(p(n))
+    terms), "recurrence" (the first-piece recurrence, O(n) convolutions),
+    "holonomic" (B and PB only, O(1) products a term) or "closed" (T and I
+    only).  None, the default, takes the holonomic route for B and PB, the
+    closed form for T and I, and the recurrence for P and Idual.  A route
+    the family lacks raises DomainError.
     """
     fam = as_family(f)
     if n < 0:
         raise DomainError(f"e_total needs n >= 0, got {n}")
-    if method not in (None, "formula", "recurrence"):
-        raise DomainError(f"unknown e_total method {method!r}")
+    if method is None:
+        method = _E_TOTAL_ROUTE.get(fam, "recurrence")
+    if method == "recurrence":
+        # the first point's piece is any irreducible one
+        return _first_piece(fam, _TABLES[fam].total, ((2, 0),), 0, n)
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
-    # the first point's piece is any irreducible one
-    return _first_piece(fam, _TABLES[fam].total, ((2, 0),), 0, n)
+    if method == "holonomic":
+        if fam not in _HOLONOMIC_Q:
+            raise DomainError(f"no holonomic total for family {fam.value}")
+        return _holonomic(_TABLES[fam].holonomic, _HOLONOMIC_Q[fam], n)
+    if method == "closed":
+        if fam is MonoidFamily.T:
+            # an idempotent map fixes its image of k points and sends each
+            # other point into it (Tainiter 1968); 0^0 = 1 is the empty map
+            return sum(math.comb(n, k) * k ** (n - k) for k in range(n + 1))
+        if fam is MonoidFamily.I:
+            return 2**n  # the partial identities, one per subset
+        raise DomainError(f"no closed total for family {fam.value}")
+    raise DomainError(f"unknown e_total method {method!r}")
+
+
+# --------------------------------------------------------------------------
+# holonomic totals
+
+# (1 - t²)²·C′(t) by degree, for the series C(t) = Σ c(m)·t^m/m! of the
+# irreducible pieces a total admits, from the c-values of _irreducible
+_HOLONOMIC_Q = {
+    # c = (m-1)! at even m, m! at odd m: C = -½·log(1 - t²) + t/(1 - t²)
+    MonoidFamily.B: (1, 1, 1, -1),
+    # c = (m+1)·(m-1)! at even m, 2·m! at odd m:
+    # C = -½·log(1 - t²) + (2t + t²)/(1 - t²)
+    MonoidFamily.PB: (2, 3, 2, -1),
+}
+# twisted at order 0, B and PB alike: only the rank-1 pieces, c1 = m! at
+# odd m, so C = t/(1 - t²)
+_TWISTED_Q = (1, 0, 1, 0)
+
+
+def _holonomic(table: list[int], q: tuple[int, ...], n: int) -> int:
+    """e(n) = n!·[t^n] exp(C(t)), where (1 - t²)²·C′(t) = q0 + q1·t + q2·t²
+    + q3·t³, from the table grown to n.
+
+    The first-piece recurrence e(n+1) = Σ C(n, m-1)·c(m)·e(n+1-m) says
+    E′ = C′·E for the EGF E = Σ e(n)·t^n/n!, so E = exp(C).  Times (1 - t²)²
+    it reads (1 - 2t² + t⁴)·E′ = Q·E.  The coefficient of t^n/n! in t^k·F
+    is n^(k)·f(n-k), with n^(k) = n(n-1)...(n-k+1) the falling factorial,
+    so
+
+        e(n+1) = q0·e(n) + (q1·n^(1) + 2·n^(2))·e(n-1) + q2·n^(2)·e(n-2)
+                 + (q3·n^(3) - n^(4))·e(n-3).
+
+    For B that is e(n+1) = e(n) + n(2n-1)·e(n-1) + n(n-1)·e(n-2)
+    - n(n-1)(n-2)²·e(n-3); for PB, e(n+1) = 2e(n) + n(2n+1)·e(n-1)
+    + 2n(n-1)·e(n-2) - n(n-1)(n-2)²·e(n-3); at twist order 0, e(n+1) =
+    e(n) + 2n(n-1)·e(n-1) + n(n-1)·e(n-2) - n(n-1)(n-2)(n-3)·e(n-3).
+    A series whose coefficients obey such a recurrence is D-finite
+    (Stanley, European J. Combin. 1980).  Each term costs four products
+    of a big int by a small one, against O(n) big-int products for the
+    first-piece recurrence.  A coefficient n^(k) vanishes where n < k, so
+    no term below e(0) is needed.
+    """
+    return grow(table, n, partial(_holonomic_entry, table, q))[n]
+
+
+def _holonomic_entry(table: list[int], q: tuple[int, ...], m: int) -> int:
+    if m == 0:
+        return 1  # the empty diagram
+    n = m - 1
+    f2 = n * (n - 1)
+    f3 = f2 * (n - 2)
+    coefficients = (q[0], q[1] * n + 2 * f2, q[2] * f2, q[3] * f3 - f3 * (n - 3))
+    return sum(map(mul, coefficients, reversed(table[max(n - 3, 0) : m])))
 
 
 # --------------------------------------------------------------------------
@@ -428,23 +533,36 @@ def exi_total(
 ) -> int:
     """Number of twisted idempotents for the given twist order.
 
-    method is "formula" or "recurrence".  The recurrence exists only for
-    order 0; None, the default, takes it there and the formula at any
-    positive order (order 1 collapses to the plain count).  The formula
-    keeps the grid cells whose self-product exponent, kernel classes minus
-    rank, the twist annihilates.
+    method is "formula", "recurrence" or "holonomic" (B and PB only).  Both
+    recurrences exist only for order 0, and the holonomic one is shared by
+    B and PB, whose rank-1 pieces agree (see _holonomic).  None, the
+    default, takes the holonomic route at order 0 for B and PB, the
+    recurrence at order 0 for the others, and the formula at any positive
+    order (order 1 collapses to the plain count).  The formula keeps the
+    grid cells whose self-product exponent, kernel classes minus rank, the
+    twist annihilates.  A route the family or order lacks raises
+    DomainError.
     """
     fam = as_family(f)
     order = as_twist_order(t)
     if n < 0:
         raise DomainError(f"exi_total needs n >= 0, got {n}")
-    if method not in (None, "formula", "recurrence"):
+    if method not in (None, "formula", "recurrence", "holonomic"):
         raise DomainError(f"unknown exi_total method {method!r}")
-    if method == "recurrence" and order.M != 0:
-        raise DomainError("the twisted recurrence applies to order 0 only")
-    if method == "recurrence" or (method is None and order.M == 0):
+    if method is None:
+        if order.M:
+            method = "formula"
+        else:
+            method = "holonomic" if fam in _HOLONOMIC_Q else "recurrence"
+    if method != "formula" and order.M != 0:
+        raise DomainError(f"the twisted {method} route applies to order 0 only")
+    if method == "recurrence":
         # the first point's piece is any irreducible one of rank 1
         return _first_piece(fam, _TABLES[fam].twisted, ((1, 0),), 0, n)
+    if method == "holonomic":
+        if fam not in _HOLONOMIC_Q:
+            raise DomainError(f"no holonomic twisted total for family {fam.value}")
+        return _holonomic(_TABLES[MonoidFamily.B].holonomic_twisted, _TWISTED_Q, n)
     return sum(
         count
         for k, row in enumerate(_partition_grid(fam, n))

@@ -41,9 +41,17 @@ class TwistOrder:
         return exponent % self.M == 0 if self.M else exponent == 0
 
 
+# made once, so that a count at a small order builds no TwistOrder
+_SMALL_ORDERS = tuple(TwistOrder(m) for m in range(16))
+
+
 def as_twist_order(t: TwistOrder | int) -> TwistOrder:
     """The order itself, or the order M = t; DomainError unless t is an int >= 0."""
-    return t if isinstance(t, TwistOrder) else TwistOrder(t)
+    if isinstance(t, TwistOrder):
+        return t
+    if isinstance(t, int) and 0 <= t < len(_SMALL_ORDERS):
+        return _SMALL_ORDERS[t]
+    return TwistOrder(t)
 
 
 class ComponentType(Enum):

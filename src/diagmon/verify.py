@@ -97,10 +97,19 @@ def _compare(name: str, cases: Iterable[tuple[tuple, int, int]], note: str = "")
 # engine-internal identities
 
 ENGINE_MAX_N = 10  # every engine identity but e_nrs's is checked at n = 0..10
+# the holonomic and closed totals, which serve n in the thousands, are
+# checked further out, where a wrong start value or index would show
+FAST_ROUTE_MAX_N = 60
 B, PB = MonoidFamily.B, MonoidFamily.PB
+FAST_TOTALS = (
+    (B, "holonomic"), (PB, "holonomic"), (MonoidFamily.T, "closed"), (MonoidFamily.I, "closed"),
+)
 
 
 def check_total_methods() -> CheckResult:
+    """Every other route of e_total and of exi_total at order 0 against the
+    first-piece recurrence: the formula at n <= ENGINE_MAX_N, the holonomic
+    and closed routes at n <= FAST_ROUTE_MAX_N."""
     cases = []
     for fam in FAMILIES:
         for n in range(ENGINE_MAX_N + 1):
@@ -110,7 +119,18 @@ def check_total_methods() -> CheckResult:
                 (("exi_total({.value},{},order 0) formula vs recurrence", fam, n),
                  exi_total(fam, n, 0, "formula"), exi_total(fam, n, 0, "recurrence")),
             ]
-    return _compare("e_total formula vs recurrence", cases)
+    for n in range(FAST_ROUTE_MAX_N + 1):
+        cases += [
+            (("e_total({.value},{}) {} vs recurrence", fam, n, method),
+             e_total(fam, n, method), e_total(fam, n, "recurrence"))
+            for fam, method in FAST_TOTALS
+        ]
+        cases += [
+            (("exi_total({.value},{},order 0) holonomic vs recurrence", fam, n),
+             exi_total(fam, n, 0, "holonomic"), exi_total(fam, n, 0, "recurrence"))
+            for fam in (B, PB)
+        ]
+    return _compare("total routes agree", cases)
 
 
 def check_rank_methods() -> CheckResult:
@@ -127,6 +147,9 @@ def check_rank_methods() -> CheckResult:
 
 
 def check_rank_sums() -> CheckResult:
+    """Each rank grid's column sums against the default total, which for
+    every family but P and Idual is a route of its own (holonomic or closed),
+    not the first-piece recurrence the rank grids share."""
     return _compare("per-rank counts sum to totals", (
         (("sum of e_rank({.value},{},r) vs e_total", fam, n),
          sum(e_rank(fam, n, r) for r in range(n + 1)), e_total(fam, n))
@@ -142,6 +165,8 @@ def check_parity_zeros() -> CheckResult:
 
 
 def check_rclass_reconstruction() -> CheckResult:
+    """The R-class counts rebuild the default totals of B and PB, their
+    holonomic recurrences, and the per-rank counts of PB's rank grid."""
     cases = []
     for n in range(ENGINE_MAX_N + 1):
         total = sum(rho(B, n, r) * a_nr(n, r) for r in range(n % 2, n + 1, 2))
@@ -178,12 +203,15 @@ def check_twisted_reconstruction() -> CheckResult:
 
 
 def check_embedded_families() -> CheckResult:
+    """The first-piece totals of T, I and Idual against their closed forms;
+    T's and I's are their default routes too, so the check names the
+    recurrence."""
     cases = []
     for n in range(ENGINE_MAX_N + 1):
         t_expected = sum(binomial(n, k) * k ** (n - k) for k in range(1, n + 1)) if n else 1
         cases += [
-            (("e_total(T,{})", n), e_total(MonoidFamily.T, n), t_expected),
-            (("e_total(I,{0}) vs 2^{0}", n), e_total(MonoidFamily.I, n), 2**n),
+            (("e_total(T,{}) recurrence", n), e_total(MonoidFamily.T, n, "recurrence"), t_expected),
+            (("e_total(I,{0}) recurrence vs 2^{0}", n), e_total(MonoidFamily.I, n, "recurrence"), 2**n),
             (("e_total(Idual,{0}) vs bell({0})", n), e_total(MonoidFamily.IDUAL, n), bell(n)),
             (("bell({}) vs its binomial recurrence", n + 1), bell(n + 1),
              sum(binomial(n, k) * bell(k) for k in range(n + 1))),

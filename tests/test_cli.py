@@ -100,19 +100,46 @@ def test_count_bruteforce_rank_out_of_range_exits_2():
 
 
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
-    # order 0 has a recurrence, far cheaper than the partition formula;
+    # order 0 has recurrences, far cheaper than the partition formula: the
+    # holonomic one for B and PB, the first-piece one for the others;
     # positive orders have only the formula.  counting picks the route.
     seen = []
-    for name, route in (("_first_piece", "recurrence"), ("_partition_grid", "formula")):
+    routes = (("_first_piece", "recurrence"), ("_holonomic", "holonomic"), ("_partition_grid", "formula"))
+    for name, route in routes:
         honest = getattr(counting, name)
         monkeypatch.setattr(
             counting, name, lambda *args, honest=honest, route=route: seen.append(route) or honest(*args)
         )
     assert run("count", "--family", "PB", "--n", "6", "--M", "0").output.strip() == "1201"
+    assert run("count", "--family", "T", "--n", "6", "--M", "0").output.strip() == "1057"
     assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
     formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
     assert formula.output.strip() == "1201"
-    assert seen == ["recurrence", "formula", "formula"]
+    assert seen == ["holonomic", "recurrence", "formula", "formula"]
+
+
+def test_count_holonomic():
+    # B's and PB's totals, and the twisted total at order 0 they share
+    for args, answer in (
+        (("--family", "B"), "21442816"),
+        (("--family", "PB"), "376371799"),
+        (("--family", "B", "--M", "0"), "12202561"),
+        (("--family", "PB", "--M", "0"), "12202561"),
+    ):
+        result = run("count", *args, "--n", "10", "--method", "holonomic")
+        assert (result.exit_code, result.output) == (0, f"{answer}\n"), args
+
+
+def test_count_route_the_family_lacks_exits_2():
+    for args in (
+        ("--family", "P", "--method", "holonomic"),
+        ("--family", "Idual", "--method", "closed"),
+        ("--family", "B", "--M", "2", "--method", "holonomic"),
+        ("--family", "B", "--rank", "2", "--method", "holonomic"),
+    ):
+        result = run("count", *args, "--n", "5")
+        assert result.exit_code == 2, (args, result.output)
+        assert "Traceback" not in result.output
 
 
 def test_count_passes_the_method_through(monkeypatch):

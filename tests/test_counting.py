@@ -100,6 +100,30 @@ def test_e_total_b10():
     assert e_total(B, 10) == 21442816
 
 
+def test_holonomic_and_closed_totals_match_the_recurrence():
+    # each fast route against the first-piece recurrence, past the n where
+    # a start value or an index off by one would show
+    for fam, method in ((B, "holonomic"), (PB, "holonomic"), (T, "closed"), (I, "closed")):
+        for n in range(61):
+            assert e_total(fam, n, method) == e_total(fam, n, "recurrence"), (fam, n)
+    for fam in (B, PB):
+        for n in range(41):
+            assert exi_total(fam, n, 0, "holonomic") == exi_total(fam, n, 0, "recurrence"), (fam, n)
+
+
+def test_a_route_the_family_lacks_is_refused():
+    for fam in (P, T, I, IDUAL):
+        with pytest.raises(DomainError):
+            e_total(fam, 4, "holonomic")
+        with pytest.raises(DomainError):
+            exi_total(fam, 4, 0, "holonomic")
+    for fam in (P, B, PB, IDUAL):
+        with pytest.raises(DomainError):
+            e_total(fam, 4, "closed")
+    with pytest.raises(DomainError):
+        exi_total(B, 4, 2, "holonomic")
+
+
 # --------------------------------------------------------------------------
 # per-rank counts
 
@@ -282,25 +306,56 @@ class FormulaReached(Exception):
     pass
 
 
+class FirstPieceTotalReached(Exception):
+    pass
+
+
 def test_default_routes_are_chosen_in_counting(monkeypatch):
-    # with the partition formula out of reach, each default that is a
-    # recurrence still answers and each route that is the formula raises
-    expected = {(fam, n): exi_total(fam, n, 0, "formula") for fam in ALL_FAMILIES for n in range(13)}
+    # with the partition formula out of reach, and the first-piece
+    # recurrence out of reach for the two totals, each default that takes
+    # neither still answers and each one that does raises.  The holonomic
+    # tables that grow show which totals take that route.
+    expected = {
+        (fam, n): (e_total(fam, n, "formula"), exi_total(fam, n, 0, "formula"))
+        for fam in ALL_FAMILIES for n in range(13)
+    }
+    _fresh_tables(monkeypatch)
+    first_piece = counting._first_piece
+
+    def rank_grids_only(fam, grid, *args):
+        tables = counting._TABLES[fam]
+        if grid is tables.total or grid is tables.twisted:
+            raise FirstPieceTotalReached(fam)
+        return first_piece(fam, grid, *args)
 
     def refuse(fam, n):
         raise FormulaReached(fam, n)
 
+    monkeypatch.setattr(counting, "_first_piece", rank_grids_only)
     monkeypatch.setattr(counting, "_partition_grid", refuse)
     for fam in ALL_FAMILIES:
         for n in range(13):
-            assert exi_total(fam, n) == exi_total(fam, n, 0) == expected[fam, n], (fam, n)
-            assert e_total(fam, n) == e_total(fam, n, "recurrence")
+            total, twisted = expected[fam, n]
+            if fam in (P, IDUAL):  # the recurrence
+                with pytest.raises(FirstPieceTotalReached):
+                    e_total(fam, n)
+            else:  # holonomic for B and PB, closed for T and I
+                assert e_total(fam, n) == total, (fam, n)
+            if fam in (B, PB):  # holonomic
+                assert exi_total(fam, n) == exi_total(fam, n, 0) == twisted, (fam, n)
+            else:  # the recurrence
+                with pytest.raises(FirstPieceTotalReached):
+                    exi_total(fam, n)
             assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
             for order in (1, 2):
                 with pytest.raises(FormulaReached):
                     exi_total(fam, n, order)
             with pytest.raises(FormulaReached):
                 exi_total(fam, n, 0, "formula")
+    tables = counting._TABLES
+    assert [len(tables[fam].holonomic) for fam in ALL_FAMILIES] == [0, 13, 13, 0, 0, 0]
+    # B's order-0 holonomic table serves PB as well
+    assert [len(tables[fam].holonomic_twisted) for fam in ALL_FAMILIES] == [0, 13, 0, 0, 0, 0]
     # where the formula would sweep the 204,226 integer partitions of 50
     assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
 
@@ -382,13 +437,27 @@ def test_deep_counts_need_no_recursion():
 
 def test_weight_rows_after_any_earlier_column():
     # each binomial row is reused, stepped by Pascal's rule or built afresh,
-    # and each weight row is made for its own c-value column
-    tables = counting._FamilyTables(c=([1, 0, 2, 0, 24, 0, 720] * 3, list(range(1, 22)), [0] * 21))
+    # and each weight row is made for its own c-value column, up to its
+    # last nonzero c-value
+    c = ([1, 0, 2, 0, 24, 0, 720] * 3, list(range(1, 22)), [3, 5] + [0] * 19)
+    tables = counting._FamilyTables(c=c, c_support=[21, 21, 2])
     for j in (1, 2, 2, 7, 3, 4, 5, 1, 12, 11, 12, 13, 21):
         for which in (0, 1, 2, 1, 0):
             cs = tables.c[which]
-            expected = [math.comb(j - 1, m - 1) * cs[m - 1] for m in range(1, j + 1)]
+            support = max(m for m, value in enumerate(cs, 1) if value)
+            expected = [math.comb(j - 1, m - 1) * cs[m - 1] for m in range(1, min(j, support) + 1)]
             assert counting._weights(tables, which, j) == expected, (j, which)
+
+
+def test_weight_rows_of_i_hold_one_weight(monkeypatch):
+    # I's only nonzero c-values sit at m = 1, so its grids multiply one
+    # weight per cell; the digest test below shows the cells unchanged
+    _fresh_tables(monkeypatch)
+    assert e_rank(I, 30, 12) == math.comb(30, 12)  # the partial identities of rank 12
+    assert exi_rank(I, 30, 30) == 1
+    assert counting._TABLES[I].c_support == [1, 1, 1]
+    column, _, rows = counting._TABLES[I].column
+    assert column == 30 and rows and all(len(row) == 1 for row in rows.values())
 
 
 def _fresh_tables(monkeypatch) -> None:
@@ -435,9 +504,9 @@ def test_rank_grids_do_not_depend_on_query_order(monkeypatch):
 
 
 # sha256 of the lines "family n e_total exi_total" for n <= 120 (P: n <= 20),
-# exi_total at order 0 by recurrence, then "family n r e_rank exi_rank" for
-# n <= 40 (P: n <= 20) and every r; pinned from a build whose totals and
-# rank grids grew along separate code paths
+# both by the first-piece recurrence and exi_total at order 0, then
+# "family n r e_rank exi_rank" for n <= 40 (P: n <= 20) and every r; pinned
+# from a build whose totals and rank grids grew along separate code paths
 _FIRST_PIECE_DIGEST = "e2378536a8a27368f61f6d86e6925c4d3fccd655a99c3fec4965494d1b788c1e"
 
 
@@ -447,7 +516,8 @@ def test_first_piece_tables_match_their_digest(monkeypatch):
     for fam in ALL_FAMILIES:
         deep = fam is P  # c_values(P, n) costs O(n^5)
         for n in range((20 if deep else 120) + 1):
-            digest.update(f"{fam.value} {n} {e_total(fam, n)} {exi_total(fam, n, 0, 'recurrence')}\n".encode())
+            totals = e_total(fam, n, "recurrence"), exi_total(fam, n, 0, "recurrence")
+            digest.update(f"{fam.value} {n} {totals[0]} {totals[1]}\n".encode())
         for n in range((20 if deep else 40) + 1):
             for r in range(n + 1):
                 digest.update(f"{fam.value} {n} {r} {e_rank(fam, n, r)} {exi_rank(fam, n, r)}\n".encode())

@@ -253,8 +253,24 @@ def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
-    cases = len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1)
+    # and each order-0 holonomic case of B and PB
+    cases = len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * (verify.FAST_ROUTE_MAX_N + 1)
     assert shown[4] == f"and {cases - 4} more"
+
+
+def test_total_methods_check_referees_the_fast_routes(monkeypatch):
+    # a holonomic total off by one fails B's and PB's cases at every n, named
+    honest = verify.e_total
+
+    def holonomic_off_by_one(fam, n, method=None):
+        return honest(fam, n, method) + (method == "holonomic")
+
+    monkeypatch.setattr(verify, "e_total", holonomic_off_by_one)
+    result = check_total_methods()
+    assert not result.ok
+    shown = result.detail.split("; ")
+    assert shown[0] == "e_total(B,0) holonomic vs recurrence: 2 != 1"
+    assert shown[4] == f"and {2 * (verify.FAST_ROUTE_MAX_N + 1) - 4} more"
 
 
 def test_oracle_sweep_note_reports_cost_per_element():
