@@ -43,17 +43,22 @@ Rows of an entry:
   family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
   ``exi_total_default`` is ``exi_total(fam, n)`` with no order and no
   route, the library's default twisted total, for B and PB at n = 40 and
-  P at n = 20.  ``c_values`` is ``c_values("P", n)`` at n = 20 and 30 with
+  P at n = 20, and ``exi_total_order2`` is ``exi_total(fam, n, 2)``, the
+  default route at twist order 2, at each (fam, n) in ``ORDER_2_TWISTED``.
+  ``c_values`` is ``c_values("P", n)`` at n = 20 and 30 with
   the ``e_nrs`` table (``combinat._E_PAIRS``) emptied as well, so it
   measures the ``e_nrs`` route.  Median of ``ROUNDS`` scaled passes.
   Entries before ``pr13-parent`` lack the row, entries before
   ``pr14-parent`` lack ``exi_total_default``, entries before
-  ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``, and
-  entries before ``pr16-parent`` lack ``e_total_default``.  Up to
+  ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``, entries
+  before ``pr16-parent`` lack ``e_total_default``, and entries before
+  ``pr17-parent`` lack ``exi_total_order2``.  Up to
   ``pr15-change`` the ``e_total`` row took the default route, which was
   the recurrence for every family.  ``pr16-parent`` lacks
   ``e_total_default`` at B5000: there its default, the recurrence, was
-  not run (B2000 alone took 103 s).
+  not run (B2000 alone took 103 s).  ``pr17-parent`` lacks
+  ``exi_total_order2`` at B250: there its default, the partition formula,
+  would sweep the 2.3·10^14 integer partitions of 250.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -127,6 +132,7 @@ TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
+ORDER_2_TWISTED = (("B", 40), ("B", 250))
 COLD_PAIRS_N = (20, 30)
 
 
@@ -231,6 +237,8 @@ def counting_rows() -> tuple[dict, list[float]]:
         passes["e_rank_cells", f"{fam.value}{CELLS_N}"] = partial(cold_ms, rank_cells, fam.value)
     for fam, n in DEFAULT_TWISTED:
         passes["exi_total_default", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n)
+    for fam, n in ORDER_2_TWISTED:
+        passes["exi_total_order2", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n, 2)
     for fam, n in DEFAULT_TOTALS:
         passes["e_total_default", f"{fam}{n}"] = partial(cold_ms, counting.e_total, fam, n)
     for n in COLD_PAIRS_N:

@@ -9,8 +9,8 @@ A count asked for with no route takes the one chosen here, the cheapest
 this module has for that family: e_total takes the holonomic recurrence
 for B and PB, the closed form for T and I, and the first-piece recurrence
 for P and Idual; exi_total takes the holonomic recurrence at order 0 for B
-and PB, the first-piece recurrence at order 0 otherwise, and the formula
-at any positive order; e_rank and exi_rank take the first-piece recurrence.
+and PB and the first-piece recurrence otherwise; e_rank and exi_rank take
+the first-piece recurrence.
 
 The holonomic recurrences tie a total to its four predecessors, each with
 a polynomial coefficient, so each new term costs O(1) big-int products
@@ -19,14 +19,16 @@ the largest index a query has needed.  Each splits an idempotent at the
 irreducible piece holding its first point, and each is a grid grown by
 grow_grid through one helper (_first_piece) and one entry (_piece_entry):
 a new cell is a binomial convolution of a c-value column with an earlier
-row, summed in C.  The two rank grids are indexed by rank and n; a total
-is the same table with no rank index, one row.  A grid grows column by
-column, so the weight rows of one column (_weights), and the row of
-Pascal's triangle carried from each column to the next, serve every rank
-that column needs.  Each family's tables sit in one _FamilyTables.  The
-partition routes share one sweep over the integer partitions of n per
-(family, n): it fills a grid by kernel classes and rank, and each route
-is a sum over part of that grid.
+row, summed in C.  The two rank grids are indexed by rank and n; e_total
+is the same table with no rank index, one row.  exi_total's grid is
+indexed by the number q of rank-0 pieces, the twist exponent, and n: a
+twist of order M keeps the rows q = 0 (mod M), and order 0 reads row 0.
+A grid grows column by column, so the weight rows of one column
+(_weights), and the row of Pascal's triangle carried from each column to
+the next, serve every row that column needs.  Each family's tables sit
+in one _FamilyTables.  The partition routes share one sweep over the
+integer partitions of n per (family, n): it fills a grid by kernel
+classes and rank, and each route is a sum over part of that grid.
 """
 
 from __future__ import annotations
@@ -75,9 +77,10 @@ class _FamilyTables:
     c: tuple[list[int], list[int], list[int]] = field(default_factory=lambda: ([], [], []))
     # each c-value column's length up to its last nonzero value
     c_support: list[int] = field(default_factory=lambda: [0, 0, 0])
-    # the first-piece grids, [r][n]; the totals have the one row r = 0
+    # the first-piece grids, [r][n]; e_total has the one row r = 0, and
+    # exi_total's rows count rank-0 pieces, not rank
     total: list[list[int]] = field(default_factory=list)  # e_total
-    twisted: list[list[int]] = field(default_factory=list)  # exi_total at order 0
+    twisted: list[list[int]] = field(default_factory=list)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
     # the holonomic tables, [n], B and PB only; B's order-0 table serves PB too
@@ -90,6 +93,7 @@ class _FamilyTables:
         default_factory=lambda: (1, [1], {})
     )
     closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
+    closed_totals: dict[int, int] = field(default_factory=dict)  # T, I only
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
@@ -297,13 +301,17 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
             raise DomainError(f"no holonomic total for family {fam.value}")
         return _holonomic(_TABLES[fam].holonomic, _HOLONOMIC_Q[fam], n)
     if method == "closed":
-        if fam is MonoidFamily.T:
-            # an idempotent map fixes its image of k points and sends each
-            # other point into it (Tainiter 1968); 0^0 = 1 is the empty map
-            return sum(math.comb(n, k) * k ** (n - k) for k in range(n + 1))
-        if fam is MonoidFamily.I:
-            return 2**n  # the partial identities, one per subset
-        raise DomainError(f"no closed total for family {fam.value}")
+        totals = _TABLES[fam].closed_totals
+        if n not in totals:
+            if fam is MonoidFamily.T:
+                # an idempotent map fixes its image of k points and sends each
+                # other point into it (Tainiter 1968); 0^0 = 1 is the empty map
+                totals[n] = sum(math.comb(n, k) * k ** (n - k) for k in range(n + 1))
+            elif fam is MonoidFamily.I:
+                totals[n] = 2**n  # the partial identities, one per subset
+            else:
+                raise DomainError(f"no closed total for family {fam.value}")
+        return totals[n]
     raise DomainError(f"unknown e_total method {method!r}")
 
 
@@ -533,15 +541,14 @@ def exi_total(
 ) -> int:
     """Number of twisted idempotents for the given twist order.
 
-    method is "formula", "recurrence" or "holonomic" (B and PB only).  Both
-    recurrences exist only for order 0, and the holonomic one is shared by
-    B and PB, whose rank-1 pieces agree (see _holonomic).  None, the
-    default, takes the holonomic route at order 0 for B and PB, the
-    recurrence at order 0 for the others, and the formula at any positive
-    order (order 1 collapses to the plain count).  The formula keeps the
-    grid cells whose self-product exponent, kernel classes minus rank, the
-    twist annihilates.  A route the family or order lacks raises
-    DomainError.
+    method is "formula", "recurrence" or "holonomic" (B and PB at order 0
+    only, one route for both, whose rank-1 pieces agree; see _holonomic).
+    The formula keeps the grid cells whose self-product exponent, kernel
+    classes minus rank, the twist annihilates; that exponent is the number
+    of rank-0 pieces, which the recurrence's grid counts.  None, the
+    default, takes the holonomic route at order 0 for B and PB and the
+    recurrence otherwise (order 1 collapses to the plain count).  A route
+    the family or order lacks raises DomainError.
     """
     fam = as_family(f)
     order = as_twist_order(t)
@@ -550,16 +557,17 @@ def exi_total(
     if method not in (None, "formula", "recurrence", "holonomic"):
         raise DomainError(f"unknown exi_total method {method!r}")
     if method is None:
-        if order.M:
-            method = "formula"
-        else:
-            method = "holonomic" if fam in _HOLONOMIC_Q else "recurrence"
-    if method != "formula" and order.M != 0:
-        raise DomainError(f"the twisted {method} route applies to order 0 only")
+        method = "holonomic" if fam in _HOLONOMIC_Q and not order.M else "recurrence"
     if method == "recurrence":
-        # the first point's piece is any irreducible one of rank 1
-        return _first_piece(fam, _TABLES[fam].twisted, ((1, 0),), 0, n)
+        # row q holds the idempotents with q pieces of rank 0: the first
+        # point's piece keeps q if it has rank 1 and raises it if rank 0.
+        # Order M keeps the rows q = 0 (mod M), and order 0 row 0 alone.
+        grid, M = _TABLES[fam].twisted, order.M
+        value = _first_piece(fam, grid, ((1, 0), (0, 1)), n - n % M if M else 0, n)
+        return sum(grid[q][n] for q in range(0, n + 1, M)) if M else value
     if method == "holonomic":
+        if order.M:
+            raise DomainError("the twisted holonomic route applies to order 0 only")
         if fam not in _HOLONOMIC_Q:
             raise DomainError(f"no holonomic twisted total for family {fam.value}")
         return _holonomic(_TABLES[MonoidFamily.B].holonomic_twisted, _TWISTED_Q, n)

@@ -107,17 +107,19 @@ FAST_TOTALS = (
 
 
 def check_total_methods() -> CheckResult:
-    """Every other route of e_total and of exi_total at order 0 against the
-    first-piece recurrence: the formula at n <= ENGINE_MAX_N, the holonomic
-    and closed routes at n <= FAST_ROUTE_MAX_N."""
+    """Every other route of e_total and of exi_total against the
+    first-piece recurrence: the formula at n <= ENGINE_MAX_N (exi_total at
+    twist orders 0 to 4), the holonomic and closed routes at
+    n <= FAST_ROUTE_MAX_N."""
     cases = []
     for fam in FAMILIES:
         for n in range(ENGINE_MAX_N + 1):
+            cases.append((("e_total({.value},{}) formula vs recurrence", fam, n),
+                          e_total(fam, n, "formula"), e_total(fam, n, "recurrence")))
             cases += [
-                (("e_total({.value},{}) formula vs recurrence", fam, n),
-                 e_total(fam, n, "formula"), e_total(fam, n, "recurrence")),
-                (("exi_total({.value},{},order 0) formula vs recurrence", fam, n),
-                 exi_total(fam, n, 0, "formula"), exi_total(fam, n, 0, "recurrence")),
+                (("exi_total({.value},{},order {}) formula vs recurrence", fam, n, order),
+                 exi_total(fam, n, order, "formula"), exi_total(fam, n, order, "recurrence"))
+                for order in range(5)
             ]
     for n in range(FAST_ROUTE_MAX_N + 1):
         cases += [

@@ -100,9 +100,9 @@ def test_count_bruteforce_rank_out_of_range_exits_2():
 
 
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
-    # order 0 has recurrences, far cheaper than the partition formula: the
-    # holonomic one for B and PB, the first-piece one for the others;
-    # positive orders have only the formula.  counting picks the route.
+    # the recurrences are far cheaper than the partition formula: order 0
+    # takes the holonomic one for B and PB, and every other order and
+    # family the first-piece one.  counting picks the route.
     seen = []
     routes = (("_first_piece", "recurrence"), ("_holonomic", "holonomic"), ("_partition_grid", "formula"))
     for name, route in routes:
@@ -115,7 +115,7 @@ def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
     formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
     assert formula.output.strip() == "1201"
-    assert seen == ["holonomic", "recurrence", "formula", "formula"]
+    assert seen == ["holonomic", "recurrence", "recurrence", "formula"]
 
 
 def test_count_holonomic():

@@ -111,6 +111,17 @@ def test_holonomic_and_closed_totals_match_the_recurrence():
             assert exi_total(fam, n, 0, "holonomic") == exi_total(fam, n, 0, "recurrence"), (fam, n)
 
 
+def test_closed_totals_are_kept(monkeypatch):
+    # a second call reads the family's table and does not recompute the sum
+    _fresh_tables(monkeypatch)
+    for fam in (T, I):
+        value = e_total(fam, 30, "closed")
+        totals = counting._TABLES[fam].closed_totals
+        assert totals == {30: value}
+        totals[30] = -1
+        assert e_total(fam, 30, "closed") == e_total(fam, 30) == -1
+
+
 def test_a_route_the_family_lacks_is_refused():
     for fam in (P, T, I, IDUAL):
         with pytest.raises(DomainError):
@@ -290,8 +301,37 @@ def test_exi_total_higher_orders():
     for n in range(7):
         assert exi_total(B, n, 2) <= e_total(B, n)
         assert exi_total(B, n, 2) >= exi_total(B, n, 0)
-    with pytest.raises(DomainError):
-        exi_total(B, 4, 2, "recurrence")
+    # the holonomic route counts rank-1 pieces only, so it has order 0 alone
+    for order in (1, 2):
+        with pytest.raises(DomainError):
+            exi_total(B, 4, order, "holonomic")
+
+
+def test_twisted_grid_matches_the_formula_at_every_order():
+    # the grid's row q counts the idempotents with q rank-0 pieces, the
+    # formula the cells whose kernel classes minus rank is q; the default
+    # takes the grid at every positive order
+    for fam in ALL_FAMILIES:
+        for n in range((12 if fam is P else 20) + 1):
+            for order in range(6):
+                formula = exi_total(fam, n, order, "formula")
+                assert exi_total(fam, n, order) == formula, (fam, n, order)
+                assert exi_total(fam, n, order, "recurrence") == formula, (fam, n, order)
+
+
+def test_twisted_grid_at_order_1_is_the_plain_total():
+    # every row of the grid, against the plain total's own one-row grid
+    for fam in ALL_FAMILIES:
+        for n in range((12 if fam is P else 60) + 1):
+            assert exi_total(fam, n, 1, "recurrence") == e_total(fam, n, "recurrence"), (fam, n)
+
+
+def test_an_order_above_n_is_order_0():
+    # q rank-0 pieces need q points, so only row 0 has q = 0 (mod M) once M > n
+    for fam in ALL_FAMILIES:
+        for n in range(13):
+            for order in (n + 1, n + 2, 2 * n + 5):
+                assert exi_total(fam, n, order) == exi_total(fam, n, 0), (fam, n, order)
 
 
 def test_positive_twist_orders_match_the_oracle():
@@ -306,50 +346,46 @@ class FormulaReached(Exception):
     pass
 
 
-class FirstPieceTotalReached(Exception):
-    pass
-
-
 def test_default_routes_are_chosen_in_counting(monkeypatch):
-    # with the partition formula out of reach, and the first-piece
-    # recurrence out of reach for the two totals, each default that takes
-    # neither still answers and each one that does raises.  The holonomic
-    # tables that grow show which totals take that route.
+    # with the partition formula out of reach, every default still answers,
+    # and the first-piece total grids are reached by exactly the defaults
+    # that take the recurrence.  The holonomic tables that grow show which
+    # totals take that route.
     expected = {
-        (fam, n): (e_total(fam, n, "formula"), exi_total(fam, n, 0, "formula"))
+        (fam, n): [e_total(fam, n, "formula")] + [exi_total(fam, n, order, "formula") for order in range(3)]
         for fam in ALL_FAMILIES for n in range(13)
     }
     _fresh_tables(monkeypatch)
     first_piece = counting._first_piece
+    reached = []
 
-    def rank_grids_only(fam, grid, *args):
+    def total_grids_seen(fam, grid, *args):
         tables = counting._TABLES[fam]
         if grid is tables.total or grid is tables.twisted:
-            raise FirstPieceTotalReached(fam)
+            reached.append(fam)
         return first_piece(fam, grid, *args)
+
+    def through_total_grid(query, *args):
+        # the answer, and whether a first-piece total grid gave it
+        reached.clear()
+        return query(*args), bool(reached)
 
     def refuse(fam, n):
         raise FormulaReached(fam, n)
 
-    monkeypatch.setattr(counting, "_first_piece", rank_grids_only)
+    monkeypatch.setattr(counting, "_first_piece", total_grids_seen)
     monkeypatch.setattr(counting, "_partition_grid", refuse)
     for fam in ALL_FAMILIES:
         for n in range(13):
-            total, twisted = expected[fam, n]
-            if fam in (P, IDUAL):  # the recurrence
-                with pytest.raises(FirstPieceTotalReached):
-                    e_total(fam, n)
-            else:  # holonomic for B and PB, closed for T and I
-                assert e_total(fam, n) == total, (fam, n)
-            if fam in (B, PB):  # holonomic
-                assert exi_total(fam, n) == exi_total(fam, n, 0) == twisted, (fam, n)
-            else:  # the recurrence
-                with pytest.raises(FirstPieceTotalReached):
-                    exi_total(fam, n)
-            assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
+            total, *twisted = expected[fam, n]
+            # the recurrence for P and Idual, holonomic for B and PB, closed for T and I
+            assert through_total_grid(e_total, fam, n) == (total, fam in (P, IDUAL)), (fam, n)
+            # holonomic at order 0 for B and PB, the recurrence otherwise
+            assert through_total_grid(exi_total, fam, n) == (twisted[0], fam not in (B, PB)), (fam, n)
+            assert exi_total(fam, n, 0) == twisted[0], (fam, n)
             for order in (1, 2):
-                with pytest.raises(FormulaReached):
-                    exi_total(fam, n, order)
+                assert through_total_grid(exi_total, fam, n, order) == (twisted[order], True), (fam, n)
+            assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
             with pytest.raises(FormulaReached):
                 exi_total(fam, n, 0, "formula")
     tables = counting._TABLES
@@ -358,6 +394,8 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     assert [len(tables[fam].holonomic_twisted) for fam in ALL_FAMILIES] == [0, 13, 0, 0, 0, 0]
     # where the formula would sweep the 204,226 integer partitions of 50
     assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
+    # recorded from exi_total("B", 40, 2, "formula"), which sweeps 37,338 partitions
+    assert exi_total("B", 40, 2) == 121273220826505220880148392889065087173300831911936
 
 
 def test_exi_rank_examples():
@@ -544,11 +582,12 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         "exi_rank": exi_rank,
         "e_total": e_total,
         "exi_total": lambda fam, n: exi_total(fam, n, 0, "recurrence"),
+        "exi_total order 2": lambda fam, n: exi_total(fam, n, 2),
     }
     keys = []
     for fam in (B, PB, T):
         for n in range(40):
-            keys += [("e_total", fam, n), ("exi_total", fam, n)]
+            keys += [("e_total", fam, n), ("exi_total", fam, n), ("exi_total order 2", fam, n)]
             keys += [(name, fam, n, r) for name in ("e_rank", "exi_rank") for r in range(n + 1)]
     expected = {key: queries[key[0]](*key[1:]) for key in keys}
     _fresh_tables(monkeypatch)

@@ -242,7 +242,7 @@ def test_oracle_twisted_total_takes_the_formula_route(monkeypatch):
 
 
 def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
-    # a twisted recurrence off by one fails every (family, n), named
+    # a twisted recurrence off by one fails every (family, n, order), named
     honest = verify.exi_total
 
     def recurrence_off_by_one(fam, n, t=0, method=None):
@@ -253,8 +253,8 @@ def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
-    # and each order-0 holonomic case of B and PB
-    cases = len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * (verify.FAST_ROUTE_MAX_N + 1)
+    # at twist orders 0 to 4, and each order-0 holonomic case of B and PB
+    cases = 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * (verify.FAST_ROUTE_MAX_N + 1)
     assert shown[4] == f"and {cases - 4} more"
 
 
