@@ -58,7 +58,10 @@ Rows of an entry:
   ``e_total_default`` at B5000: there its default, the recurrence, was
   not run (B2000 alone took 103 s).  ``pr17-parent`` lacks
   ``exi_total_order2`` at B250: there its default, the partition formula,
-  would sweep the 2.3·10^14 integer partitions of 250.
+  would sweep the 2.3·10^14 integer partitions of 250.  From
+  ``pr18-change`` the ``e_total`` row reads ``exi_total``'s grid at twist
+  order 1, two convolutions a cell (c0 and c1), where earlier entries made
+  one with the c0 + c1 column.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's

@@ -40,9 +40,9 @@ def grow_grid(grid: list[list[T]], i: int, j: int, entry: Callable[[int, int], T
     """grid[i][j], after growing rows 0..i of the grid to column j.
 
     The grid grows column by column, each column from row 0 down, so
-    entry(row, col) may read any cell of an earlier row up to column col
-    and its own row before col; the entries of one column run one after
-    another.  That fills O(i·j) cells, the rectangle a two-index recurrence
+    entry(row, col) may read any cell of rows 0..i before column col and
+    any cell of an earlier row in column col; the entries of one column
+    run one after another.  That fills O(i·j) cells, the rectangle a two-index recurrence
     at (i, j) can depend on.
     """
     if i < len(grid) and j < len(grid[i]):  # rows below i are at least as long

@@ -18,17 +18,18 @@ a polynomial coefficient, so each new term costs O(1) big-int products
 the largest index a query has needed.  Each splits an idempotent at the
 irreducible piece holding its first point, and each is a grid grown by
 grow_grid through one helper (_first_piece) and one entry (_piece_entry):
-a new cell is a binomial convolution of a c-value column with an earlier
-row, summed in C.  The two rank grids are indexed by rank and n; e_total
-is the same table with no rank index, one row.  exi_total's grid is
-indexed by the number q of rank-0 pieces, the twist exponent, and n: a
-twist of order M keeps the rows q = 0 (mod M), and order 0 reads row 0.
-A grid grows column by column, so the weight rows of one column
-(_weights), and the row of Pascal's triangle carried from each column to
-the next, serve every row that column needs.  Each family's tables sit
-in one _FamilyTables.  The partition routes share one sweep over the
-integer partitions of n per (family, n): it fills a grid by kernel
-classes and rank, and each route is a sum over part of that grid.
+a new cell is a binomial convolution of a c-value column with a row,
+summed in C.  The two rank grids are indexed by rank and n.  exi_total
+keeps one grid per twist order M, indexed by the number of rank-0 pieces
+mod M, the twist exponent, and n: order 0 has the one row of rank-1
+pieces, order M > 0 grows M rows and reads row 0, and order 1's row is
+e_total's recurrence.  A grid grows column by column, so the weight rows
+of one column (_weights), and the row of Pascal's triangle carried from
+each column to the next, serve every row that column needs.  Each
+family's tables sit in one _FamilyTables.  The partition routes share
+one sweep over the integer partitions of n per (family, n): it fills a
+grid by kernel classes and rank, and each route is a sum over part of
+that grid.
 """
 
 from __future__ import annotations
@@ -73,14 +74,13 @@ class CountTable:
 class _FamilyTables:
     """One family's bottom-up tables, each as long as queries have needed."""
 
-    # the c-value columns c0, c1 and c0 + c1; column[m - 1] is the value at m
-    c: tuple[list[int], list[int], list[int]] = field(default_factory=lambda: ([], [], []))
+    # the c-value columns c0 and c1; column[m - 1] is the value at m
+    c: tuple[list[int], list[int]] = field(default_factory=lambda: ([], []))
     # each c-value column's length up to its last nonzero value
-    c_support: list[int] = field(default_factory=lambda: [0, 0, 0])
-    # the first-piece grids, [r][n]; e_total has the one row r = 0, and
-    # exi_total's rows count rank-0 pieces, not rank
-    total: list[list[int]] = field(default_factory=list)  # e_total
-    twisted: list[list[int]] = field(default_factory=list)  # exi_total
+    c_support: list[int] = field(default_factory=lambda: [0, 0])
+    # the first-piece grids, [r][n]; exi_total's, one per twist order M, count
+    # rank-0 pieces mod M, not rank, and order 1's serves e_total's recurrence
+    twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
     # the holonomic tables, [n], B and PB only; B's order-0 table serves PB too
@@ -100,7 +100,6 @@ _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
 
 _Grid = list[list[int]]
 _Pieces = tuple[tuple[int, int], ...]  # (c-value column, rank) of each kind of piece
-_Row0 = Callable[[MonoidFamily, int], int]
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +117,8 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 # --------------------------------------------------------------------------
 # c-values: irreducible idempotent counts by rank (0 or 1) per family
 
-def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int, int]:
-    """(c0, c1, c0 + c1) on n >= 1 points, the entries of the c-value table."""
+def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
+    """(c0, c1) on n >= 1 points, the entries of the c-value table."""
     if fam is MonoidFamily.P:
         c0 = sum(e_nrs(n, r, s) for r in range(1, n + 1) for s in range(1, n + 1))
         c1 = sum(
@@ -140,7 +139,7 @@ def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int, int]:
         c0, c1 = 0, 1
     else:  # pragma: no cover - the enum is closed
         raise DomainError(f"unknown family {fam!r}")
-    return c0, c1, c0 + c1
+    return c0, c1
 
 
 def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
@@ -150,15 +149,15 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
         raise DomainError(f"c-values need n >= 1, got {n}")
     tables = _TABLES[fam]
     columns = tables.c
-    if len(columns[2]) < n:
+    if len(columns[0]) < n:
         with _GROWING:
-            for m in range(len(columns[2]) + 1, n + 1):
+            for m in range(len(columns[0]) + 1, n + 1):
                 for which, value in enumerate(_irreducible(fam, m)):
                     columns[which].append(value)
                     if value:
                         tables.c_support[which] = m
-    c0, c1, c = columns
-    return c0[n - 1], c1[n - 1], c[n - 1]
+    c0, c1 = columns[0][n - 1], columns[1][n - 1]
+    return c0, c1, c0 + c1
 
 
 def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
@@ -170,7 +169,7 @@ def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
 
 def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
     """[C(j-1, m-1)·c[m-1] for m = 1, ..., j], c the c-value column which
-    (0: c0, 1: c1, 2: c0 + c1): the ways to choose the other m - 1 points
+    (0: c0, 1: c1): the ways to choose the other m - 1 points
     of the first point's piece and an irreducible piece on them.  The row
     stops at the last nonzero c-value, so I's rows hold one weight.
 
@@ -191,44 +190,38 @@ def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
     return rows[which]
 
 
-def _first_piece(
-    fam: MonoidFamily, grid: _Grid, pieces: _Pieces, r: int, n: int, row0: _Row0 | None = None
-) -> int:
+def _first_piece(fam: MonoidFamily, grid: _Grid, pieces: _Pieces, r: int, n: int, M: int = 0) -> int:
     """Cell (r, n) of one of the family's first-piece grids, grown there by
-    _piece_entry with these pieces and, if given, row 0 from row0."""
+    _piece_entry with these pieces, and rows taken mod M if M > 0."""
     try:  # a grown cell needs no c-values
         return grid[r][n]
     except IndexError:
         pass
-    entry = partial(_piece_entry, fam, _grown(fam, n), grid, pieces, row0)
+    entry = partial(_piece_entry, _grown(fam, n), grid, pieces, M)
     return grow_grid(grid, r, n, entry)
 
 
-def _piece_entry(
-    fam: MonoidFamily, tables: _FamilyTables, grid: _Grid, pieces: _Pieces, row0: _Row0 | None,
-    r: int, j: int,
-) -> int:
-    """Cell (r, j) of a first-piece grid: zero below the diagonal, 1 at
-    (0, 0), the empty diagram, and row0(fam, j) in row 0 if row0 is given.
+def _piece_entry(tables: _FamilyTables, grid: _Grid, pieces: _Pieces, M: int, r: int, j: int) -> int:
+    """Cell (r, j) of a first-piece grid: zero below the diagonal and 1 at
+    (0, 0), the empty diagram.
 
     Any other idempotent on j points splits into the irreducible piece on
     the m points joined to the first point, taking d of the r ranks, and an
-    idempotent of rank r - d on the other j - m.  Each (which, d) in pieces
-    with d <= r adds that sum over m: the weights of c-value column which
-    times row r - d backwards, stopped where that row is still zero or the
-    weights end.
+    idempotent of rank r - d on the other j - m, in row (r - d) mod M if
+    M > 0.  Each (which, d) in pieces adds that sum over m: the weights of
+    c-value column which times that row backwards, stopped where the row
+    is still zero (row i below column i) or the weights end.
     """
     if j < r:
         return 0
-    if r == 0 and row0:
-        return row0(fam, j)
     if j == 0:
         return 1
     total = 0
     for which, d in pieces:
-        if d <= r:
+        src = (r - d) % M if M else r - d
+        if 0 <= src < j:
             weights = _weights(tables, which, j)
-            rest = grid[r - d][max(r - d, j - len(weights)) : j]
+            rest = grid[src][max(src, j - len(weights)) : j]
             total += sum(map(mul, weights, reversed(rest)))
     return total
 
@@ -243,7 +236,7 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     """
     grids = _TABLES[fam].partition_grids
     if n not in grids:
-        c0s, c1s, _ = _grown(fam, n).c
+        c0s, c1s = _grown(fam, n).c
         grid = [[0] * (k + 1) for k in range(n + 1)]
         for spec in integer_partitions(n):
             poly = [1]
@@ -292,8 +285,8 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
     if method is None:
         method = _E_TOTAL_ROUTE.get(fam, "recurrence")
     if method == "recurrence":
-        # the first point's piece is any irreducible one
-        return _first_piece(fam, _TABLES[fam].total, ((2, 0),), 0, n)
+        # the first point's piece is any irreducible one: twist order 1
+        return _twisted_total(fam, n, 1)
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
     if method == "holonomic":
@@ -382,7 +375,7 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
     if method in (None, "recurrence"):
         # the first point's piece has rank 0 or 1
-        return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n, _rank0_idempotents)
+        return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n)
     if method == "mu_sum":
         return sum(row[r] for row in _partition_grid(fam, n)[r:])
     if method == "closed":
@@ -390,16 +383,6 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
             raise DomainError(f"no closed per-rank form for family {fam.value}")
         return _closed_rank_row(fam, n)[r]
     raise DomainError(f"unknown e_rank method {method!r}")
-
-
-def _rank0_idempotents(fam: MonoidFamily, n: int) -> int:
-    """Idempotents of rank 0: any upper half with any lower half, so the
-    square of the number of rank-0 R-classes."""
-    if fam in (MonoidFamily.P, MonoidFamily.B, MonoidFamily.PB):
-        return rho(fam, n) ** 2
-    # T forces a full upper domain and Idual full domains on both sides,
-    # so neither contains a rank-0 element once n >= 1
-    return 1 if n == 0 or fam is MonoidFamily.I else 0
 
 
 def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
@@ -533,22 +516,21 @@ def b_nr(n: int, r: int) -> int:
 # --------------------------------------------------------------------------
 # twisted-algebra counts
 
-def exi_total(
-    f: MonoidFamily | str,
-    n: int,
-    t: TwistOrder | int = 0,
-    method: str | None = None,
-) -> int:
+def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: str | None = None) -> int:
     """Number of twisted idempotents for the given twist order.
 
     method is "formula", "recurrence" or "holonomic" (B and PB at order 0
     only, one route for both, whose rank-1 pieces agree; see _holonomic).
     The formula keeps the grid cells whose self-product exponent, kernel
     classes minus rank, the twist annihilates; that exponent is the number
-    of rank-0 pieces, which the recurrence's grid counts.  None, the
+    of rank-0 pieces, which the recurrence's grid counts mod M.  None, the
     default, takes the holonomic route at order 0 for B and PB and the
     recurrence otherwise (order 1 collapses to the plain count).  A route
     the family or order lacks raises DomainError.
+
+    Each order grows its own grid of M rows, O(M·n²) products (one row
+    once M > n), so a sweep of every order at one n pays Σ M·n², not the
+    O(n³) of one grid by every count of rank-0 pieces.
     """
     fam = as_family(f)
     order = as_twist_order(t)
@@ -559,12 +541,7 @@ def exi_total(
     if method is None:
         method = "holonomic" if fam in _HOLONOMIC_Q and not order.M else "recurrence"
     if method == "recurrence":
-        # row q holds the idempotents with q pieces of rank 0: the first
-        # point's piece keeps q if it has rank 1 and raises it if rank 0.
-        # Order M keeps the rows q = 0 (mod M), and order 0 row 0 alone.
-        grid, M = _TABLES[fam].twisted, order.M
-        value = _first_piece(fam, grid, ((1, 0), (0, 1)), n - n % M if M else 0, n)
-        return sum(grid[q][n] for q in range(0, n + 1, M)) if M else value
+        return _twisted_total(fam, n, order.M)
     if method == "holonomic":
         if order.M:
             raise DomainError("the twisted holonomic route applies to order 0 only")
@@ -577,6 +554,20 @@ def exi_total(
         for r, count in enumerate(row)
         if order.annihilates(k - r)
     )
+
+
+def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
+    """Cell (0, n) of order M's grid, whose row i counts q = i (mod M) rank-0
+    pieces (order 0: q = 0).  Row i is zero below column i, so row 0 reads
+    no other row once M > n, and a grown row 0 is final."""
+    grids = _TABLES[fam].twisted
+    try:
+        return grids[M][0][n]
+    except (KeyError, IndexError):
+        grid = grids.setdefault(M, [])
+    # a rank-1 piece keeps q, and a rank-0 piece raises it by one
+    _first_piece(fam, grid, ((1, 0), (0, 1)), M - 1 if 0 < M <= n else 0, n, M)
+    return grid[0][n]
 
 
 def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> int:

@@ -136,6 +136,8 @@ def check_total_methods() -> CheckResult:
 
 
 def check_rank_methods() -> CheckResult:
+    """Every other route of e_rank against the recurrence, and rank 0 against
+    rho(f, n)² (P, B, PB; T and Idual have none once n >= 1, I has one)."""
     cases = []
     for fam in FAMILIES:
         methods = ("mu_sum", "closed") if fam in (B, PB) else ("mu_sum",)
@@ -145,6 +147,9 @@ def check_rank_methods() -> CheckResult:
                 for method in methods:
                     cases.append((("e_rank({.value},{},{}) {} vs recurrence", fam, n, r, method),
                                   e_rank(fam, n, r, method), rec))
+            rank0 = (rho(fam, n) ** 2 if fam in (MonoidFamily.P, B, PB)
+                     else int(n == 0 or fam is MonoidFamily.I))
+            cases.append((("e_rank({.value},{},0) vs rank-0 idempotents", fam, n), e_rank(fam, n, 0), rank0))
     return _compare("e_rank methods agree", cases)
 
 
@@ -222,9 +227,10 @@ def check_embedded_families() -> CheckResult:
 
 
 def check_twist_collapse() -> CheckResult:
+    # by the formula: order 1's grid is e_total's recurrence, P's and Idual's default
     return _compare("twist order 1 collapses to plain counts", (
-        (("exi_total({.value},{},order 1) vs e_total", fam, n),
-         exi_total(fam, n, 1), e_total(fam, n))
+        (("exi_total({.value},{},order 1) formula vs e_total", fam, n),
+         exi_total(fam, n, 1, "formula"), e_total(fam, n))
         for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
     ))
 

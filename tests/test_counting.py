@@ -320,10 +320,31 @@ def test_twisted_grid_matches_the_formula_at_every_order():
 
 
 def test_twisted_grid_at_order_1_is_the_plain_total():
-    # every row of the grid, against the plain total's own one-row grid
+    # order 1's one row, which e_total's recurrence reads, against the
+    # column sums of the rank grid, a grid of its own
     for fam in ALL_FAMILIES:
         for n in range((12 if fam is P else 60) + 1):
-            assert exi_total(fam, n, 1, "recurrence") == e_total(fam, n, "recurrence"), (fam, n)
+            rank_sum = sum(e_rank(fam, n, r) for r in range(n, -1, -1))
+            assert exi_total(fam, n, 1, "recurrence") == rank_sum, (fam, n)
+            assert e_total(fam, n, "recurrence") == rank_sum, (fam, n)
+
+
+def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
+    # each order's grid is first asked below M - 1, where it grows row 0
+    # alone, and then past M, where it grows all M rows over that row
+    keys = [(fam, n, order) for fam in (B, PB, T, IDUAL) for order in (2, 3, 7) for n in (0, 1, 4, 5, 9, 14, 20)]
+    expected = {key: exi_total(*key, "formula") for key in keys}
+    small = [key for key in keys if key[1] < key[2] - 1]
+    large = [key for key in keys if key[1] > key[2]]
+    _fresh_tables(monkeypatch)
+    rng = random.Random(7)
+    for fam, n, order in rng.sample(small, len(small)):
+        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+        assert len(counting._TABLES[fam].twisted[order]) == 1, (fam, n, order)
+    for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
+        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+    for fam in (B, PB, T, IDUAL):
+        assert [len(counting._TABLES[fam].twisted[order]) for order in (2, 3, 7)] == [2, 3, 7]
 
 
 def test_an_order_above_n_is_order_0():
@@ -350,30 +371,23 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     # with the partition formula out of reach, every default still answers,
     # and the first-piece total grids are reached by exactly the defaults
     # that take the recurrence.  The holonomic tables that grow show which
-    # totals take that route.
+    # totals take that route.  e_total's recurrence and order 1 share one
+    # grid, so a total grid is reached when one holds column n afterwards:
+    # each (family, n) asks a larger n than those before it.
     expected = {
         (fam, n): [e_total(fam, n, "formula")] + [exi_total(fam, n, order, "formula") for order in range(3)]
         for fam in ALL_FAMILIES for n in range(13)
     }
     _fresh_tables(monkeypatch)
-    first_piece = counting._first_piece
-    reached = []
 
-    def total_grids_seen(fam, grid, *args):
-        tables = counting._TABLES[fam]
-        if grid is tables.total or grid is tables.twisted:
-            reached.append(fam)
-        return first_piece(fam, grid, *args)
-
-    def through_total_grid(query, *args):
+    def through_total_grid(query, fam, n, *args):
         # the answer, and whether a first-piece total grid gave it
-        reached.clear()
-        return query(*args), bool(reached)
+        value = query(fam, n, *args)
+        return value, any(len(grid[0]) > n for grid in counting._TABLES[fam].twisted.values())
 
     def refuse(fam, n):
         raise FormulaReached(fam, n)
 
-    monkeypatch.setattr(counting, "_first_piece", total_grids_seen)
     monkeypatch.setattr(counting, "_partition_grid", refuse)
     for fam in ALL_FAMILIES:
         for n in range(13):
@@ -493,7 +507,7 @@ def test_weight_rows_of_i_hold_one_weight(monkeypatch):
     _fresh_tables(monkeypatch)
     assert e_rank(I, 30, 12) == math.comb(30, 12)  # the partial identities of rank 12
     assert exi_rank(I, 30, 30) == 1
-    assert counting._TABLES[I].c_support == [1, 1, 1]
+    assert counting._TABLES[I].c_support == [1, 1]
     column, _, rows = counting._TABLES[I].column
     assert column == 30 and rows and all(len(row) == 1 for row in rows.values())
 
@@ -582,12 +596,15 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         "exi_rank": exi_rank,
         "e_total": e_total,
         "exi_total": lambda fam, n: exi_total(fam, n, 0, "recurrence"),
+        "exi_total order 1": lambda fam, n: exi_total(fam, n, 1),
         "exi_total order 2": lambda fam, n: exi_total(fam, n, 2),
+        "exi_total order 3": lambda fam, n: exi_total(fam, n, 3),
     }
     keys = []
     for fam in (B, PB, T):
         for n in range(40):
-            keys += [("e_total", fam, n), ("exi_total", fam, n), ("exi_total order 2", fam, n)]
+            keys += [("e_total", fam, n), ("exi_total", fam, n)]
+            keys += [(f"exi_total order {order}", fam, n) for order in (1, 2, 3)]
             keys += [(name, fam, n, r) for name in ("e_rank", "exi_rank") for r in range(n + 1)]
     expected = {key: queries[key[0]](*key[1:]) for key in keys}
     _fresh_tables(monkeypatch)

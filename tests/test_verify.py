@@ -202,7 +202,7 @@ def test_tampered_c1_fails_oracle_sweep(monkeypatch):
     honest = counting._irreducible
 
     def tampered(fam, n):
-        return (0, 7, 7) if (fam, n) == (B, 3) else honest(fam, n)
+        return (0, 7) if (fam, n) == (B, 3) else honest(fam, n)
 
     monkeypatch.setattr(counting, "_irreducible", tampered)
     monkeypatch.setattr(
