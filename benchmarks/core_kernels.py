@@ -32,15 +32,19 @@ Rows of an entry:
 - ``counting_ms``: milliseconds of the counting recurrences, each pass
   on fresh counting tables (``counting._TABLES``; the tables of
   ``combinat`` stay warm except in ``c_values``).  ``e_rank_triangle`` is
-  ``e_rank(fam, 80, 80)``, which grows every rank of B or PB up to n = 80,
-  and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``, the same for the
-  twisted ranks; ``e_total`` and
+  ``e_rank(fam, 80, 80, "recurrence")``, which grows every rank of B or PB
+  up to n = 80, and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``,
+  the same for the twisted ranks; ``e_rank_default`` asks
+  ``e_rank(fam, n, r)`` with no route for r = n, ..., 0, one full rank row
+  by the library's default, at each (fam, n) in ``DEFAULT_RANKS``;
+  ``e_total`` and
   ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
   order 0) for each family in ``WIDE_FAMILIES``; ``e_total_default`` is
   ``e_total(fam, n)`` with no route, the library's default total, at each
   (fam, n) in ``DEFAULT_TOTALS``; ``e_rank_cells`` asks
-  ``e_rank(fam, n, r)`` cell by cell for every n <= 10 and r <= n in every
-  family, the order ``check_rank_methods`` of ``diagmon verify`` uses.
+  ``e_rank(fam, n, r, "recurrence")`` cell by cell for every n <= 10 and
+  r <= n in every family, lowest rank first, the order ``check_rank_methods``
+  of ``diagmon verify`` used up to ``pr18-change``.
   ``exi_total_default`` is ``exi_total(fam, n)`` with no order and no
   route, the library's default twisted total, for B and PB at n = 40 and
   P at n = 20, and ``exi_total_order2`` is ``exi_total(fam, n, 2)``, the
@@ -61,7 +65,12 @@ Rows of an entry:
   would sweep the 2.3·10^14 integer partitions of 250.  From
   ``pr18-change`` the ``e_total`` row reads ``exi_total``'s grid at twist
   order 1, two convolutions a cell (c0 and c1), where earlier entries made
-  one with the c0 + c1 column.
+  one with the c0 + c1 column.  Up to ``pr18-change`` the
+  ``e_rank_triangle`` and ``e_rank_cells`` rows took the default route,
+  which was the recurrence for every family; entries before
+  ``pr19-parent`` lack ``e_rank_default``.  ``pr19-parent`` has every
+  size of it: there the default was the rank grid, which takes a few
+  seconds at PB250, well under a minute.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -135,6 +144,7 @@ TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
+DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250))
 ORDER_2_TWISTED = (("B", 40), ("B", 250))
 COLD_PAIRS_N = (20, 30)
 
@@ -224,14 +234,23 @@ def cold_pairs_ms(n: int) -> float:
 def rank_cells(fam: str) -> None:
     for n in range(CELLS_N + 1):
         for r in range(n + 1):
-            counting.e_rank(fam, n, r)
+            counting.e_rank(fam, n, r, "recurrence")
+
+
+def rank_row(fam: str, n: int) -> None:
+    for r in range(n, -1, -1):
+        counting.e_rank(fam, n, r)
 
 
 def counting_rows() -> tuple[dict, list[float]]:
     passes = {}
-    for name, query in (("e_rank_triangle", counting.e_rank), ("exi_rank_triangle", counting.exi_rank)):
-        for fam in ("B", "PB"):
-            passes[name, f"{fam}{TRIANGLE_N}"] = partial(cold_ms, query, fam, TRIANGLE_N, TRIANGLE_N)
+    for fam in ("B", "PB"):
+        label = f"{fam}{TRIANGLE_N}"
+        passes["e_rank_triangle", label] = partial(
+            cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N, "recurrence")
+        passes["exi_rank_triangle", label] = partial(cold_ms, counting.exi_rank, fam, TRIANGLE_N, TRIANGLE_N)
+    for fam, n in DEFAULT_RANKS:
+        passes["e_rank_default", f"{fam}{n}"] = partial(cold_ms, rank_row, fam, n)
     for fam in WIDE_FAMILIES:
         passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N, "recurrence")
         passes["exi_total", f"{fam}{WIDE_N}"] = partial(

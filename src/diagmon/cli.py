@@ -71,7 +71,7 @@ def main() -> None:
 @click.option("--M", "m_order", type=int, default=None, help="Twist order (0 = no finite order).")
 @click.option(
     "--method",
-    type=click.Choice(["formula", "recurrence", "holonomic", "mu_sum", "closed", "bruteforce"]),
+    type=click.Choice(["formula", "recurrence", "holonomic", "mu_sum", "closed", "egf", "bruteforce"]),
     default=None,
     help="Computation route; defaults to the cheapest for the query.",
 )

@@ -9,8 +9,10 @@ A count asked for with no route takes the one chosen here, the cheapest
 this module has for that family: e_total takes the holonomic recurrence
 for B and PB, the closed form for T and I, and the first-piece recurrence
 for P and Idual; exi_total takes the holonomic recurrence at order 0 for B
-and PB and the first-piece recurrence otherwise; e_rank and exi_rank take
-the first-piece recurrence.
+and PB and the first-piece recurrence otherwise; e_rank takes a row of
+every rank read off the bivariate EGF for B, PB, T and I, and the
+first-piece recurrence for P and Idual; exi_rank takes the first-piece
+recurrence.
 
 The holonomic recurrences tie a total to its four predecessors, each with
 a polynomial coefficient, so each new term costs O(1) big-int products
@@ -37,8 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Callable
+from typing import Callable, Iterator
 
 from .combinat import (
     _GROWING,
@@ -93,6 +96,7 @@ class _FamilyTables:
         default_factory=lambda: (1, [1], {})
     )
     closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
+    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB, T, I only
     closed_totals: dict[int, int] = field(default_factory=dict)  # T, I only
 
 
@@ -364,16 +368,41 @@ def _holonomic_entry(table: list[int], q: tuple[int, ...], m: int) -> int:
 # --------------------------------------------------------------------------
 # per-rank idempotent counts
 
+# the route of each family's per-rank count when none is named: a row of
+# every rank off the bivariate EGF where the family has one.  Every family
+# has an entry, since a subscript costs less than .get on a warm hit.
+_E_RANK_ROUTE = {
+    MonoidFamily.P: "recurrence",
+    MonoidFamily.B: "egf",
+    MonoidFamily.PB: "egf",
+    MonoidFamily.T: "egf",
+    MonoidFamily.I: "egf",
+    MonoidFamily.IDUAL: "recurrence",
+}
+
+
 def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> int:
     """Number of idempotents of rank exactly r.
 
-    method is "mu_sum", "recurrence" or "closed" (B and PB only); None, the
-    default, takes the recurrence, whose grid serves every later cell.
+    method is "mu_sum", "recurrence", "closed" (B and PB only) or "egf"
+    (B, PB, T and I only, one row of every rank per n; see _egf_rank_row).
+    None, the default, takes the egf route for B, PB, T and I, and the
+    recurrence, whose grid serves every later cell, for P and Idual.  A
+    route the family lacks raises DomainError.
     """
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
-    if method in (None, "recurrence"):
+    if method is None:
+        method = _E_RANK_ROUTE[fam]
+    if method == "egf":
+        rows = _TABLES[fam].egf_rank_rows
+        try:
+            return rows[n][r]
+        except KeyError:
+            rows[n] = row = _egf_rank_row(fam, n)
+            return row[r]
+    if method == "recurrence":
         # the first point's piece has rank 0 or 1
         return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n)
     if method == "mu_sum":
@@ -383,6 +412,76 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
             raise DomainError(f"no closed per-rank form for family {fam.value}")
         return _closed_rank_row(fam, n)[r]
     raise DomainError(f"unknown e_rank method {method!r}")
+
+
+# L(j), the sets of lists on j points (OEIS A000262), PB's rank-0 free part
+_SETS_OF_LISTS: list[int] = [1, 1]
+
+
+def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
+    """row[r] = e_rank(n, r) for r = 0..n, B, PB, T or I, read off the
+    bivariate EGF of the rank grid.
+
+    The first-piece recurrence marks each rank-1 piece with x, so by the
+    exponential formula (Flajolet and Sedgewick, Analytic Combinatorics,
+    ch. II and III) the grid is e(n, r) = n!·[t^n x^r] exp(C0(t) + x·C1(t)),
+    C0 and C1 being the EGFs Σ c(m)·t^m/m! of the c-value columns, and so
+    e(n, r) = n!/r!·[t^n] exp(C0)·C1^r.
+
+    B: c0 = (m-1)! at even m and c1 = m! at odd m, so C0 = -½·log(1 - t²)
+    and C1 = t/(1 - t²).  With n - r = 2k that is n!/r!·[t^2k]
+    (1 - t²)^-(r+½) = n!/(r!·k!·2^k)·Π_{l<k}(2r + 2l + 1), and n!/(r!·k!·2^k)
+    = C(n, r)·(2k - 1)!!, so e(n, r) = C(n, r)·Π_{l<k}(2l + 1)(2r + 2l + 1);
+    it is zero when n - r is odd.
+
+    PB: c0 = (m+1)·(m-1)! = m! + (m-1)! at even m and m! at odd m, so
+    C0 = t/(1 - t) - ½·log(1 - t²), and C1 is B's.  The EGF is B's times
+    exp(t/(1 - t)) = Σ L(j)·t^j/j!, the sets of lists, a binomial
+    convolution: e(n, r) = Σ_j C(n, j)·e_B(j, r)·L(n - j), which with
+    j = r + 2i is C(n, r)·Σ_i C(n - r, 2i)·Π_{l<i}(2l + 1)(2r + 2l + 1)
+    ·L(n - r - 2i).  L′ = L/(1 - t)² gives L(j) = (2j - 1)·L(j - 1)
+    - (j - 1)(j - 2)·L(j - 2) from L(0) = L(1) = 1.
+
+    T: c1 = m and c0 = 0, so C1 = t·e^t and e(n, r) = C(n, r)·r^(n-r), an
+    image of r fixed points and a map of the rest into it (0^0 = 1).
+
+    I: c0 = c1 = 1 at m = 1 only, so C0 = C1 = t and e(n, r) = C(n, r).
+
+    A row of B or T costs O(n²) products of a big int by a small one, and
+    one of PB O(n²) big-int products, against O(n³) for the rank grid.  P
+    and Idual, which keep the recurrence, raise DomainError.
+    """
+    if fam is MonoidFamily.B:
+        return [
+            math.comb(n, r) * math.prod(_pair_factors(r, n - r)) if (n - r) % 2 == 0 else 0
+            for r in range(n + 1)
+        ]
+    if fam is MonoidFamily.PB:
+        lists = grow(_SETS_OF_LISTS, n, _sets_of_lists_entry)
+        row = []
+        for r in range(n + 1):
+            m = n - r
+            # C(m, 2i)·L(m - 2i) and Π_{l<i}(2l + 1)(2r + 2l + 1), for i = 0..m // 2
+            free = map(mul, map(math.comb, repeat(m), range(0, m + 1, 2)), lists[m::-2])
+            pairs = accumulate(_pair_factors(r, m), mul, initial=1)
+            row.append(math.comb(n, r) * sum(map(mul, free, pairs)))
+        return row
+    if fam is MonoidFamily.T:
+        return [math.comb(n, r) * r ** (n - r) for r in range(n + 1)]
+    if fam is MonoidFamily.I:
+        return [math.comb(n, r) for r in range(n + 1)]
+    raise DomainError(f"no egf per-rank route for family {fam.value}")
+
+
+def _pair_factors(r: int, m: int) -> Iterator[int]:
+    """(2l + 1)(2r + 2l + 1) for l < m // 2: the l-th pair of m free points
+    beside r transversals in B's rank-r count."""
+    return map(mul, range(1, m, 2), range(2 * r + 1, 2 * r + m, 2))
+
+
+def _sets_of_lists_entry(j: int) -> int:
+    lists = _SETS_OF_LISTS
+    return (2 * j - 1) * lists[j - 1] - (j - 1) * (j - 2) * lists[j - 2]
 
 
 def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
@@ -585,9 +684,10 @@ def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> 
 # --------------------------------------------------------------------------
 # derived helpers
 #
-# Each asks for its highest rank first: that one query grows every lower
-# row of the rank grid column by column, where the lowest rank first would
-# grow one row at a time and remake each column's weights for every row.
+# Each asks for its highest rank first.  For P and Idual, whose default is
+# the rank grid, that one query grows every lower row column by column,
+# where the lowest rank first would grow one row at a time and remake each
+# column's weights for every row; the other families read one egf row.
 
 def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
     """Number of elements lying in a subgroup: r! per idempotent of rank r."""

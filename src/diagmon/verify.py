@@ -7,7 +7,8 @@ sweeps of the smallest monoids.  Full widens the sweeps and adds the
 Green-relation cross-checks and the per-R-class uniformity claims.  Each
 (family, n) is swept once, into one brute_report every sweep check reads.
 
-A failure names the identity and the indices at which it broke; known
+A failure names the identity and the indices at which it broke, and a
+check that raises is a failure naming the check and the exception; known
 reference-data discrepancies are expected and reported as passes with a
 note, since the recomputed values are what the package stands behind.
 """
@@ -18,6 +19,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
+from pathlib import Path
 
 from .combinat import bell, binomial, e_nrs
 from .core import MonoidFamily, _glue, _kernel_classes, _labels, _partition
@@ -104,13 +106,25 @@ B, PB = MonoidFamily.B, MonoidFamily.PB
 FAST_TOTALS = (
     (B, "holonomic"), (PB, "holonomic"), (MonoidFamily.T, "closed"), (MonoidFamily.I, "closed"),
 )
+# the routes of e_rank besides the recurrence, by family
+RANK_ROUTES = {
+    B: ("mu_sum", "closed", "egf"),
+    PB: ("mu_sum", "closed", "egf"),
+    MonoidFamily.T: ("mu_sum", "egf"),
+    MonoidFamily.I: ("mu_sum", "egf"),
+}
+# the n at which the egf rank rows of B and PB are summed against the
+# holonomic totals
+EGF_ROW_SUMS_N = (20, 40, 60)
 
 
 def check_total_methods() -> CheckResult:
     """Every other route of e_total and of exi_total against the
     first-piece recurrence: the formula at n <= ENGINE_MAX_N (exi_total at
     twist orders 0 to 4), the holonomic and closed routes at
-    n <= FAST_ROUTE_MAX_N."""
+    n <= FAST_ROUTE_MAX_N.  And the holonomic totals of B and PB against
+    the sums of their egf rank rows, which serve n far past the rank
+    grid's reach, at EGF_ROW_SUMS_N."""
     cases = []
     for fam in FAMILIES:
         for n in range(ENGINE_MAX_N + 1):
@@ -132,6 +146,11 @@ def check_total_methods() -> CheckResult:
              exi_total(fam, n, 0, "holonomic"), exi_total(fam, n, 0, "recurrence"))
             for fam in (B, PB)
         ]
+    cases += [
+        (("sum of e_rank({.value},{},r) egf vs holonomic e_total", fam, n),
+         sum(e_rank(fam, n, r, "egf") for r in range(n + 1)), e_total(fam, n, "holonomic"))
+        for fam in (B, PB) for n in EGF_ROW_SUMS_N
+    ]
     return _compare("total routes agree", cases)
 
 
@@ -140,9 +159,11 @@ def check_rank_methods() -> CheckResult:
     rho(f, n)² (P, B, PB; T and Idual have none once n >= 1, I has one)."""
     cases = []
     for fam in FAMILIES:
-        methods = ("mu_sum", "closed") if fam in (B, PB) else ("mu_sum",)
+        methods = RANK_ROUTES.get(fam, ("mu_sum",))
         for n in range(ENGINE_MAX_N + 1):
-            for r in range(n + 1):
+            # the top rank first grows the rank grid a column at a time, where
+            # the lowest rank first would grow it a row at a time
+            for r in range(n, -1, -1):
                 rec = e_rank(fam, n, r, "recurrence")
                 for method in methods:
                     cases.append((("e_rank({.value},{},{}) {} vs recurrence", fam, n, r, method),
@@ -158,8 +179,8 @@ def check_rank_sums() -> CheckResult:
     every family but P and Idual is a route of its own (holonomic or closed),
     not the first-piece recurrence the rank grids share."""
     return _compare("per-rank counts sum to totals", (
-        (("sum of e_rank({.value},{},r) vs e_total", fam, n),
-         sum(e_rank(fam, n, r) for r in range(n + 1)), e_total(fam, n))
+        (("sum of e_rank({.value},{},r) recurrence vs e_total", fam, n),
+         sum(e_rank(fam, n, r, "recurrence") for r in range(n + 1)), e_total(fam, n))
         for fam in FAMILIES for n in range(ENGINE_MAX_N + 1)
     ))
 
@@ -396,34 +417,54 @@ FULL_SWEEPS = ((MonoidFamily.P, 4), (MonoidFamily.B, 6), (MonoidFamily.PB, 5))
 GREEN_SWEEPS = ((MonoidFamily.P, 2), (MonoidFamily.P, 3), (MonoidFamily.B, 4))
 
 
+QUICK_CHECKS = (
+    "check_total_methods",
+    "check_rank_methods",
+    "check_rank_sums",
+    "check_parity_zeros",
+    "check_rclass_reconstruction",
+    "check_twisted_reconstruction",
+    "check_embedded_families",
+    "check_twist_collapse",
+    "check_reference_tables",
+)
+
+
+def _run(name: str, *args: object) -> CheckResult:
+    """The check of that name on args.  It is looked up in the module when
+    it runs, so a wrapper set on the module's attribute is what runs.  A
+    check that raises is a FAIL line naming it, what it raised and the
+    innermost frame, and the checks after it still run."""
+    try:
+        return globals()[name](*args)
+    except Exception as exc:
+        shown = f"({', '.join(str(getattr(a, 'value', a)) for a in args)})" if args else ""
+        tb = exc.__traceback__
+        while tb.tb_next:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{code.co_name} ({Path(code.co_filename).name}:{tb.tb_lineno})"
+        return CheckResult(f"{name}{shown}", False, f"raised {exc!r} in {where}")
+
+
 def run_quick() -> VerificationReport:
-    checks = [
-        check_total_methods(),
-        check_rank_methods(),
-        check_rank_sums(),
-        check_parity_zeros(),
-        check_rclass_reconstruction(),
-        check_twisted_reconstruction(),
-        check_embedded_families(),
-        check_twist_collapse(),
-        check_reference_tables(),
-        check_enrs_oracle(4),
-    ]
+    checks = [_run(name) for name in QUICK_CHECKS]
+    checks.append(_run("check_enrs_oracle", 4))
     for fam, n in QUICK_SWEEPS:
-        checks.append(check_oracle_counts(fam, n))
-        checks.append(check_idempotency_agreement(fam, n))
+        checks.append(_run("check_oracle_counts", fam, n))
+        checks.append(_run("check_idempotency_agreement", fam, n))
     return VerificationReport("quick", tuple(checks))
 
 
 def run_full() -> VerificationReport:
     checks = list(run_quick().checks)
     for fam, n in FULL_SWEEPS:
-        checks.append(check_oracle_counts(fam, n))
-        checks.append(check_idempotency_agreement(fam, n))
-    checks.append(check_enrs_oracle(5))
+        checks.append(_run("check_oracle_counts", fam, n))
+        checks.append(_run("check_idempotency_agreement", fam, n))
+    checks.append(_run("check_enrs_oracle", 5))
     for fam, n in ((MonoidFamily.B, 6), (MonoidFamily.PB, 5)):
-        checks.append(check_rclass_uniformity(fam, n))
-        checks.append(check_rho_against_signatures(fam, n))
+        checks.append(_run("check_rclass_uniformity", fam, n))
+        checks.append(_run("check_rho_against_signatures", fam, n))
     for fam, n in GREEN_SWEEPS:
-        checks.append(check_green_orbits(fam, n))
+        checks.append(_run("check_green_orbits", fam, n))
     return VerificationReport("full", tuple(checks))

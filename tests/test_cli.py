@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from diagmon import cli, combinat, counting
+from diagmon import cli, combinat, counting, verify
 from diagmon.cli import main
 from diagmon.combinat import odd_double_factorial
 from diagmon.core import MonoidFamily, parse_diagram
@@ -133,8 +133,18 @@ def test_count_holonomic():
         assert (result.exit_code, result.output) == (0, f"{answer}\n"), args
 
 
+def test_count_egf_ranks():
+    for family in ("B", "PB", "T", "I"):
+        args = ("count", "--family", family, "--n", "9", "--rank", "3")
+        egf = run(*args, "--method", "egf")
+        assert (egf.exit_code, egf.output) == (0, run(*args, "--method", "recurrence").output), family
+
+
 def test_count_route_the_family_lacks_exits_2():
     for args in (
+        ("--family", "P", "--rank", "2", "--method", "egf"),
+        ("--family", "Idual", "--rank", "2", "--method", "egf"),
+        ("--family", "B", "--method", "egf"),
         ("--family", "P", "--method", "holonomic"),
         ("--family", "Idual", "--method", "closed"),
         ("--family", "B", "--M", "2", "--method", "holonomic"),
@@ -235,6 +245,19 @@ def test_verify_quick():
     assert result.exit_code == 0
     assert "all checks passed" in result.output
     assert "FAIL" not in result.output
+
+
+def test_verify_with_a_check_that_raises_exits_1(monkeypatch):
+    def broken():
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(verify, "check_total_methods", broken)
+    result = run("verify", "--profile", "quick")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "FAIL check_total_methods: raised IndexError" in result.output
+    assert result.output.splitlines()[-1] == "quick profile: 16 checks, FAILURES present"
 
 
 def test_verify_takes_no_cap():

@@ -175,6 +175,47 @@ def test_e_rank_units_and_parity():
                 assert e_rank(B, n, r) == 0
 
 
+def test_egf_ranks_match_the_other_routes():
+    for fam, top in ((B, 60), (PB, 60), (T, 30), (I, 30)):
+        for n in range(top + 1):
+            for r in range(n + 1):
+                assert e_rank(fam, n, r, "egf") == e_rank(fam, n, r, "recurrence"), (fam, n, r)
+    for fam in (B, PB):
+        for n in range(15):
+            for r in range(n + 1):
+                assert e_rank(fam, n, r, "egf") == e_rank(fam, n, r, "closed"), (fam, n, r)
+
+
+def test_egf_rank_rows_sum_to_the_holonomic_totals():
+    for fam in (B, PB):
+        assert sum(e_rank(fam, 250, r, "egf") for r in range(251)) == e_total(fam, 250, "holonomic")
+
+
+def test_egf_ranks_are_refused_for_p_and_idual():
+    for fam in (P, IDUAL):
+        with pytest.raises(DomainError):
+            e_rank(fam, 4, 2, "egf")
+
+
+def test_egf_rank_rows_are_kept(monkeypatch):
+    # the default takes the egf row and grows no rank grid; a second call
+    # reads the family's row and does not build it again
+    _fresh_tables(monkeypatch)
+    rows = {fam: [e_rank(fam, 30, r) for r in range(31)] for fam in (B, PB, T, I)}
+    for fam in (B, PB, T, I):
+        tables = counting._TABLES[fam]
+        assert tables.rank == [] and list(tables.egf_rank_rows) == [30], fam
+
+    def refuse(fam, n):
+        raise AssertionError(f"egf row of {fam.value} at {n} built again")
+
+    monkeypatch.setattr(counting, "_egf_rank_row", refuse)
+    for fam, row in rows.items():
+        assert [e_rank(fam, 30, r) for r in range(31)] == row, fam
+        assert e_rank(fam, 30, 7, "egf") == row[7], fam
+    assert rows[I] == [math.comb(30, r) for r in range(31)]  # the partial identities
+
+
 def test_e_rank_guards():
     with pytest.raises(DomainError):
         e_rank(B, 3, 4)
@@ -505,7 +546,7 @@ def test_weight_rows_of_i_hold_one_weight(monkeypatch):
     # I's only nonzero c-values sit at m = 1, so its grids multiply one
     # weight per cell; the digest test below shows the cells unchanged
     _fresh_tables(monkeypatch)
-    assert e_rank(I, 30, 12) == math.comb(30, 12)  # the partial identities of rank 12
+    assert e_rank(I, 30, 12, "recurrence") == math.comb(30, 12)  # the partial identities of rank 12
     assert exi_rank(I, 30, 30) == 1
     assert counting._TABLES[I].c_support == [1, 1]
     column, _, rows = counting._TABLES[I].column
@@ -544,7 +585,7 @@ def test_rank_grids_do_not_depend_on_query_order(monkeypatch):
                 assert e_total(fam, n) == expected[n, r, i], (name, fam, n)
                 value = exi_total(fam, n, 0, "recurrence")
             else:
-                assert e_rank(fam, n, r) == expected[n, r, i], (name, fam, n, r)
+                assert e_rank(fam, n, r, "recurrence") == expected[n, r, i], (name, fam, n, r)
                 value = exi_rank(fam, n, r)
             twisted.setdefault((n, r, i), set()).add(value)
     assert all(len(values) == 1 for values in twisted.values())
@@ -572,7 +613,8 @@ def test_first_piece_tables_match_their_digest(monkeypatch):
             digest.update(f"{fam.value} {n} {totals[0]} {totals[1]}\n".encode())
         for n in range((20 if deep else 40) + 1):
             for r in range(n + 1):
-                digest.update(f"{fam.value} {n} {r} {e_rank(fam, n, r)} {exi_rank(fam, n, r)}\n".encode())
+                ranks = e_rank(fam, n, r, "recurrence"), exi_rank(fam, n, r)
+                digest.update(f"{fam.value} {n} {r} {ranks[0]} {ranks[1]}\n".encode())
     assert digest.hexdigest() == _FIRST_PIECE_DIGEST
 
 
@@ -593,6 +635,7 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
     # a lost or doubled append would shift every later entry of a table
     queries = {
         "e_rank": e_rank,
+        "e_rank recurrence": lambda fam, n, r: e_rank(fam, n, r, "recurrence"),
         "exi_rank": exi_rank,
         "e_total": e_total,
         "exi_total": lambda fam, n: exi_total(fam, n, 0, "recurrence"),
@@ -605,7 +648,9 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         for n in range(40):
             keys += [("e_total", fam, n), ("exi_total", fam, n)]
             keys += [(f"exi_total order {order}", fam, n) for order in (1, 2, 3)]
-            keys += [(name, fam, n, r) for name in ("e_rank", "exi_rank") for r in range(n + 1)]
+            keys += [
+                (name, fam, n, r) for name in ("e_rank", "e_rank recurrence", "exi_rank") for r in range(n + 1)
+            ]
     expected = {key: queries[key[0]](*key[1:]) for key in keys}
     _fresh_tables(monkeypatch)
     results: dict = {}

@@ -184,6 +184,44 @@ def test_failures_past_four_are_counted(monkeypatch):
     assert shown[4] == f"and {cases - 4} more"
 
 
+def test_a_check_that_raises_is_a_fail_line(monkeypatch):
+    # the check is named with what it raised, and every other check still runs
+    def broken(*args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(verify, "check_total_methods", broken)
+    report = run_quick()
+    assert len(report.checks) == 16
+    failed = [c for c in report.checks if not c.ok]
+    assert len(failed) == 1
+    assert failed[0].line().startswith(
+        "FAIL check_total_methods: raised IndexError('list index out of range') in broken (test_verify.py:"
+    ), failed[0].line()
+    monkeypatch.setattr(verify, "check_oracle_counts", broken)
+    failed = [c.name for c in run_quick().checks if not c.ok]
+    sweeps = [f"check_oracle_counts({fam.value}, {n})" for fam, n in verify.QUICK_SWEEPS]
+    assert failed == ["check_total_methods", *sweeps]
+
+
+def test_checks_referee_the_egf_route(monkeypatch):
+    # an egf row off by one fails every (family, n, r) it serves, named,
+    # and past the rank grid's n the row sums of B and PB against the
+    # holonomic totals catch it
+    honest = verify.e_rank
+
+    def egf_off_by_one(fam, n, r, method=None):
+        return honest(fam, n, r, method) + (method == "egf")
+
+    monkeypatch.setattr(verify, "e_rank", egf_off_by_one)
+    shown = verify.check_rank_methods().detail.split("; ")
+    assert shown[0] == "e_rank(B,0,0) egf vs recurrence: 2 != 1", shown
+    cells = 4 * (verify.ENGINE_MAX_N + 1) * (verify.ENGINE_MAX_N + 2) // 2  # B, PB, T and I
+    assert shown[4] == f"and {cells - 4} more"
+    shown = verify.check_total_methods().detail.split("; ")
+    assert shown[0].startswith("sum of e_rank(B,20,r) egf vs holonomic e_total: "), shown
+    assert shown[4] == "and 2 more"
+
+
 def test_census_failure_names_the_stratum(monkeypatch):
     honest = verify.rho
 
@@ -270,7 +308,9 @@ def test_total_methods_check_referees_the_fast_routes(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "e_total(B,0) holonomic vs recurrence: 2 != 1"
-    assert shown[4] == f"and {2 * (verify.FAST_ROUTE_MAX_N + 1) - 4} more"
+    # and each sum of an egf rank row against it
+    cases = 2 * (verify.FAST_ROUTE_MAX_N + 1) + 2 * len(verify.EGF_ROW_SUMS_N)
+    assert shown[4] == f"and {cases - 4} more"
 
 
 def test_oracle_sweep_note_reports_cost_per_element():
