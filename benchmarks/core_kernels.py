@@ -36,7 +36,8 @@ Rows of an entry:
   up to n = 80, and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``,
   the same for the twisted ranks; ``e_rank_default`` asks
   ``e_rank(fam, n, r)`` with no route for r = n, ..., 0, one full rank row
-  by the library's default, at each (fam, n) in ``DEFAULT_RANKS``;
+  by the library's default, at each (fam, n) in ``DEFAULT_RANKS``, with
+  ``combinat``'s Stirling table emptied too;
   ``e_total`` and
   ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
   order 0) for each family in ``WIDE_FAMILIES``; ``e_total_default`` is
@@ -51,7 +52,12 @@ Rows of an entry:
   default route at twist order 2, at each (fam, n) in ``ORDER_2_TWISTED``.
   ``c_values`` is ``c_values("P", n)`` at n = 20 and 30 with
   the ``e_nrs`` table (``combinat._E_PAIRS``) emptied as well, so it
-  measures the ``e_nrs`` route.  Median of ``ROUNDS`` scaled passes.
+  measures the ``e_nrs`` route.  ``shared_grids`` is count-deep's group
+  of first-piece totals on one set of fresh tables:
+  ``exi_total(fam, 250, 0, "recurrence")`` for each family in
+  ``SHARED_GRID_FAMILIES``, then ``e_total("Idual", 250)``.  ``bell`` is
+  ``combinat.bell(n)`` at each n in ``BELL_N``, with ``combinat``'s Bell
+  and Stirling tables emptied.  Median of ``ROUNDS`` scaled passes.
   Entries before ``pr13-parent`` lack the row, entries before
   ``pr14-parent`` lack ``exi_total_default``, entries before
   ``pr15-parent`` lack ``exi_rank_triangle`` and ``c_values``, entries
@@ -70,7 +76,10 @@ Rows of an entry:
   which was the recurrence for every family; entries before
   ``pr19-parent`` lack ``e_rank_default``.  ``pr19-parent`` has every
   size of it: there the default was the rank grid, which takes a few
-  seconds at PB250, well under a minute.
+  seconds at PB250, well under a minute.  Entries before ``pr20-parent``
+  lack ``shared_grids``, ``bell`` and ``e_rank_default`` at Idual250, and
+  their ``e_rank_default`` passes left the Stirling table warm, which no
+  family's default read there.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -144,9 +153,13 @@ TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
-DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250))
+DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
 ORDER_2_TWISTED = (("B", 40), ("B", 250))
 COLD_PAIRS_N = (20, 30)
+BELL_N = (250, 1000)
+# count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by
+# recurrence for these families, and Idual's default e_total
+SHARED_GRID_FAMILIES = ("B", "PB", "T", "Idual")
 
 
 def graph_rank(a) -> int:
@@ -242,6 +255,33 @@ def rank_row(fam: str, n: int) -> None:
         counting.e_rank(fam, n, r)
 
 
+def cold_rank_row_ms(fam: str, n: int) -> float:
+    """Milliseconds of rank_row on fresh counting tables and an empty
+    Stirling table (combinat._STIRLING2), which Idual's egf row reads."""
+    combinat._STIRLING2.clear()
+    return cold_ms(rank_row, fam, n)
+
+
+def shared_grids() -> None:
+    for fam in SHARED_GRID_FAMILIES:
+        counting.exi_total(fam, WIDE_N, 0, "recurrence")
+    counting.e_total("Idual", WIDE_N)
+
+
+def cold_bell_ms(n: int) -> float:
+    """Milliseconds of combinat.bell(n) with its tables emptied: the
+    Stirling table, which a bell that sums a Stirling row grows, and the
+    Bell numbers and the Bell triangle's last row, where bell keeps them;
+    the script also measures older checkouts, which lack the latter."""
+    combinat._STIRLING2.clear()
+    if hasattr(combinat, "_BELL"):
+        del combinat._BELL[1:]
+        combinat._BELL_ROW[:] = [1]
+    started = time.perf_counter()
+    combinat.bell(n)
+    return 1e3 * (time.perf_counter() - started)
+
+
 def counting_rows() -> tuple[dict, list[float]]:
     passes = {}
     for fam in ("B", "PB"):
@@ -250,7 +290,7 @@ def counting_rows() -> tuple[dict, list[float]]:
             cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N, "recurrence")
         passes["exi_rank_triangle", label] = partial(cold_ms, counting.exi_rank, fam, TRIANGLE_N, TRIANGLE_N)
     for fam, n in DEFAULT_RANKS:
-        passes["e_rank_default", f"{fam}{n}"] = partial(cold_ms, rank_row, fam, n)
+        passes["e_rank_default", f"{fam}{n}"] = partial(cold_rank_row_ms, fam, n)
     for fam in WIDE_FAMILIES:
         passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N, "recurrence")
         passes["exi_total", f"{fam}{WIDE_N}"] = partial(
@@ -265,6 +305,9 @@ def counting_rows() -> tuple[dict, list[float]]:
         passes["e_total_default", f"{fam}{n}"] = partial(cold_ms, counting.e_total, fam, n)
     for n in COLD_PAIRS_N:
         passes["c_values", f"P{n}"] = partial(cold_pairs_ms, n)
+    passes["shared_grids", f"count-deep{WIDE_N}"] = partial(cold_ms, shared_grids)
+    for n in BELL_N:
+        passes["bell", str(n)] = partial(cold_bell_ms, n)
     median_times, factors = median_scaled(passes)
     rows: dict[str, dict[str, float]] = {}
     for (name, label), ms in median_times.items():

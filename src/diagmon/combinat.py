@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError
@@ -124,10 +125,30 @@ def pi_count(spec: IntegerPartitionSpec) -> int:
 
 
 def bell(n: int) -> int:
-    """Number of set partitions of an n-set."""
+    """Number of set partitions of an n-set, from the Bell triangle.
+
+    Row k of the triangle starts with the last entry of row k - 1, and each
+    next entry adds the entry above its left neighbour, so row k starts with
+    Bell(k) and ends with Bell(k + 1).  Only the last row is kept, O(n)
+    ints, and each new Bell number costs one row of big-int additions, so
+    Bell(n) costs O(n^2) additions and no Stirling number.
+    """
     if n < 0:
         raise DomainError(f"bell({n})")
-    return sum(stirling2(n, r) for r in range(n + 1)) if n else 1
+    return grow(_BELL, n, _bell_entry)[n]
+
+
+# the Bell numbers grown so far, and the Bell triangle's row whose last
+# entry is the next one: row len(_BELL) - 1
+_BELL: list[int] = [1]
+_BELL_ROW: list[int] = [1]
+
+
+def _bell_entry(m: int) -> int:
+    row = _BELL_ROW
+    value = row[-1]
+    row[:] = accumulate(row, initial=value)
+    return value
 
 
 # _STIRLING2[r][n] = S(n, r); row r is grown only as far as queries reach

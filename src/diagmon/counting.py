@@ -10,9 +10,8 @@ this module has for that family: e_total takes the holonomic recurrence
 for B and PB, the closed form for T and I, and the first-piece recurrence
 for P and Idual; exi_total takes the holonomic recurrence at order 0 for B
 and PB and the first-piece recurrence otherwise; e_rank takes a row of
-every rank read off the bivariate EGF for B, PB, T and I, and the
-first-piece recurrence for P and Idual; exi_rank takes the first-piece
-recurrence.
+every rank read off the bivariate EGF for every family but P, and the
+first-piece recurrence for P; exi_rank takes the first-piece recurrence.
 
 The holonomic recurrences tie a total to its four predecessors, each with
 a polynomial coefficient, so each new term costs O(1) big-int products
@@ -25,7 +24,11 @@ summed in C.  The two rank grids are indexed by rank and n.  exi_total
 keeps one grid per twist order M, indexed by the number of rank-0 pieces
 mod M, the twist exponent, and n: order 0 has the one row of rank-1
 pieces, order M > 0 grows M rows and reads row 0, and order 1's row is
-e_total's recurrence.  A grid grows column by column, so the weight rows
+e_total's recurrence.  A grid is fixed by the c-value columns its pieces
+read, so each distinct grid grows once: PB's grids of rank-1 pieces alone
+(exi_rank's, exi_total's at order 0) are B's, and T and Idual, which have
+no rank-0 piece, read their order-0 grid at every order (_C1_TWIN,
+_NO_RANK_0).  A grid grows column by column, so the weight rows
 of one column (_weights), and the row of Pascal's triangle carried from
 each column to the next, serve every row that column needs.  Each
 family's tables sit in one _FamilyTables.  The partition routes share
@@ -53,6 +56,7 @@ from .combinat import (
     involutions,
     odd_double_factorial,
     pi_count,
+    stirling2,
 )
 from .core import MonoidFamily, as_family
 from .errors import DomainError, ParityError
@@ -82,7 +86,9 @@ class _FamilyTables:
     # each c-value column's length up to its last nonzero value
     c_support: list[int] = field(default_factory=lambda: [0, 0])
     # the first-piece grids, [r][n]; exi_total's, one per twist order M, count
-    # rank-0 pieces mod M, not rank, and order 1's serves e_total's recurrence
+    # rank-0 pieces mod M, not rank, and order 1's serves e_total's recurrence;
+    # PB's twisted[0] and twisted_rank are B's lists, and every twisted[M] of
+    # T and Idual is its twisted[0] (see _C1_TWIN)
     twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
@@ -96,7 +102,7 @@ class _FamilyTables:
         default_factory=lambda: (1, [1], {})
     )
     closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
-    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB, T, I only
+    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # all but P
     closed_totals: dict[int, int] = field(default_factory=dict)  # T, I only
 
 
@@ -144,6 +150,18 @@ def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
     else:  # pragma: no cover - the enum is closed
         raise DomainError(f"unknown family {fam!r}")
     return c0, c1
+
+
+# Equal c-value columns, read off the cases above: B and PB have one c1
+# column (m! at odd m, 0 at even m), and T and Idual have no rank-0 piece
+# (c0 = 0 at every m).  A first-piece grid is fixed by the columns its
+# pieces read (the exponential formula), not by the family that asks, so
+# PB's grids of rank-1 pieces alone (exi_rank's, and exi_total's at order
+# 0) are B's, and every twist order of T and Idual is its order-0 grid.
+# The sharing is decided when a grid is first grown, and the shared list
+# is kept in the asking family's tables, so a warm query reads its own.
+_C1_TWIN = {MonoidFamily.PB: MonoidFamily.B}
+_NO_RANK_0 = frozenset({MonoidFamily.T, MonoidFamily.IDUAL})
 
 
 def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
@@ -262,9 +280,11 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 # total idempotent counts
 
 # the route of each family's total when none is named, the cheapest it has;
-# the others take the first-piece recurrence.  Idual's Bell numbers come
-# cheaper from it than from combinat.bell (about 12 ms against 30 ms at
-# n = 250), and P has no other route but the formula.
+# the others take the first-piece recurrence.  P has no other route but the
+# formula.  Idual keeps the recurrence: with no rank-0 piece, its one
+# order-0 grid answers e_total and exi_total at every twist order, though
+# combinat.bell alone costs less for one total (about 2 ms against 10 ms
+# at n = 250, in process).
 _E_TOTAL_ROUTE = {
     MonoidFamily.B: "holonomic",
     MonoidFamily.PB: "holonomic",
@@ -377,7 +397,7 @@ _E_RANK_ROUTE = {
     MonoidFamily.PB: "egf",
     MonoidFamily.T: "egf",
     MonoidFamily.I: "egf",
-    MonoidFamily.IDUAL: "recurrence",
+    MonoidFamily.IDUAL: "egf",
 }
 
 
@@ -385,10 +405,10 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
     """Number of idempotents of rank exactly r.
 
     method is "mu_sum", "recurrence", "closed" (B and PB only) or "egf"
-    (B, PB, T and I only, one row of every rank per n; see _egf_rank_row).
-    None, the default, takes the egf route for B, PB, T and I, and the
-    recurrence, whose grid serves every later cell, for P and Idual.  A
-    route the family lacks raises DomainError.
+    (every family but P, one row of every rank per n; see _egf_rank_row).
+    None, the default, takes the egf route for every family but P, and the
+    recurrence, whose grid serves every later cell, for P.  A route the
+    family lacks raises DomainError.
     """
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
@@ -419,7 +439,7 @@ _SETS_OF_LISTS: list[int] = [1, 1]
 
 
 def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
-    """row[r] = e_rank(n, r) for r = 0..n, B, PB, T or I, read off the
+    """row[r] = e_rank(n, r) for r = 0..n, any family but P, read off the
     bivariate EGF of the rank grid.
 
     The first-piece recurrence marks each rank-1 piece with x, so by the
@@ -447,9 +467,14 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
 
     I: c0 = c1 = 1 at m = 1 only, so C0 = C1 = t and e(n, r) = C(n, r).
 
-    A row of B or T costs O(n²) products of a big int by a small one, and
-    one of PB O(n²) big-int products, against O(n³) for the rank grid.  P
-    and Idual, which keep the recurrence, raise DomainError.
+    Idual: c0 = 0 and c1 = 1, so C0 = 0 and C1 = e^t - 1, and e(n, r) =
+    n!/r!·[t^n] (e^t - 1)^r = S(n, r), the Stirling number of the second
+    kind: a partition of the n points into r blocks, each block one piece.
+
+    A row of B, T or Idual costs O(n²) products of a big int by a small
+    one (Idual's from combinat's Stirling triangle), and one of PB O(n²)
+    big-int products, against O(n³) for the rank grid.  P, which keeps the
+    recurrence, raises DomainError.
     """
     if fam is MonoidFamily.B:
         return [
@@ -470,6 +495,9 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
         return [math.comb(n, r) * r ** (n - r) for r in range(n + 1)]
     if fam is MonoidFamily.I:
         return [math.comb(n, r) for r in range(n + 1)]
+    if fam is MonoidFamily.IDUAL:
+        # the top rank first grows the Stirling triangle column by column
+        return [stirling2(n, r) for r in range(n, -1, -1)][::-1]
     raise DomainError(f"no egf per-rank route for family {fam.value}")
 
 
@@ -629,7 +657,8 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
 
     Each order grows its own grid of M rows, O(M·n²) products (one row
     once M > n), so a sweep of every order at one n pays Σ M·n², not the
-    O(n³) of one grid by every count of rank-0 pieces.
+    O(n³) of one grid by every count of rank-0 pieces; T and Idual, which
+    have no rank-0 piece, answer every order from their order-0 row.
     """
     fam = as_family(f)
     order = as_twist_order(t)
@@ -658,36 +687,54 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
 def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
     """Cell (0, n) of order M's grid, whose row i counts q = i (mod M) rank-0
     pieces (order 0: q = 0).  Row i is zero below column i, so row 0 reads
-    no other row once M > n, and a grown row 0 is final."""
+    no other row once M > n, and a grown row 0 is final.
+
+    A family with no rank-0 piece has q = 0 always, so its order M grid is
+    its order-0 grid; and the order-0 grid, which reads c1 alone, is B's
+    for PB (see _C1_TWIN)."""
     grids = _TABLES[fam].twisted
     try:
         return grids[M][0][n]
     except (KeyError, IndexError):
-        grid = grids.setdefault(M, [])
+        pass
+    order = 0 if fam in _NO_RANK_0 else M
+    owner = fam if order else _C1_TWIN.get(fam, fam)
+    with _GROWING:
+        grid = grids.setdefault(M, _TABLES[owner].twisted.setdefault(order, []))
     # a rank-1 piece keeps q, and a rank-0 piece raises it by one
-    _first_piece(fam, grid, ((1, 0), (0, 1)), M - 1 if 0 < M <= n else 0, n, M)
+    _first_piece(owner, grid, ((1, 0), (0, 1)), order - 1 if 0 < order <= n else 0, n, order)
     return grid[0][n]
 
 
 def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> int:
-    """Twisted idempotents of rank exactly r, for twist order 0."""
+    """Twisted idempotents of rank exactly r, for twist order 0, by the
+    first-piece recurrence over rank-1 pieces; PB reads B's grid."""
     fam = as_family(f)
     order = as_twist_order(t)
     if order.M != 0:
         raise DomainError("per-rank twisted counts are exposed for order 0 only")
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
-    # every irreducible piece of a twisted idempotent has rank 1
-    return _first_piece(fam, _TABLES[fam].twisted_rank, ((1, 1),), r, n)
+    tables = _TABLES[fam]
+    try:
+        return tables.twisted_rank[r][n]
+    except IndexError:
+        pass
+    # every irreducible piece of a twisted idempotent has rank 1, so the grid
+    # reads c1 alone, and PB's is B's
+    owner = _C1_TWIN.get(fam, fam)
+    with _GROWING:
+        tables.twisted_rank = grid = _TABLES[owner].twisted_rank
+    return _first_piece(owner, grid, ((1, 1),), r, n)
 
 
 # --------------------------------------------------------------------------
 # derived helpers
 #
-# Each asks for its highest rank first.  For P and Idual, whose default is
-# the rank grid, that one query grows every lower row column by column,
-# where the lowest rank first would grow one row at a time and remake each
-# column's weights for every row; the other families read one egf row.
+# Each asks for its highest rank first.  For P, whose default is the rank
+# grid, that one query grows every lower row column by column, where the
+# lowest rank first would grow one row at a time and remake each column's
+# weights for every row; the other families read one egf row.
 
 def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
     """Number of elements lying in a subgroup: r! per idempotent of rank r."""

@@ -112,6 +112,7 @@ RANK_ROUTES = {
     PB: ("mu_sum", "closed", "egf"),
     MonoidFamily.T: ("mu_sum", "egf"),
     MonoidFamily.I: ("mu_sum", "egf"),
+    MonoidFamily.IDUAL: ("mu_sum", "egf"),
 }
 # the n at which the egf rank rows of B and PB are summed against the
 # holonomic totals
@@ -124,7 +125,14 @@ def check_total_methods() -> CheckResult:
     twist orders 0 to 4), the holonomic and closed routes at
     n <= FAST_ROUTE_MAX_N.  And the holonomic totals of B and PB against
     the sums of their egf rank rows, which serve n far past the rank
-    grid's reach, at EGF_ROW_SUMS_N."""
+    grid's reach, at EGF_ROW_SUMS_N.
+
+    counting grows each distinct first-piece grid once, so some recurrence
+    cases read another family's or order's grid: PB's order-0 cases play
+    PB's partition formula against B's grid, the paper's identity that B
+    and PB have one twisted count at order 0; T's and Idual's cases at
+    every order, and their e_total, play the formula against their
+    order-0 row."""
     cases = []
     for fam in FAMILIES:
         for n in range(ENGINE_MAX_N + 1):

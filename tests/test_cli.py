@@ -134,7 +134,7 @@ def test_count_holonomic():
 
 
 def test_count_egf_ranks():
-    for family in ("B", "PB", "T", "I"):
+    for family in ("B", "PB", "T", "I", "Idual"):
         args = ("count", "--family", family, "--n", "9", "--rank", "3")
         egf = run(*args, "--method", "egf")
         assert (egf.exit_code, egf.output) == (0, run(*args, "--method", "recurrence").output), family
@@ -143,7 +143,7 @@ def test_count_egf_ranks():
 def test_count_route_the_family_lacks_exits_2():
     for args in (
         ("--family", "P", "--rank", "2", "--method", "egf"),
-        ("--family", "Idual", "--rank", "2", "--method", "egf"),
+        ("--family", "Idual", "--rank", "2", "--method", "closed"),
         ("--family", "B", "--method", "egf"),
         ("--family", "P", "--method", "holonomic"),
         ("--family", "Idual", "--method", "closed"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diagmon import combinat
 from diagmon.combinat import (
     IntegerPartitionSpec,
     bell,
@@ -70,6 +71,21 @@ def test_stirling2_edges():
 
 def test_bell_values():
     assert [bell(n) for n in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+def test_bell_is_the_stirling_row_sum():
+    # the Bell triangle against the sum of the Stirling triangle's row
+    for n in range(101):
+        assert bell(n) == sum(stirling2(n, r) for r in range(n + 1)), n
+
+
+def test_cold_bell_grows_no_stirling_number(monkeypatch):
+    expected = sum(stirling2(250, r) for r in range(251))
+    monkeypatch.setattr(combinat, "_STIRLING2", [])
+    monkeypatch.setattr(combinat, "_BELL", [1])
+    monkeypatch.setattr(combinat, "_BELL_ROW", [1])
+    assert bell(250) == expected and bell(17) == 82864869804
+    assert combinat._STIRLING2 == [] and len(combinat._BELL) == 251 and len(combinat._BELL_ROW) == 251
 
 
 def test_odd_double_factorial():

@@ -176,7 +176,7 @@ def test_e_rank_units_and_parity():
 
 
 def test_egf_ranks_match_the_other_routes():
-    for fam, top in ((B, 60), (PB, 60), (T, 30), (I, 30)):
+    for fam, top in ((B, 60), (PB, 60), (T, 30), (I, 30), (IDUAL, 30)):
         for n in range(top + 1):
             for r in range(n + 1):
                 assert e_rank(fam, n, r, "egf") == e_rank(fam, n, r, "recurrence"), (fam, n, r)
@@ -191,18 +191,17 @@ def test_egf_rank_rows_sum_to_the_holonomic_totals():
         assert sum(e_rank(fam, 250, r, "egf") for r in range(251)) == e_total(fam, 250, "holonomic")
 
 
-def test_egf_ranks_are_refused_for_p_and_idual():
-    for fam in (P, IDUAL):
-        with pytest.raises(DomainError):
-            e_rank(fam, 4, 2, "egf")
+def test_egf_ranks_are_refused_for_p():
+    with pytest.raises(DomainError):
+        e_rank(P, 4, 2, "egf")
 
 
 def test_egf_rank_rows_are_kept(monkeypatch):
     # the default takes the egf row and grows no rank grid; a second call
     # reads the family's row and does not build it again
     _fresh_tables(monkeypatch)
-    rows = {fam: [e_rank(fam, 30, r) for r in range(31)] for fam in (B, PB, T, I)}
-    for fam in (B, PB, T, I):
+    rows = {fam: [e_rank(fam, 30, r) for r in range(31)] for fam in (B, PB, T, I, IDUAL)}
+    for fam in (B, PB, T, I, IDUAL):
         tables = counting._TABLES[fam]
         assert tables.rank == [] and list(tables.egf_rank_rows) == [30], fam
 
@@ -214,6 +213,7 @@ def test_egf_rank_rows_are_kept(monkeypatch):
         assert [e_rank(fam, 30, r) for r in range(31)] == row, fam
         assert e_rank(fam, 30, 7, "egf") == row[7], fam
     assert rows[I] == [math.comb(30, r) for r in range(31)]  # the partial identities
+    assert rows[IDUAL] == [stirling2(30, r) for r in range(31)]  # a piece per block
 
 
 def test_e_rank_guards():
@@ -372,7 +372,8 @@ def test_twisted_grid_at_order_1_is_the_plain_total():
 
 def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
     # each order's grid is first asked below M - 1, where it grows row 0
-    # alone, and then past M, where it grows all M rows over that row
+    # alone, and then past M, where it grows all M rows over that row; T and
+    # Idual, with no rank-0 piece, answer every order from their order-0 row
     keys = [(fam, n, order) for fam in (B, PB, T, IDUAL) for order in (2, 3, 7) for n in (0, 1, 4, 5, 9, 14, 20)]
     expected = {key: exi_total(*key, "formula") for key in keys}
     small = [key for key in keys if key[1] < key[2] - 1]
@@ -384,8 +385,11 @@ def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
         assert len(counting._TABLES[fam].twisted[order]) == 1, (fam, n, order)
     for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
         assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
-    for fam in (B, PB, T, IDUAL):
+    for fam in (B, PB):
         assert [len(counting._TABLES[fam].twisted[order]) for order in (2, 3, 7)] == [2, 3, 7]
+    for fam in (T, IDUAL):
+        grids = counting._TABLES[fam].twisted
+        assert all(grids[order] is grids[0] for order in (2, 3, 7)) and len(grids[0]) == 1, fam
 
 
 def test_an_order_above_n_is_order_0():
@@ -414,7 +418,8 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     # that take the recurrence.  The holonomic tables that grow show which
     # totals take that route.  e_total's recurrence and order 1 share one
     # grid, so a total grid is reached when one holds column n afterwards:
-    # each (family, n) asks a larger n than those before it.
+    # each (family, n) asks a larger n than those before it.  A grid shared
+    # with another order or family sits in the asking family's tables too.
     expected = {
         (fam, n): [e_total(fam, n, "formula")] + [exi_total(fam, n, order, "formula") for order in range(3)]
         for fam in ALL_FAMILIES for n in range(13)
@@ -447,10 +452,57 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     assert [len(tables[fam].holonomic) for fam in ALL_FAMILIES] == [0, 13, 13, 0, 0, 0]
     # B's order-0 holonomic table serves PB as well
     assert [len(tables[fam].holonomic_twisted) for fam in ALL_FAMILIES] == [0, 13, 0, 0, 0, 0]
+    # T and Idual, with no rank-0 piece, answer orders 1 and 2 from order 0's grid
+    for fam in ALL_FAMILIES:
+        grids = tables[fam].twisted
+        shared = fam in (T, IDUAL)
+        assert [grids[order] is grids.get(0) for order in (1, 2)] == [shared, shared], fam
     # where the formula would sweep the 204,226 integer partitions of 50
     assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
     # recorded from exi_total("B", 40, 2, "formula"), which sweeps 37,338 partitions
     assert exi_total("B", 40, 2) == 121273220826505220880148392889065087173300831911936
+
+
+def test_shared_grids_rest_on_equal_c_value_columns():
+    # the premise of counting's grid sharing, read off the c-value columns:
+    # B's and PB's rank-1 columns agree, and T and Idual have no rank-0 piece
+    assert counting._C1_TWIN == {PB: B} and counting._NO_RANK_0 == {T, IDUAL}
+    for m in range(1, 301):
+        assert c_values(PB, m)[1] == c_values(B, m)[1], m
+        assert c_values(T, m)[0] == c_values(IDUAL, m)[0] == 0, m
+    # every other family has a rank-0 piece, so its twist orders differ
+    for fam in (P, B, PB, I):
+        assert any(c_values(fam, m)[0] for m in range(1, 4)), fam
+
+
+def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
+    # PB's twisted ranks and order-0 total, on fresh tables, grow B's grids
+    # and no rank-1 grid of PB's own
+    expected = [rho(B, 40, r) * b_nr(40, r) if r % 2 == 0 else 0 for r in range(41)]
+    total = exi_total(PB, 40, 0, "holonomic")
+    _fresh_tables(monkeypatch)
+    tables = counting._TABLES
+    assert [exi_rank(PB, 40, r) for r in range(41)] == expected
+    assert exi_total(PB, 40, 0, "recurrence") == total
+    assert tables[PB].twisted_rank is tables[B].twisted_rank
+    assert len(tables[B].twisted_rank) == 41 and all(len(row) == 41 for row in tables[B].twisted_rank)
+    assert list(tables[PB].twisted) == [0] and tables[PB].twisted[0] is tables[B].twisted[0]
+    assert [len(row) for row in tables[B].twisted[0]] == [41]
+    assert tables[PB].c == ([], [])  # both grids grew from B's c-value columns
+    assert [exi_rank(B, 40, r) for r in range(41)] == expected and exi_total(B, 40, 0, "recurrence") == total
+    # every twist order of T and Idual, and e_total's recurrence, read one
+    # grid of one row; I, which has a rank-0 piece, keeps a grid per order
+    for fam in (T, IDUAL, I):
+        formula = [exi_total(fam, 30, order, "formula") for order in range(8)]
+        assert [exi_total(fam, 30, order) for order in range(8)] == formula, fam
+        assert e_total(fam, 30, "recurrence") == e_total(fam, 30, "formula"), fam
+        grids = tables[fam].twisted
+        assert sorted(grids) == list(range(8)), fam
+        distinct = {id(grid) for grid in grids.values()}
+        if fam is I:
+            assert len(distinct) == 8
+        else:
+            assert len(distinct) == 1 and len(grids[0]) == 1, fam
 
 
 def test_exi_rank_examples():
@@ -642,12 +694,15 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         "exi_total order 1": lambda fam, n: exi_total(fam, n, 1),
         "exi_total order 2": lambda fam, n: exi_total(fam, n, 2),
         "exi_total order 3": lambda fam, n: exi_total(fam, n, 3),
+        "exi_total order 5": lambda fam, n: exi_total(fam, n, 5),
     }
+    # B and PB grow B's rank-1 grids, and T's orders grow its order-0 grid,
+    # from several threads at once
     keys = []
     for fam in (B, PB, T):
         for n in range(40):
             keys += [("e_total", fam, n), ("exi_total", fam, n)]
-            keys += [(f"exi_total order {order}", fam, n) for order in (1, 2, 3)]
+            keys += [(f"exi_total order {order}", fam, n) for order in (1, 2, 3, 5)]
             keys += [
                 (name, fam, n, r) for name in ("e_rank", "e_rank recurrence", "exi_rank") for r in range(n + 1)
             ]
@@ -672,3 +727,6 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         sys.setswitchinterval(old_interval)
     assert len(results) == len(keys) * len(threads)
     assert all(value == expected[key] for (key, _), value in results.items())
+    tables = counting._TABLES
+    assert tables[PB].twisted_rank is tables[B].twisted_rank and tables[PB].twisted[0] is tables[B].twisted[0]
+    assert all(grid is tables[T].twisted[0] for grid in tables[T].twisted.values())

@@ -215,7 +215,7 @@ def test_checks_referee_the_egf_route(monkeypatch):
     monkeypatch.setattr(verify, "e_rank", egf_off_by_one)
     shown = verify.check_rank_methods().detail.split("; ")
     assert shown[0] == "e_rank(B,0,0) egf vs recurrence: 2 != 1", shown
-    cells = 4 * (verify.ENGINE_MAX_N + 1) * (verify.ENGINE_MAX_N + 2) // 2  # B, PB, T and I
+    cells = 5 * (verify.ENGINE_MAX_N + 1) * (verify.ENGINE_MAX_N + 2) // 2  # B, PB, T, I and Idual
     assert shown[4] == f"and {cells - 4} more"
     shown = verify.check_total_methods().detail.split("; ")
     assert shown[0].startswith("sum of e_rank(B,20,r) egf vs holonomic e_total: "), shown
