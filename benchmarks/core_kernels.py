@@ -50,7 +50,7 @@ Rows of an entry:
   route, the library's default twisted total, for B and PB at n = 40 and
   P at n = 20, and ``exi_total_order2`` is ``exi_total(fam, n, 2)``, the
   default route at twist order 2, at each (fam, n) in ``ORDER_2_TWISTED``.
-  ``c_values`` is ``c_values("P", n)`` at n = 20 and 30 with
+  ``c_values`` is ``c_values("P", n)`` at each n in ``COLD_PAIRS_N`` with
   the ``e_nrs`` table (``combinat._E_PAIRS``) emptied as well, so it
   measures the ``e_nrs`` route.  ``shared_grids`` is count-deep's group
   of first-piece totals on one set of fresh tables:
@@ -71,7 +71,8 @@ Rows of an entry:
   would sweep the 2.3·10^14 integer partitions of 250.  From
   ``pr18-change`` the ``e_total`` row reads ``exi_total``'s grid at twist
   order 1, two convolutions a cell (c0 and c1), where earlier entries made
-  one with the c0 + c1 column.  Up to ``pr18-change`` the
+  one with the c0 + c1 column; from ``pr21-change`` it makes one again,
+  with the weights of that column.  Up to ``pr18-change`` the
   ``e_rank_triangle`` and ``e_rank_cells`` rows took the default route,
   which was the recurrence for every family; entries before
   ``pr19-parent`` lack ``e_rank_default``.  ``pr19-parent`` has every
@@ -79,7 +80,8 @@ Rows of an entry:
   seconds at PB250, well under a minute.  Entries before ``pr20-parent``
   lack ``shared_grids``, ``bell`` and ``e_rank_default`` at Idual250, and
   their ``e_rank_default`` passes left the Stirling table warm, which no
-  family's default read there.
+  family's default read there.  Entries before ``pr21-parent`` lack
+  ``c_values`` at P40.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -155,7 +157,7 @@ DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
 ORDER_2_TWISTED = (("B", 40), ("B", 250))
-COLD_PAIRS_N = (20, 30)
+COLD_PAIRS_N = (20, 30, 40)
 BELL_N = (250, 1000)
 # count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by
 # recurrence for these families, and Idual's default e_total

@@ -226,9 +226,26 @@ def _e_pairs_row(n: int) -> list[list[int]]:
     terms from row n - 1 plus, for each m in 1..n-2, C(n-2, m) times the
     sum over (a, b) + (a', b') = (r, s) of
     (a·b' + b·a')·e_nrs(m, a, b)·e_nrs(n-1-m, a', b').  That sum is a
-    two-dimensional convolution of rows m and n-1-m, so one pass per m
-    serves every (r, s) of row n.  It is empty where r or s is 1, and there
-    the three terms give the Stirling numbers S(n, s) and S(n, r).
+    two-dimensional convolution of rows m and n-1-m.  It is empty where r
+    or s is 1, and there the three terms give the Stirling numbers S(n, s)
+    and S(n, r).
+
+    The bracket is symmetric under swapping (a, b) with (a', b'), so m and
+    n-1-m make the same sum, and since C(n-2, m) + C(n-2, m-1) = C(n-1, m)
+    the pair is one sum times C(n-1, m) (times C(n-2, m) alone when
+    m = n-1-m): only m <= (n-1)/2 do any work.
+
+    The convolution along s is one big-int product (Kronecker substitution;
+    Harvey, J. Symbolic Comput. 44, 2009).  Each vector a·e_nrs(k, a, ·)
+    and b·e_nrs(k, a, ·) is packed into one int, e_nrs(k, a, b) in slot
+    b - 1 of width W, so xa·yb + xb·ya, for upper counts a and a', holds in
+    slot s - 2 the whole sum over b + b' = s; those products are summed
+    per r = a + a' and each sum is unpacked once.  No slot can carry: every
+    term is nonnegative, so a slot is at most e_nrs(n, r, s) <= S(n, r)·S(n, s)
+    <= Bell(n)², below 2^W for W = 2·(bits of Bell(n)) + 1.  A vector stops
+    at b = k + 1 - a, since e_nrs(k, a, b) = 0 where a + b > k + 1: the
+    blocks are the a + b vertices of a connected bipartite multigraph with
+    one edge per point, which needs at least a + b - 1 edges.
     """
     row = [[0] * (n + 1) for _ in range(n + 1)]
     if n < 2:
@@ -240,19 +257,35 @@ def _e_pairs_row(n: int) -> list[list[int]]:
     for r in range(1, n + 1):
         for s in range(1, n + 1):
             row[r][s] = s * prev[r - 1][s] + r * prev[r][s - 1] + r * s * prev[r][s]
-    for m in range(1, n - 1):
-        cm = math.comb(n - 2, m)
-        left, right = _E_PAIRS[m], _E_PAIRS[n - 1 - m]
-        for a in range(1, m + 1):
-            for b in range(1, m + 1):
-                x = left[a][b]
-                if not x:
-                    continue
-                xa, xb = cm * a * x, cm * b * x
-                for a2 in range(1, n - m):
-                    out, ys = row[a + a2], right[a2]
-                    for b2 in range(1, n - m):
-                        y = ys[b2]
-                        if y:
-                            out[b + b2] += (xa * b2 + xb * a2) * y
+    width = 2 * bell(n).bit_length() + 1
+    packed = [_packed_pairs(k, width) for k in range(n - 1)]
+    sums = [0] * (n + 1)  # sums[r], packed along s
+    for m in range(1, (n + 1) // 2):
+        m2 = n - 1 - m
+        cm = math.comb(n - 2, m) if m == m2 else math.comb(n - 1, m)
+        right = packed[m2]
+        for a, (xa, xb) in enumerate(packed[m], 1):
+            xa, xb = cm * xa, cm * xb
+            for a2, (ya, yb) in enumerate(right, a + 1):
+                sums[a2] += xa * yb + xb * ya
+    mask = (1 << width) - 1
+    for r in range(2, n + 1):
+        packed_sum, out = sums[r], row[r]
+        for s in range(2, n + 1):
+            out[s] += packed_sum & mask
+            packed_sum >>= width
     return row
+
+
+def _packed_pairs(k: int, width: int) -> list[tuple[int, int]]:
+    """For a = 1..k, the vectors a·e_nrs(k, a, ·) and b·e_nrs(k, a, ·) packed
+    in slots of the given width, e_nrs(k, a, b) in slot b - 1 for
+    b = 1..k+1-a (see _e_pairs_row)."""
+    out = []
+    for a, cells in enumerate(_E_PAIRS[k][1:], 1):
+        values, weighted = 0, 0
+        for b in range(k + 1 - a, 0, -1):
+            values = (values << width) | cells[b]
+            weighted = (weighted << width) | b * cells[b]
+        out.append((a * values, weighted))
+    return out

@@ -30,7 +30,9 @@ read, so each distinct grid grows once: PB's grids of rank-1 pieces alone
 no rank-0 piece, read their order-0 grid at every order (_C1_TWIN,
 _NO_RANK_0).  A grid grows column by column, so the weight rows
 of one column (_weights), and the row of Pascal's triangle carried from
-each column to the next, serve every row that column needs.  Each
+each column to the next as far as any c-value is nonzero, serve every
+row that column needs; order 1's row, where both kinds of piece keep the
+row, convolves once with the weights of c0 + c1.  Each
 family's tables sit in one _FamilyTables.  The partition routes share
 one sweep over the integer partitions of n per (family, n): it fills a
 grid by kernel classes and rank, and each route is a sum over part of
@@ -97,8 +99,9 @@ class _FamilyTables:
     holonomic_twisted: list[int] = field(default_factory=list)  # exi_total at order 0
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
-    # C(j-1, 0..j-1) and the weight rows made from it so far, by c-value column
-    column: tuple[int, list[int], dict[int, list[int]]] = field(
+    # C(j-1, i) for i below min(j, the longest c_support) and the weight rows
+    # made from it so far, by c-value column (None: c0 + c1)
+    column: tuple[int, list[int], dict[int | None, list[int]]] = field(
         default_factory=lambda: (1, [1], {})
     )
     closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
@@ -109,7 +112,7 @@ class _FamilyTables:
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
 
 _Grid = list[list[int]]
-_Pieces = tuple[tuple[int, int], ...]  # (c-value column, rank) of each kind of piece
+_Pieces = tuple[tuple[int | None, int], ...]  # (c-value column, rank) of each kind of piece
 
 
 # --------------------------------------------------------------------------
@@ -178,6 +181,8 @@ def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
                     columns[which].append(value)
                     if value:
                         tables.c_support[which] = m
+            # a longer support may need a longer binomial row (see _weights)
+            tables.column = (0, [], {})
     c0, c1 = columns[0][n - 1], columns[1][n - 1]
     return c0, c1, c0 + c1
 
@@ -189,26 +194,34 @@ def _grown(fam: MonoidFamily, n: int) -> _FamilyTables:
     return _TABLES[fam]
 
 
-def _weights(tables: _FamilyTables, which: int, j: int) -> list[int]:
+def _weights(tables: _FamilyTables, which: int | None, j: int) -> list[int]:
     """[C(j-1, m-1)·c[m-1] for m = 1, ..., j], c the c-value column which
-    (0: c0, 1: c1): the ways to choose the other m - 1 points
+    (0: c0, 1: c1, None: c0 + c1): the ways to choose the other m - 1 points
     of the first point's piece and an irreducible piece on them.  The row
     stops at the last nonzero c-value, so I's rows hold one weight.
 
     Made once per column and c-value column, and only the last column is
-    kept, O(j) ints.  The binomial row of the next column comes from the
-    last one by Pascal's rule; any other is built afresh.  Only code that
-    holds _GROWING calls it.
+    kept, O(j) ints.  The binomial row C(j-1, i) is kept only for i below
+    the longest support of the family's c-value columns, so I carries one
+    binomial.  The next column's row comes from the last one by Pascal's
+    rule; a row the support has outgrown, or any other, is built afresh,
+    and c_values drops the carried column when the columns grow.  Only
+    code that holds _GROWING calls it.
     """
     col, binomials, rows = tables.column
     if col != j:
-        if col == j - 1:
+        need = min(j, max(tables.c_support))
+        if col == j - 1 and len(binomials) >= min(need, j - 1):
             binomials = [1, *map(add, binomials, binomials[1:]), 1]
+            # past the support; the trailing 1 is C(j-1, j-1) only when the
+            # last row was whole
+            del binomials[need:]
         else:
-            binomials = [math.comb(j - 1, i) for i in range(j)]
+            binomials = [math.comb(j - 1, i) for i in range(need)]
         tables.column = col, binomials, rows = j, binomials, {}
     if which not in rows:
-        rows[which] = list(map(mul, binomials, tables.c[which][: tables.c_support[which]]))
+        column = map(add, *tables.c) if which is None else tables.c[which][: tables.c_support[which]]
+        rows[which] = list(map(mul, binomials, column))
     return rows[which]
 
 
@@ -701,8 +714,10 @@ def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
     owner = fam if order else _C1_TWIN.get(fam, fam)
     with _GROWING:
         grid = grids.setdefault(M, _TABLES[owner].twisted.setdefault(order, []))
-    # a rank-1 piece keeps q, and a rank-0 piece raises it by one
-    _first_piece(owner, grid, ((1, 0), (0, 1)), order - 1 if 0 < order <= n else 0, n, order)
+    # a rank-1 piece keeps q, and a rank-0 piece raises it by one; at order
+    # 1 both keep row 0, so one convolution with the weights of c0 + c1 does
+    pieces = ((None, 0),) if order == 1 else ((1, 0), (0, 1))
+    _first_piece(owner, grid, pieces, order - 1 if 0 < order <= n else 0, n, order)
     return grid[0][n]
 
 

@@ -12,6 +12,7 @@ computed with these and then frozen.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import permutations
 
@@ -209,6 +210,42 @@ def naive_e_nrs(n: int) -> dict[tuple[int, int], int]:
                 key = (len(upper), len(lower))
                 out[key] = out.get(key, 0) + 1
     return out
+
+
+def reference_e_pairs(max_n: int) -> list[list[list[int]]]:
+    """rows[n][r][s] = e_nrs(n, r, s) for n <= max_n, by the package's
+    recurrence taken term by term: three terms from row n - 1, then for
+    every m in 1..n-2 and every four block counts one product of two
+    cells, with no pairing of m and no packing."""
+    rows: list[list[list[int]]] = []
+    for n in range(max_n + 1):
+        row = [[0] * (n + 1) for _ in range(n + 1)]
+        if n < 2:
+            if n:
+                row[1][1] = 1
+            rows.append(row)
+            continue
+        prev = [cells + [0] for cells in rows[n - 1]] + [[0] * (n + 1)]
+        for r in range(1, n + 1):
+            for s in range(1, n + 1):
+                row[r][s] = s * prev[r - 1][s] + r * prev[r][s - 1] + r * s * prev[r][s]
+        for m in range(1, n - 1):
+            cm = math.comb(n - 2, m)
+            left, right = rows[m], rows[n - 1 - m]
+            for a in range(1, m + 1):
+                for b in range(1, m + 1):
+                    x = left[a][b]
+                    if not x:
+                        continue
+                    xa, xb = cm * a * x, cm * b * x
+                    for a2 in range(1, n - m):
+                        out, ys = row[a + a2], right[a2]
+                        for b2 in range(1, n - m):
+                            y = ys[b2]
+                            if y:
+                                out[b + b2] += (xa * b2 + xb * a2) * y
+        rows.append(row)
+    return rows
 
 
 def naive_involutions(n: int) -> int:

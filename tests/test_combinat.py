@@ -18,7 +18,7 @@ from diagmon.combinat import (
 )
 from diagmon.errors import DomainError
 
-from .oracles import naive_e_nrs, naive_involutions, naive_stirling2
+from .oracles import naive_e_nrs, naive_involutions, naive_stirling2, reference_e_pairs
 
 
 def test_integer_partition_counts():
@@ -142,6 +142,27 @@ def test_e_nrs_matches_search():
         for r in range(1, n + 1):
             for s in range(1, n + 1):
                 assert e_nrs(n, r, s) == table.get((r, s), 0)
+
+
+def test_e_nrs_rows_match_the_term_by_term_recurrence():
+    # the packed, paired convolution against the same recurrence summed
+    # one product of two cells at a time
+    e_nrs(24, 1, 1)
+    for n, row in enumerate(reference_e_pairs(24)):
+        assert combinat._E_PAIRS[n] == row, n
+
+
+def test_e_nrs_vanishes_beyond_a_tree_and_is_bounded_by_its_block_counts():
+    # the two facts the packing rests on: a connected bipartite multigraph
+    # on r + s blocks needs r + s - 1 of the n points as edges, and a pair
+    # is one upper and one lower partition
+    for n in range(1, 31):
+        for r in range(1, n + 1):
+            for s in range(1, n + 1):
+                if r + s > n + 1:
+                    assert e_nrs(n, r, s) == 0, (n, r, s)
+                else:
+                    assert 0 < e_nrs(n, r, s) <= stirling2(n, r) * stirling2(n, s), (n, r, s)
 
 
 def test_e_nrs_domain():

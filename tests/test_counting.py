@@ -594,6 +594,24 @@ def test_weight_rows_after_any_earlier_column():
             assert counting._weights(tables, which, j) == expected, (j, which)
 
 
+def test_binomial_rows_stop_at_the_longest_support():
+    # the carried row C(j-1, i) stops below the longest c-value support; a
+    # step by Pascal's rule keeps it exact, and a support that outgrows it
+    # has it built afresh.  None names the column c0 + c1.
+    c = ([2, 0, 6] + [0] * 18, [1, 3, 0, 5] + [0] * 17)
+    tables = counting._FamilyTables(c=c, c_support=[3, 4])
+    for j in (1, 2, 3, 4, 5, 6, 9, 10, 11, 3, 12, 12, 20, 21):
+        if j == 11:  # a c-value appears at m = 8
+            c[1][7], tables.c_support[1] = 7, 8
+        for which in (None, 0, 1, None):
+            column = [x + y for x, y in zip(*c)] if which is None else c[which]
+            support = max(m for m, value in enumerate(column, 1) if value)
+            expected = [math.comb(j - 1, m - 1) * column[m - 1] for m in range(1, min(j, support) + 1)]
+            assert counting._weights(tables, which, j) == expected, (j, which)
+        _, binomials, _ = tables.column
+        assert binomials == [math.comb(j - 1, i) for i in range(min(j, max(tables.c_support)))], j
+
+
 def test_weight_rows_of_i_hold_one_weight(monkeypatch):
     # I's only nonzero c-values sit at m = 1, so its grids multiply one
     # weight per cell; the digest test below shows the cells unchanged
@@ -601,8 +619,13 @@ def test_weight_rows_of_i_hold_one_weight(monkeypatch):
     assert e_rank(I, 30, 12, "recurrence") == math.comb(30, 12)  # the partial identities of rank 12
     assert exi_rank(I, 30, 30) == 1
     assert counting._TABLES[I].c_support == [1, 1]
-    column, _, rows = counting._TABLES[I].column
+    column, binomials, rows = counting._TABLES[I].column
     assert column == 30 and rows and all(len(row) == 1 for row in rows.values())
+    assert binomials == [1]  # C(29, 0), the one binomial its weights read
+    # growing the c-values drops the carried column, whose binomial row
+    # may stop short of a longer support
+    c_values(I, 31)
+    assert counting._TABLES[I].column == (0, [], {})
 
 
 def _fresh_tables(monkeypatch) -> None:
