@@ -157,7 +157,9 @@ class LambdaGraph:
 
 # --------------------------------------------------------------------------
 # small disjoint-set helpers (path halving + naive linking; the structures
-# here are tiny and operation-local, so union by size buys nothing)
+# here are tiny and operation-local, so union by size buys nothing), for the
+# two-colored graph's components; the product and the kernel join inline
+# their own
 
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
@@ -409,29 +411,55 @@ def _row(
     return tuple(sorted(map(relabel, domain))), tuple(sorted(classes) if i else classes)
 
 
-def _kernel(halves: list[tuple[Block, Block]], n: int) -> list[int]:
-    """Union-find parents on the points 0..n-1 whose classes are the kernel,
-    the join of the upper and the lower kernel.  A lower point v stands for
-    v - n: each block's upper part is one upper class and its lower part
-    one lower class.  This is the one kernel join; _kernel_classes reads
-    it for everyone but the idempotency tests, which read the roots."""
+def _kernel(blocks: Iterable[Block], n: int) -> tuple[list[int], list[tuple[int, int]], int]:
+    """The kernel, the join of the upper and the lower kernel, as union-find
+    parents on the points 0..n-1 (a lower point v stands for v - n); each
+    transversal's (first upper, first lower) point in that form; and the
+    number of kernel classes.
+
+    Each block must be sorted, so that its upper points come first.  They
+    are joined to each other, and its lower points to each other, never the
+    one part to the other.  Finds halve the path and links go to the
+    smaller root, so parent[x] <= x, as in _glue.  This is the one kernel
+    join: _kernel_classes groups it, and the idempotency tests read the
+    roots of the pairs."""
     parent = list(range(n))
-    for upper, lower in halves:
-        for v in upper[1:]:
-            _union(parent, upper[0], v)
-        for v in lower[1:]:
-            _union(parent, lower[0] - n, v - n)
-    return parent
+    pairs = []
+    classes = n
+    for blk in blocks:
+        r = -1  # the root of the part read so far; none yet
+        upper = blk[0] < n  # still in the block's upper part
+        for v in blk:
+            if v >= n:
+                v -= n
+                if upper:  # the first lower point of a transversal
+                    upper = False
+                    pairs.append((blk[0], v))
+                    r = -1
+            while parent[v] != v:  # path halving: parent[v] is assigned before v
+                parent[v] = v = parent[parent[v]]
+            if r < 0:
+                r = v
+            elif v < r:
+                parent[r] = r = v
+                classes -= 1
+            elif r < v:
+                parent[v] = r
+                classes -= 1
+    return parent, pairs, classes
 
 
-def _kernel_classes(halves: list[tuple[Block, Block]], n: int) -> dict[int, list[int]]:
-    """The kernel classes on the points 0..n-1, keyed by their union-find
-    root.  Grouped in point order, each class comes out sorted and the
-    classes in order of their minima, so they are canonical with no sort."""
-    parent = _kernel(halves, n)
+def _kernel_classes(blocks: Iterable[Block], n: int) -> dict[int, list[int]]:
+    """The kernel classes on the points 0..n-1 of the sorted blocks, keyed by
+    their root in _kernel.  Grouped in point order, each class comes out
+    sorted and the classes in order of their minima, so they are canonical
+    with no sort."""
+    parent = _kernel(blocks, n)[0]
     classes: dict[int, list[int]] = {}
     for x in range(n):
-        classes.setdefault(_find(parent, x), []).append(x)
+        # parent[x] <= x, so in point order one step reaches the root
+        parent[x] = r = parent[parent[x]]
+        classes.setdefault(r, []).append(x)
     return classes
 
 
@@ -441,7 +469,7 @@ def profile(a: DiagramPartition) -> StructuralProfile:
     halves = _halves(a)
     upper_domain, upper_classes = _row(halves, 0, n)
     lower_domain, lower_classes = _row(halves, 1, n)
-    kernel = _kernel_classes(halves, n).values()
+    kernel = _kernel_classes(a.blocks, n).values()
     return StructuralProfile(
         rank=sum(1 for upper, lower in halves if upper and lower),
         upper_domain=frozenset(upper_domain),
@@ -464,7 +492,7 @@ def decompose_irreducible(
     which happens exactly for the non-idempotent-shaped elements.
     """
     n = a.n
-    classes = _kernel_classes(_halves(a), n)
+    classes = _kernel_classes(a.blocks, n)
     root = [0] * n
     position = [0] * n  # each point's place in its class
     for r, members in classes.items():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DiagramPartition, LambdaGraph, _find, _glue, _halves, _kernel, _labels, _union
+from .core import DiagramPartition, LambdaGraph, _find, _glue, _kernel, _labels, _union
 from .errors import DomainError, NotBalancedError
 
 
@@ -84,18 +84,22 @@ def is_idempotent_direct(a: DiagramPartition) -> bool:
 
 def _kernel_excess(a: DiagramPartition) -> int | None:
     """Kernel classes minus rank, or None when some block straddles two kernel
-    classes or some class holds two transversals."""
-    n = a.n
-    halves = _halves(a)
-    parent = _kernel(halves, n)
+    classes or some class holds two transversals.
+
+    Only a transversal can straddle: every other block lies in one part of
+    the join.  So the test reads the roots of the transversals' (first
+    upper, first lower) pairs that _kernel hands back, and nothing else."""
+    parent, pairs, classes = _kernel(a.blocks, a.n)
     holding: set[int] = set()  # the kernel classes that hold a transversal
-    for upper, lower in halves:
-        if upper and lower:
-            root = _find(parent, upper[0])
-            if root != _find(parent, lower[0] - n) or root in holding:
-                return None
-            holding.add(root)
-    return sum(1 for x in range(n) if parent[x] == x) - len(holding)
+    for x, y in pairs:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y or x in holding:
+            return None
+        holding.add(x)
+    return classes - len(holding)
 
 
 def is_idempotent_structural(a: DiagramPartition) -> bool:

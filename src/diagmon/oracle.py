@@ -19,6 +19,7 @@ form.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
@@ -201,6 +202,25 @@ def _graph_rank(a: DiagramPartition) -> int | None:
         return None
 
 
+def _r_key(a: DiagramPartition) -> tuple:
+    """A key for the R-class of a canonical diagram, read straight off its
+    blocks: the upper part of each block that has one, in block order, and
+    after each transversal's a None.  The upper parts are the upper kernel
+    classes, and the marked ones make up the upper domain, so two elements
+    share the key exactly when they share green_signature's R key.  The
+    mark is None, which equals no part, so a mark is never taken for one."""
+    n = a.n
+    key: list = []
+    for blk in a.blocks:
+        if blk[0] >= n:  # blocks are ordered by minimum: only lower blocks remain
+            break
+        if blk[-1] < n:
+            key.append(blk)
+        else:
+            key += (blk[: bisect_left(blk, n)], None)
+    return tuple(key)
+
+
 def brute_report(
     f: MonoidFamily | str,
     n: int,
@@ -209,9 +229,10 @@ def brute_report(
 ) -> BruteReport:
     """Single streaming pass: count everything the acceptance checks need.
 
-    Each element gets its R-class key from green_signature and is squared
-    once by is_idempotent_direct; the first element of each R-class is
-    profiled for the class's rank and idle points.  With a twist order,
+    Each element is keyed by _r_key, and squared once by
+    is_idempotent_direct.  The first element of each new key gets the
+    class's green_signature R key, under which the class is tallied, and
+    is profiled for the class's rank and idle points.  With a twist order,
     each idempotent is squared once more for the number of components its
     square swallows.
     """
@@ -219,11 +240,14 @@ def brute_report(
     order = None if M is None else as_twist_order(M)
     report = BruteReport(family=fam, n=n, twist=None if order is None else order.M)
     use_graph = fam in (MonoidFamily.B, MonoidFamily.PB)
+    signatures: dict[tuple, Signature] = {}  # each _r_key's green_signature key
     started = time.perf_counter()
     for a in enumerate_elements(fam, n, cap):
         report.total_elements += 1
-        sig: Signature = green_signature(a, "R")[2:]
-        if sig not in report.r_class_params:
+        key = _r_key(a)
+        sig = signatures.get(key)
+        if sig is None:
+            signatures[key] = sig = green_signature(a, "R")[2:]
             prof = profile(a)
             idle = sum(
                 1 for cls in prof.upper_kernel.classes

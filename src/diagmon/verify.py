@@ -289,9 +289,8 @@ def check_enrs_oracle(max_n: int = 5) -> CheckResult:
     a rank-0 diagram, its upper and lower blocks, whose kernel is the join."""
     cases = []
     for n in range(1, max_n + 1):
-        partitions = list(set_partition_blocks(n))
-        uppers = [[(blk, ()) for blk in blocks] for blocks in partitions]
-        lowers = [[((), tuple(v + n for v in blk)) for blk in blocks] for blocks in partitions]
+        uppers = list(set_partition_blocks(n))
+        lowers = [tuple([tuple([v + n for v in blk]) for blk in blocks]) for blocks in uppers]
         direct = Counter(
             (len(upper), len(lower))
             for upper in uppers

@@ -7,7 +7,9 @@ first search over an explicit adjacency map (the package uses union-find),
 profiles point by point rather than block by block, involutions by
 filtering permutations, the text form by a regular expression per point
 (the package reads each point by hand).  Expected values in the tests were
-computed with these and then frozen.
+computed with these and then frozen.  The reference_* functions are the
+package's own earlier algorithms, kept as referees for the faster ones that
+replaced them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,21 @@ from diagmon.core import (
     EquivalenceRelation,
     MonoidFamily,
     StructuralProfile,
+    _halves,
+    as_family,
     make_partition,
+    multiply,
+    profile,
 )
 from diagmon.errors import DomainError
-from diagmon.idempotency import TwistOrder
+from diagmon.idempotency import (
+    TwistOrder,
+    as_twist_order,
+    is_idempotent_direct,
+    is_idempotent_structural,
+    is_twisted_idempotent,
+)
+from diagmon.oracle import BruteReport, _graph_rank, enumerate_elements, green_signature
 
 
 def set_partitions(items: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -259,3 +272,92 @@ def naive_involutions(n: int) -> int:
 
 def naive_stirling2(n: int, r: int) -> int:
     return sum(1 for p in set_partitions(tuple(range(n))) if len(p) == r)
+
+
+def _reference_join(a: DiagramPartition):
+    """The kernel join as the package made it before its one-pass join: each
+    block cut by _halves into (upper part, lower part), and a union-find on
+    the points 0..n-1 joining each part's first point to the others, a lower
+    point v as v - n.  Returns the halves, the parents and the find."""
+    n = a.n
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    halves = _halves(a)
+    for upper, lower in halves:
+        for v in upper[1:]:
+            parent[find(v)] = find(upper[0])
+        for v in lower[1:]:
+            parent[find(v - n)] = find(lower[0] - n)
+    return halves, parent, find
+
+
+def reference_kernel_excess(a: DiagramPartition) -> int | None:
+    """Kernel classes minus rank, or None when some transversal's two halves
+    lie in two classes or some class holds two transversals, on
+    _reference_join."""
+    n = a.n
+    halves, parent, find = _reference_join(a)
+    holding: set[int] = set()
+    for upper, lower in halves:
+        if upper and lower:
+            root = find(upper[0])
+            if root != find(lower[0] - n) or root in holding:
+                return None
+            holding.add(root)
+    return sum(1 for x in range(n) if parent[x] == x) - len(holding)
+
+
+def reference_kernel_classes(a: DiagramPartition) -> list[list[int]]:
+    """The kernel classes on the points 0..n-1, grouped in point order by
+    their root in _reference_join."""
+    _, _, find = _reference_join(a)
+    classes: dict[int, list[int]] = {}
+    for x in range(a.n):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def reference_brute_report(f: MonoidFamily | str, n: int, M: int | None = None) -> BruteReport:
+    """brute_report as the package made it before it keyed R-classes off the
+    blocks: green_signature's R key for every element."""
+    fam = as_family(f)
+    order = None if M is None else as_twist_order(M)
+    report = BruteReport(family=fam, n=n, twist=M)
+    for a in enumerate_elements(fam, n):
+        report.total_elements += 1
+        sig = green_signature(a, "R")[2:]
+        if sig not in report.r_class_params:
+            prof = profile(a)
+            idle = sum(
+                1 for cls in prof.upper_kernel.classes
+                if len(cls) == 1 and cls[0] not in prof.upper_domain
+            )
+            report.r_class_params[sig] = (prof.rank, idle)
+            report.r_class_counts[sig] = report.r_class_twisted[sig] = 0
+        idempotent = is_idempotent_direct(a)
+        if idempotent != is_idempotent_structural(a):
+            report.structural_disagreements.append(("structural", a))
+        if not idempotent:
+            continue
+        rank = report.r_class_params[sig][0]
+        report.idempotents_total += 1
+        report.idempotents_by_rank[rank] = report.idempotents_by_rank.get(rank, 0) + 1
+        report.r_class_counts[sig] += 1
+        if fam in (MonoidFamily.B, MonoidFamily.PB) and _graph_rank(a) != rank:
+            report.structural_disagreements.append(("two-colored graph", a))
+        if order is None:
+            continue
+        twisted = order.annihilates(multiply(a, a)[1])
+        if twisted != is_twisted_idempotent(a, order):
+            report.structural_disagreements.append(("twisted", a))
+        if twisted:
+            report.twisted_total += 1
+            report.twisted_by_rank[rank] = report.twisted_by_rank.get(rank, 0) + 1
+            report.r_class_twisted[sig] += 1
+    return report

@@ -1,18 +1,35 @@
 """The per-element kernels against the naive references, exhaustively on
 small monoids: the product and its label-form kernel, the profile, the
 Green keys, the direct, structural and twisted idempotency tests and the
-embedded families' membership."""
+embedded families' membership; the kernel join and the sweep's R-class key
+against the earlier algorithms they replaced."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from diagmon.core import DiagramPartition, MonoidFamily, _glue, _labels, family_check, multiply, profile
-from diagmon.idempotency import is_idempotent_direct, is_idempotent_structural, is_twisted_idempotent
-from diagmon.oracle import enumerate_elements, green_signature
+from diagmon.core import (
+    DiagramPartition,
+    MonoidFamily,
+    _glue,
+    _kernel_classes,
+    _labels,
+    family_check,
+    make_partition,
+    multiply,
+    profile,
+)
+from diagmon.idempotency import (
+    _kernel_excess,
+    is_idempotent_direct,
+    is_idempotent_structural,
+    is_twisted_idempotent,
+)
+from diagmon.oracle import _r_key, brute_report, enumerate_elements, green_signature
 
 from .oracles import (
     naive_family_check,
@@ -22,6 +39,9 @@ from .oracles import (
     naive_multiply,
     naive_profile,
     naive_rgs,
+    reference_brute_report,
+    reference_kernel_classes,
+    reference_kernel_excess,
 )
 
 MONOIDS = [
@@ -110,3 +130,85 @@ def test_embedded_family_check_matches_naive(elements):
     for a in elements:
         for fam in (MonoidFamily.T, MonoidFamily.I, MonoidFamily.IDUAL):
             assert family_check(a, fam) == naive_family_check(a, fam), (a, fam)
+
+
+def _assert_join_matches_reference(a: DiagramPartition) -> None:
+    assert _kernel_excess(a) == reference_kernel_excess(a), a
+    assert list(_kernel_classes(a.blocks, a.n).values()) == reference_kernel_classes(a), a
+
+
+@pytest.mark.parametrize(
+    "fam, n",
+    [
+        (MonoidFamily.P, 4),
+        (MonoidFamily.B, 6),
+        (MonoidFamily.PB, 5),
+        (MonoidFamily.T, 4),
+        (MonoidFamily.I, 4),
+        (MonoidFamily.IDUAL, 4),
+    ],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_kernel_join_matches_the_halves_join_on_every_element(fam, n):
+    for a in enumerate_elements(fam, n):
+        _assert_join_matches_reference(a)
+
+
+def _flip(a: DiagramPartition) -> DiagramPartition:
+    """The diagram turned upside down, its upper and lower rows swapped."""
+    n = a.n
+    return make_partition(n, ([(v + n) % (2 * n) for v in blk] for blk in a.blocks))
+
+
+def test_kernel_join_matches_the_halves_join_on_seeded_diagrams():
+    """2,000 diagrams of P_n, n <= 40: every other one a random partition of
+    the 2n points, and the rest the projections flip(a)·a, all idempotent,
+    so that both the refusals and the excesses are compared."""
+    rng = random.Random("kernel join")
+    excesses = refusals = 0
+    for i in range(2000):
+        n = rng.randint(0, 40)
+        groups: dict[int, list[int]] = {}
+        k = rng.randint(1, max(1, 2 * n))
+        for v in range(2 * n):
+            groups.setdefault(rng.randrange(k), []).append(v)
+        a = make_partition(n, groups.values())
+        if i % 2:
+            a = multiply(_flip(a), a)[0]
+        _assert_join_matches_reference(a)
+        if _kernel_excess(a) is None:
+            refusals += 1
+        else:
+            excesses += 1
+    assert excesses > 1000 and refusals > 500
+
+
+R_KEY_MONOIDS = [(MonoidFamily.P, 3), (MonoidFamily.P, 4), (MonoidFamily.B, 5), (MonoidFamily.PB, 4)]
+
+
+@pytest.mark.parametrize("fam, n", R_KEY_MONOIDS, ids=lambda x: getattr(x, "value", x))
+def test_r_key_groups_elements_as_green_signature_does(fam, n):
+    by_key: dict[tuple, int] = {}
+    by_signature: dict[tuple, int] = {}
+    for i, a in enumerate(enumerate_elements(fam, n)):
+        # each element labelled by the first element sharing its key
+        assert by_key.setdefault(_r_key(a), i) == by_signature.setdefault(green_signature(a, "R"), i), a
+
+
+def test_r_key_marks_each_transversal_with_no_point_label(all_p3):
+    # a mark equal to a label, as True is to 1, could make a marked part
+    # read as a longer unmarked one
+    for a in all_p3:
+        key = _r_key(a)
+        marks = [x for x in key if not isinstance(x, tuple)]
+        assert len(marks) == profile(a).rank, a
+        assert not any(mark == v for mark in marks for v in range(2 * a.n)), a
+
+
+@pytest.mark.parametrize("M", [None, 0, 2])
+@pytest.mark.parametrize("fam, n", R_KEY_MONOIDS, ids=lambda x: getattr(x, "value", x))
+def test_brute_report_matches_one_signature_per_element(fam, n, M):
+    report, reference = brute_report(fam, n, M), reference_brute_report(fam, n, M)
+    for f in dataclasses.fields(report):
+        if f.name != "elapsed_seconds":
+            assert getattr(report, f.name) == getattr(reference, f.name), f.name
