@@ -81,7 +81,11 @@ Rows of an entry:
   lack ``shared_grids``, ``bell`` and ``e_rank_default`` at Idual250, and
   their ``e_rank_default`` passes left the Stirling table warm, which no
   family's default read there.  Entries before ``pr21-parent`` lack
-  ``c_values`` at P40.
+  ``c_values`` at P40.  Entries before ``pr23-change`` lack
+  ``exi_total_order2`` at B1000: there its default, a first-piece grid of
+  two residue rows, took about 8 s a pass.  From ``pr23-change``, B's and
+  PB's default totals at every twist order, ``e_total_default`` and
+  ``exi_total_order2`` included, read the marked holonomic grid.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -156,7 +160,7 @@ WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
-ORDER_2_TWISTED = (("B", 40), ("B", 250))
+ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000))
 COLD_PAIRS_N = (20, 30, 40)
 BELL_N = (250, 1000)
 # count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by

@@ -6,37 +6,33 @@ holonomic recurrence, closed form); the routes are deliberately kept
 separate so they can be played against each other by the verifier.
 
 A count asked for with no route takes the one chosen here, the cheapest
-this module has for that family: e_total takes the holonomic recurrence
-for B and PB, the closed form for T and I, and the first-piece recurrence
-for P and Idual; exi_total takes the holonomic recurrence at order 0 for B
-and PB and the first-piece recurrence otherwise; e_rank takes a row of
-every rank read off the bivariate EGF for every family but P, and the
-first-piece recurrence for P; exi_rank takes the first-piece recurrence.
+this module has for that family: e_total and exi_total take the holonomic
+recurrence for B and PB, e_total the closed form for T and I, and the rest
+the first-piece recurrence; e_rank takes a row of every rank read off the
+bivariate EGF for every family but P, and the first-piece recurrence for
+P; exi_rank takes the first-piece recurrence.
 
-The holonomic recurrences tie a total to its four predecessors, each with
-a polynomial coefficient, so each new term costs O(1) big-int products
-(_holonomic).  The first-piece recurrences are bottom-up tables grown to
-the largest index a query has needed.  Each splits an idempotent at the
-irreducible piece holding its first point, and each is a grid grown by
-grow_grid through one helper (_first_piece) and one entry (_piece_entry):
-a new cell is a binomial convolution of a c-value column with a row,
-summed in C.  The two rank grids are indexed by rank and n.  exi_total
-keeps one grid per twist order M, indexed by the number of rank-0 pieces
-mod M, the twist exponent, and n: order 0 has the one row of rank-1
-pieces, order M > 0 grows M rows and reads row 0, and order 1's row is
-e_total's recurrence.  A grid is fixed by the c-value columns its pieces
-read, so each distinct grid grows once: PB's grids of rank-1 pieces alone
-(exi_rank's, exi_total's at order 0) are B's, and T and Idual, which have
-no rank-0 piece, read their order-0 grid at every order (_C1_TWIN,
-_NO_RANK_0).  A grid grows column by column, so the weight rows
-of one column (_weights), and the row of Pascal's triangle carried from
-each column to the next as far as any c-value is nonzero, serve every
-row that column needs; order 1's row, where both kinds of piece keep the
-row, convolves once with the weights of c0 + c1.  Each
-family's tables sit in one _FamilyTables.  The partition routes share
-one sweep over the integer partitions of n per (family, n): it fills a
-grid by kernel classes and rank, and each route is a sum over part of
-that grid.
+The holonomic recurrence ties a cell to four predecessors in its row and
+the row before, a row per count of rank-0 pieces mod the twist order, so
+each new cell costs O(1) products (_holonomic).  The first-piece
+recurrences are bottom-up tables grown to the largest index a query has
+needed.  Each splits an idempotent at the irreducible piece holding its
+first point, and each is a grid grown by grow_grid through one helper
+(_first_piece) and one entry (_piece_entry): a new cell is a binomial
+convolution of a c-value column with a row, summed in C.  The two rank
+grids are indexed by rank and n.  exi_total's recurrence keeps one grid
+per twist order M, indexed by the number of rank-0 pieces mod M, the twist
+exponent, and n: order 0 has the one row of rank-1 pieces, order M > 0
+grows M rows and reads row 0, and order 1's row is e_total's recurrence.
+A grid is fixed by the c-value columns its pieces read, so each distinct
+grid grows once: PB's grids of rank-1 pieces alone (exi_rank's, and both
+totals' at order 0) are B's, and T and Idual, which have no rank-0 piece,
+read their order-0 grid at every order (_C1_TWIN, _NO_RANK_0).  A grid
+grows column by column, so the weight rows of one column (_weights) serve
+every row that column needs.  Each family's tables sit in one
+_FamilyTables.  The partition routes share one sweep over the integer
+partitions of n per (family, n): it fills a grid by kernel classes and
+rank, and each route is a sum over part of that grid.
 """
 
 from __future__ import annotations
@@ -90,13 +86,12 @@ class _FamilyTables:
     # the first-piece grids, [r][n]; exi_total's, one per twist order M, count
     # rank-0 pieces mod M, not rank, and order 1's serves e_total's recurrence;
     # PB's twisted[0] and twisted_rank are B's lists, and every twisted[M] of
-    # T and Idual is its twisted[0] (see _C1_TWIN)
+    # T and Idual is its twisted[0] (see _C1_TWIN); holonomic[M], B and PB
+    # only, is keyed alike, [q mod M][n], and PB's holonomic[0] is B's
     twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
-    # the holonomic tables, [n], B and PB only; B's order-0 table serves PB too
-    holonomic: list[int] = field(default_factory=list)  # e_total
-    holonomic_twisted: list[int] = field(default_factory=list)  # exi_total at order 0
+    holonomic: dict[int, list[list[int]]] = field(default_factory=dict)  # e_total (order 1), exi_total
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
     # C(j-1, i) for i below min(j, the longest c_support) and the weight rows
@@ -329,7 +324,7 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
     if method == "holonomic":
         if fam not in _HOLONOMIC_Q:
             raise DomainError(f"no holonomic total for family {fam.value}")
-        return _holonomic(_TABLES[fam].holonomic, _HOLONOMIC_Q[fam], n)
+        return _holonomic(fam, n, 1)
     if method == "closed":
         totals = _TABLES[fam].closed_totals
         if n not in totals:
@@ -348,54 +343,64 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
 # --------------------------------------------------------------------------
 # holonomic totals
 
-# (1 - t²)²·C′(t) by degree, for the series C(t) = Σ c(m)·t^m/m! of the
-# irreducible pieces a total admits, from the c-values of _irreducible
+# (1 - t²)²·C′ by degree, for the EGF C = Σ c(m)·t^m/m! of each c-value
+# column of _irreducible, as the pair (rank-0 part, rank-1 part).  B: C0 =
+# -½·log(1 - t²) and C1 = t/(1 - t²); PB: C0 is B's plus t/(1 - t), C1 B's
 _HOLONOMIC_Q = {
-    # c = (m-1)! at even m, m! at odd m: C = -½·log(1 - t²) + t/(1 - t²)
-    MonoidFamily.B: (1, 1, 1, -1),
-    # c = (m+1)·(m-1)! at even m, 2·m! at odd m:
-    # C = -½·log(1 - t²) + (2t + t²)/(1 - t²)
-    MonoidFamily.PB: (2, 3, 2, -1),
+    MonoidFamily.B: ((0, 1, 0, -1), (1, 0, 1, 0)),
+    MonoidFamily.PB: ((1, 3, 1, -1), (1, 0, 1, 0)),
 }
-# twisted at order 0, B and PB alike: only the rank-1 pieces, c1 = m! at
-# odd m, so C = t/(1 - t²)
-_TWISTED_Q = (1, 0, 1, 0)
 
 
-def _holonomic(table: list[int], q: tuple[int, ...], n: int) -> int:
-    """e(n) = n!·[t^n] exp(C(t)), where (1 - t²)²·C′(t) = q0 + q1·t + q2·t²
-    + q3·t³, from the table grown to n.
+def _holonomic(fam: MonoidFamily, n: int, M: int) -> int:
+    """Cell (0, n) of order M's marked holonomic grid, B and PB only, whose
+    row i counts the idempotents with q = i (mod M) rank-0 pieces (order 0:
+    q = 0).  q <= n, so an order M > n is order 0 and grows no grid.
 
-    The first-piece recurrence e(n+1) = Σ C(n, m-1)·c(m)·e(n+1-m) says
-    E′ = C′·E for the EGF E = Σ e(n)·t^n/n!, so E = exp(C).  Times (1 - t²)²
-    it reads (1 - 2t² + t⁴)·E′ = Q·E.  The coefficient of t^n/n! in t^k·F
-    is n^(k)·f(n-k), with n^(k) = n(n-1)...(n-k+1) the falling factorial,
-    so
+    Mark each rank-0 piece with x.  By the exponential formula (Flajolet and
+    Sedgewick, Analytic Combinatorics, ch. III) the EGF is E = exp(x·C0 +
+    C1), so E′ = (x·C0′ + C1′)·E, and times (1 - t²)², (1 - 2t² + t⁴)·E′ =
+    (x·Q0 + Q1)·E for the pair (Q0, Q1) of _HOLONOMIC_Q.  The coefficient of
+    t^n/n! in t^k·F is n^(k)·f(n-k), n^(k) = n(n-1)...(n-k+1), so for Q1
 
         e(n+1) = q0·e(n) + (q1·n^(1) + 2·n^(2))·e(n-1) + q2·n^(2)·e(n-2)
-                 + (q3·n^(3) - n^(4))·e(n-3).
+                 + (q3·n^(3) - n^(4))·e(n-3)
 
-    For B that is e(n+1) = e(n) + n(2n-1)·e(n-1) + n(n-1)·e(n-2)
-    - n(n-1)(n-2)²·e(n-3); for PB, e(n+1) = 2e(n) + n(2n+1)·e(n-1)
-    + 2n(n-1)·e(n-2) - n(n-1)(n-2)²·e(n-3); at twist order 0, e(n+1) =
-    e(n) + 2n(n-1)·e(n-1) + n(n-1)·e(n-2) - n(n-1)(n-2)(n-3)·e(n-3).
-    A series whose coefficients obey such a recurrence is D-finite
-    (Stanley, European J. Combin. 1980).  Each term costs four products
-    of a big int by a small one, against O(n) big-int products for the
-    first-piece recurrence.  A coefficient n^(k) vanishes where n < k, so
-    no term below e(0) is needed.
+    on the cell's own row (n^(k) = 0 at n < k), plus the same sum for Q0
+    without E′'s 2·n^(2) and n^(4) on row i - 1, as x moves a count one row
+    on; row 0 wraps to row M - 1.  At orders 0 and 1, x is the number M and
+    the grid one row: Q1, which B and PB share (_C1_TWIN), and Q0 + Q1,
+    e_total's.  The series is D-finite (Stanley, European J. Combin. 1980).
+    A cell costs at most eight products of a big int by a small one.
     """
-    return grow(table, n, partial(_holonomic_entry, table, q))[n]
+    M = M if M <= n else 0
+    grids = _TABLES[fam].holonomic
+    try:
+        return grids[M][0][n]
+    except (KeyError, IndexError):
+        pass
+    owner = fam if M else _C1_TWIN.get(fam, fam)
+    with _GROWING:
+        grid = grids.setdefault(M, _TABLES[owner].holonomic.setdefault(M, []))
+    rank0, rank1 = _HOLONOMIC_Q[owner]
+    own = rank1 if M > 1 else tuple(q1 + M * q0 for q0, q1 in zip(rank0, rank1))  # x = M
+    grow_grid(grid, max(M - 1, 0), n, partial(_holonomic_entry, grid, own, rank0 if M > 1 else ()))
+    return grid[0][n]
 
 
-def _holonomic_entry(table: list[int], q: tuple[int, ...], m: int) -> int:
+def _holonomic_entry(grid: _Grid, own: tuple[int, ...], marked: tuple[int, ...], i: int, m: int) -> int:
     if m == 0:
-        return 1  # the empty diagram
+        return int(i == 0)  # the empty diagram, with no rank-0 piece
     n = m - 1
     f2 = n * (n - 1)
     f3 = f2 * (n - 2)
-    coefficients = (q[0], q[1] * n + 2 * f2, q[2] * f2, q[3] * f3 - f3 * (n - 3))
-    return sum(map(mul, coefficients, reversed(table[max(n - 3, 0) : m])))
+    start = max(n - 3, 0)
+    coefficients = (own[0], own[1] * n + 2 * f2, own[2] * f2, (own[3] - n + 3) * f3)
+    total = sum(map(mul, coefficients, reversed(grid[i][start:m])))
+    if marked:  # grid[-1] is row M - 1
+        coefficients = (marked[0], marked[1] * n, marked[2] * f2, marked[3] * f3)
+        total += sum(map(mul, coefficients, reversed(grid[i - 1][start:m])))
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -659,19 +664,16 @@ def b_nr(n: int, r: int) -> int:
 def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: str | None = None) -> int:
     """Number of twisted idempotents for the given twist order.
 
-    method is "formula", "recurrence" or "holonomic" (B and PB at order 0
-    only, one route for both, whose rank-1 pieces agree; see _holonomic).
-    The formula keeps the grid cells whose self-product exponent, kernel
-    classes minus rank, the twist annihilates; that exponent is the number
-    of rank-0 pieces, which the recurrence's grid counts mod M.  None, the
-    default, takes the holonomic route at order 0 for B and PB and the
-    recurrence otherwise (order 1 collapses to the plain count).  A route
-    the family or order lacks raises DomainError.
-
-    Each order grows its own grid of M rows, O(M·n²) products (one row
-    once M > n), so a sweep of every order at one n pays Σ M·n², not the
-    O(n³) of one grid by every count of rank-0 pieces; T and Idual, which
-    have no rank-0 piece, answer every order from their order-0 row.
+    method is "formula", "recurrence" or "holonomic" (B and PB only; see
+    _holonomic).  The formula keeps the grid cells whose self-product
+    exponent, kernel classes minus rank, the twist annihilates; that
+    exponent is the number of rank-0 pieces, which the other two routes'
+    grids count mod M.  None, the default, takes the holonomic route for B
+    and PB, O(M·n) small products at order M, and the recurrence otherwise
+    (order 1 collapses to the plain count).  A route the family lacks
+    raises DomainError.  The recurrence grows a grid of M rows per order,
+    O(M·n²) products (one row once M > n); T and Idual, which have no
+    rank-0 piece, answer every order from their order-0 row.
     """
     fam = as_family(f)
     order = as_twist_order(t)
@@ -680,15 +682,13 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
     if method not in (None, "formula", "recurrence", "holonomic"):
         raise DomainError(f"unknown exi_total method {method!r}")
     if method is None:
-        method = "holonomic" if fam in _HOLONOMIC_Q and not order.M else "recurrence"
+        method = "holonomic" if fam in _HOLONOMIC_Q else "recurrence"
     if method == "recurrence":
         return _twisted_total(fam, n, order.M)
     if method == "holonomic":
-        if order.M:
-            raise DomainError("the twisted holonomic route applies to order 0 only")
         if fam not in _HOLONOMIC_Q:
             raise DomainError(f"no holonomic twisted total for family {fam.value}")
-        return _holonomic(_TABLES[MonoidFamily.B].holonomic_twisted, _TWISTED_Q, n)
+        return _holonomic(fam, n, order.M)
     return sum(
         count
         for k, row in enumerate(_partition_grid(fam, n))

@@ -122,10 +122,10 @@ EGF_ROW_SUMS_N = (20, 40, 60)
 def check_total_methods() -> CheckResult:
     """Every other route of e_total and of exi_total against the
     first-piece recurrence: the formula at n <= ENGINE_MAX_N (exi_total at
-    twist orders 0 to 4), the holonomic and closed routes at
-    n <= FAST_ROUTE_MAX_N.  And the holonomic totals of B and PB against
-    the sums of their egf rank rows, which serve n far past the rank
-    grid's reach, at EGF_ROW_SUMS_N.
+    twist orders 0 to 4), the holonomic and closed routes at n <=
+    FAST_ROUTE_MAX_N (exi_total at orders 0 to 2, to 4 at n <= ENGINE_MAX_N).
+    And the holonomic totals of B and PB against the sums of their egf rank
+    rows, which serve n far past the rank grid's reach, at EGF_ROW_SUMS_N.
 
     counting grows each distinct first-piece grid once, so some recurrence
     cases read another family's or order's grid: PB's order-0 cases play
@@ -150,9 +150,9 @@ def check_total_methods() -> CheckResult:
             for fam, method in FAST_TOTALS
         ]
         cases += [
-            (("exi_total({.value},{},order 0) holonomic vs recurrence", fam, n),
-             exi_total(fam, n, 0, "holonomic"), exi_total(fam, n, 0, "recurrence"))
-            for fam in (B, PB)
+            (("exi_total({.value},{},order {}) holonomic vs recurrence", fam, n, order),
+             exi_total(fam, n, order, "holonomic"), exi_total(fam, n, order, "recurrence"))
+            for fam in (B, PB) for order in range(5 if n <= ENGINE_MAX_N else 3)
         ]
     cases += [
         (("sum of e_rank({.value},{},r) egf vs holonomic e_total", fam, n),

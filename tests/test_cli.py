@@ -100,9 +100,9 @@ def test_count_bruteforce_rank_out_of_range_exits_2():
 
 
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
-    # the recurrences are far cheaper than the partition formula: order 0
-    # takes the holonomic one for B and PB, and every other order and
-    # family the first-piece one.  counting picks the route.  On fresh
+    # the recurrences are far cheaper than the partition formula: every
+    # order takes the holonomic one for B and PB, and every other family
+    # the first-piece one.  counting picks the route.  On fresh
     # tables, since a grown cell of a twisted grid is read without the
     # first-piece helper.
     monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
@@ -118,7 +118,7 @@ def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
     formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
     assert formula.output.strip() == "1201"
-    assert seen == ["holonomic", "recurrence", "recurrence", "formula"]
+    assert seen == ["holonomic", "recurrence", "holonomic", "formula"]
 
 
 def test_count_holonomic():
@@ -147,12 +147,14 @@ def test_count_route_the_family_lacks_exits_2():
         ("--family", "B", "--method", "egf"),
         ("--family", "P", "--method", "holonomic"),
         ("--family", "Idual", "--method", "closed"),
-        ("--family", "B", "--M", "2", "--method", "holonomic"),
         ("--family", "B", "--rank", "2", "--method", "holonomic"),
     ):
         result = run("count", *args, "--n", "5")
         assert result.exit_code == 2, (args, result.output)
         assert "Traceback" not in result.output
+    # the marked holonomic route answers every twist order
+    result = run("count", "--family", "B", "--M", "2", "--method", "holonomic", "--n", "5")
+    assert (result.exit_code, result.output) == (0, "196\n")
 
 
 def test_count_passes_the_method_through(monkeypatch):

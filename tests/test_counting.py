@@ -106,9 +106,30 @@ def test_holonomic_and_closed_totals_match_the_recurrence():
     for fam, method in ((B, "holonomic"), (PB, "holonomic"), (T, "closed"), (I, "closed")):
         for n in range(61):
             assert e_total(fam, n, method) == e_total(fam, n, "recurrence"), (fam, n)
+    # and at every twist order, where row i of order M's marked grid reads
+    # row i - 1 and row 0 wraps to row M - 1; the first-piece grid of M
+    # residue rows and the formula referee it
     for fam in (B, PB):
-        for n in range(41):
-            assert exi_total(fam, n, 0, "holonomic") == exi_total(fam, n, 0, "recurrence"), (fam, n)
+        for order in range(8):
+            for n in range(41):
+                holonomic = exi_total(fam, n, order, "holonomic")
+                assert holonomic == exi_total(fam, n, order, "recurrence"), (fam, n, order)
+                assert exi_total(fam, n, order) == holonomic, (fam, n, order)
+                if n <= 20:
+                    assert holonomic == exi_total(fam, n, order, "formula"), (fam, n, order)
+
+
+def test_a_holonomic_order_above_n_grows_no_grid_of_its_own(monkeypatch):
+    # q <= n rank-0 pieces, so order M > n answers from order 0's grid
+    _fresh_tables(monkeypatch)
+    assert exi_total(B, 10, 10**6) == exi_total(B, 10, 10**6, "formula") == 12202561
+    assert exi_total(PB, 10, 11) == exi_total(PB, 10, 0, "formula")
+    for fam in (B, PB):
+        grids = counting._TABLES[fam].holonomic
+        assert list(grids) == [0] and [len(row) for row in grids[0]] == [11], fam
+    # at M = n, n single-point rank-0 pieces of PB are q = n = 0 (mod n)
+    assert exi_total(PB, 10, 10) == exi_total(PB, 10, 10, "formula") != exi_total(PB, 10, 0)
+    assert [len(row) for row in counting._TABLES[PB].holonomic[10]] == [11] * 10
 
 
 def test_closed_totals_are_kept(monkeypatch):
@@ -131,8 +152,8 @@ def test_a_route_the_family_lacks_is_refused():
     for fam in (P, B, PB, IDUAL):
         with pytest.raises(DomainError):
             e_total(fam, 4, "closed")
-    with pytest.raises(DomainError):
-        exi_total(B, 4, 2, "holonomic")
+    # the marked holonomic route answers every twist order
+    assert exi_total(B, 4, 2, "holonomic") == 28
 
 
 # --------------------------------------------------------------------------
@@ -342,10 +363,9 @@ def test_exi_total_higher_orders():
     for n in range(7):
         assert exi_total(B, n, 2) <= e_total(B, n)
         assert exi_total(B, n, 2) >= exi_total(B, n, 0)
-    # the holonomic route counts rank-1 pieces only, so it has order 0 alone
-    for order in (1, 2):
-        with pytest.raises(DomainError):
-            exi_total(B, 4, order, "holonomic")
+    # the holonomic route marks each rank-0 piece, so it answers every order
+    assert [exi_total(B, 4, order, "holonomic") for order in (0, 1, 2)] == [25, 40, 28]
+    assert [exi_total(B, 5, order, "holonomic") for order in (0, 1, 2)] == [181, 296, 196]
 
 
 def test_twisted_grid_matches_the_formula_at_every_order():
@@ -371,25 +391,40 @@ def test_twisted_grid_at_order_1_is_the_plain_total():
 
 
 def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
-    # each order's grid is first asked below M - 1, where it grows row 0
-    # alone, and then past M, where it grows all M rows over that row; T and
-    # Idual, with no rank-0 piece, answer every order from their order-0 row
+    # each order's first-piece grid is first asked below M - 1, where it
+    # grows row 0 alone, and then past M, where it grows all M rows over that
+    # row; T and Idual, with no rank-0 piece, answer every order from their
+    # order-0 row.  B's and PB's holonomic grids, their default, answer an
+    # order above n from order 0's grid, and past M grow all M rows at once
     keys = [(fam, n, order) for fam in (B, PB, T, IDUAL) for order in (2, 3, 7) for n in (0, 1, 4, 5, 9, 14, 20)]
     expected = {key: exi_total(*key, "formula") for key in keys}
     small = [key for key in keys if key[1] < key[2] - 1]
     large = [key for key in keys if key[1] > key[2]]
+    route = {B: "recurrence", PB: "recurrence", T: None, IDUAL: None}
     _fresh_tables(monkeypatch)
     rng = random.Random(7)
     for fam, n, order in rng.sample(small, len(small)):
-        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+        assert exi_total(fam, n, order, route[fam]) == expected[fam, n, order], (fam, n, order)
         assert len(counting._TABLES[fam].twisted[order]) == 1, (fam, n, order)
     for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
-        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+        assert exi_total(fam, n, order, route[fam]) == expected[fam, n, order], (fam, n, order)
     for fam in (B, PB):
         assert [len(counting._TABLES[fam].twisted[order]) for order in (2, 3, 7)] == [2, 3, 7]
+        assert counting._TABLES[fam].holonomic == {}, fam
     for fam in (T, IDUAL):
         grids = counting._TABLES[fam].twisted
         assert all(grids[order] is grids[0] for order in (2, 3, 7)) and len(grids[0]) == 1, fam
+    # the same shuffle on the holonomic grids
+    keys, small, large = ([key for key in part if key[0] in (B, PB)] for part in (keys, small, large))
+    for fam, n, order in rng.sample(small, len(small)):
+        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+        assert order not in counting._TABLES[fam].holonomic, (fam, n, order)
+    for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
+        assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
+    for fam in (B, PB):
+        grids = counting._TABLES[fam].holonomic
+        assert [len(grids[order]) for order in (2, 3, 7)] == [2, 3, 7], fam
+        assert all(len(row) == 21 for order in (2, 3, 7) for row in grids[order]), fam
 
 
 def test_an_order_above_n_is_order_0():
@@ -415,7 +450,7 @@ class FormulaReached(Exception):
 def test_default_routes_are_chosen_in_counting(monkeypatch):
     # with the partition formula out of reach, every default still answers,
     # and the first-piece total grids are reached by exactly the defaults
-    # that take the recurrence.  The holonomic tables that grow show which
+    # that take the recurrence.  The holonomic grids that grow show which
     # totals take that route.  e_total's recurrence and order 1 share one
     # grid, so a total grid is reached when one holds column n afterwards:
     # each (family, n) asks a larger n than those before it.  A grid shared
@@ -440,21 +475,29 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
             total, *twisted = expected[fam, n]
             # the recurrence for P and Idual, holonomic for B and PB, closed for T and I
             assert through_total_grid(e_total, fam, n) == (total, fam in (P, IDUAL)), (fam, n)
-            # holonomic at order 0 for B and PB, the recurrence otherwise
+            # holonomic at every order for B and PB, the recurrence otherwise
             assert through_total_grid(exi_total, fam, n) == (twisted[0], fam not in (B, PB)), (fam, n)
             assert exi_total(fam, n, 0) == twisted[0], (fam, n)
             for order in (1, 2):
-                assert through_total_grid(exi_total, fam, n, order) == (twisted[order], True), (fam, n)
+                reached = through_total_grid(exi_total, fam, n, order)
+                assert reached == (twisted[order], fam not in (B, PB)), (fam, n)
             assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
             with pytest.raises(FormulaReached):
                 exi_total(fam, n, 0, "formula")
     tables = counting._TABLES
-    assert [len(tables[fam].holonomic) for fam in ALL_FAMILIES] == [0, 13, 13, 0, 0, 0]
-    # B's order-0 holonomic table serves PB as well
-    assert [len(tables[fam].holonomic_twisted) for fam in ALL_FAMILIES] == [0, 13, 0, 0, 0, 0]
-    # T and Idual, with no rank-0 piece, answer orders 1 and 2 from order 0's grid
+    # one holonomic grid per twist order, M rows at order M >= 1; order 1's
+    # serves e_total, and B's order-0 grid serves PB as well
+    for fam in ALL_FAMILIES:
+        shapes = {M: [len(row) for row in grid] for M, grid in tables[fam].holonomic.items()}
+        assert shapes == ({0: [13], 1: [13], 2: [13, 13]} if fam in (B, PB) else {}), fam
+    assert tables[PB].holonomic[0] is tables[B].holonomic[0]
+    # T and Idual, with no rank-0 piece, answer orders 1 and 2 from order 0's
+    # grid; B and PB grow no first-piece total grid
     for fam in ALL_FAMILIES:
         grids = tables[fam].twisted
+        if fam in (B, PB):
+            assert grids == {}, fam
+            continue
         shared = fam in (T, IDUAL)
         assert [grids[order] is grids.get(0) for order in (1, 2)] == [shared, shared], fam
     # where the formula would sweep the 204,226 integer partitions of 50

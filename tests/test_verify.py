@@ -291,8 +291,10 @@ def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
-    # at twist orders 0 to 4, and each order-0 holonomic case of B and PB
-    cases = 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * (verify.FAST_ROUTE_MAX_N + 1)
+    # at twist orders 0 to 4, and each holonomic case of B and PB: orders 0
+    # to 4 at n <= ENGINE_MAX_N, and orders 0 to 2 further out
+    holonomic = 5 * (verify.ENGINE_MAX_N + 1) + 3 * (verify.FAST_ROUTE_MAX_N - verify.ENGINE_MAX_N)
+    cases = 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * holonomic
     assert shown[4] == f"and {cases - 4} more"
 
 
