@@ -37,7 +37,9 @@ Rows of an entry:
   the same for the twisted ranks; ``e_rank_default`` asks
   ``e_rank(fam, n, r)`` with no route for r = n, ..., 0, one full rank row
   by the library's default, at each (fam, n) in ``DEFAULT_RANKS``, with
-  ``combinat``'s Stirling table emptied too;
+  ``combinat``'s Stirling table emptied too; ``e_rank_closed`` asks
+  ``e_rank(fam, n, r, "closed")`` for every n <= ``CLOSED_RANK_N`` and
+  r <= n, count-wide's closed rank queries, for B and PB;
   ``e_total`` and
   ``exi_total`` are the recurrence routes at n = 250 (``exi_total`` at
   order 0) for each family in ``WIDE_FAMILIES``; ``e_total_default`` is
@@ -86,6 +88,11 @@ Rows of an entry:
   two residue rows, took about 8 s a pass.  From ``pr23-change``, B's and
   PB's default totals at every twist order, ``e_total_default`` and
   ``exi_total_order2`` included, read the marked holonomic grid.
+  Entries before ``pr24-parent`` lack ``e_rank_closed``.  Up to
+  ``pr24-parent`` the closed route of B and PB swept the integer
+  partitions of n; from ``pr24-change`` it is the row off the bivariate
+  EGF that the default reads, so ``e_rank_closed`` and ``e_rank_default``
+  time one route.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -161,6 +168,7 @@ DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
 ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000))
+CLOSED_RANK_N = 16
 COLD_PAIRS_N = (20, 30, 40)
 BELL_N = (250, 1000)
 # count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by
@@ -256,6 +264,12 @@ def rank_cells(fam: str) -> None:
             counting.e_rank(fam, n, r, "recurrence")
 
 
+def closed_ranks(fam: str) -> None:
+    for n in range(CLOSED_RANK_N + 1):
+        for r in range(n + 1):
+            counting.e_rank(fam, n, r, "closed")
+
+
 def rank_row(fam: str, n: int) -> None:
     for r in range(n, -1, -1):
         counting.e_rank(fam, n, r)
@@ -263,7 +277,7 @@ def rank_row(fam: str, n: int) -> None:
 
 def cold_rank_row_ms(fam: str, n: int) -> float:
     """Milliseconds of rank_row on fresh counting tables and an empty
-    Stirling table (combinat._STIRLING2), which Idual's egf row reads."""
+    Stirling table (combinat._STIRLING2), which Idual's closed row reads."""
     combinat._STIRLING2.clear()
     return cold_ms(rank_row, fam, n)
 
@@ -295,6 +309,7 @@ def counting_rows() -> tuple[dict, list[float]]:
         passes["e_rank_triangle", label] = partial(
             cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N, "recurrence")
         passes["exi_rank_triangle", label] = partial(cold_ms, counting.exi_rank, fam, TRIANGLE_N, TRIANGLE_N)
+        passes["e_rank_closed", f"{fam}{CLOSED_RANK_N}"] = partial(cold_ms, closed_ranks, fam)
     for fam, n in DEFAULT_RANKS:
         passes["e_rank_default", f"{fam}{n}"] = partial(cold_rank_row_ms, fam, n)
     for fam in WIDE_FAMILIES:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator
 import click
 
 from .core import MonoidFamily, format_diagram
-from .counting import e_rank, e_total, exi_rank, exi_total
+from .counting import ROUTES, e_rank, e_total, exi_rank, exi_total
 from .errors import DomainError, TooLargeError
 from .idempotency import as_twist_order, is_idempotent_direct, is_twisted_idempotent
 from .oracle import DEFAULT_CAP, brute_report, enumerate_elements
@@ -26,6 +26,10 @@ MAX_TABLE_N = 12
 
 _FAMILY = click.Choice([f.value for f in MonoidFamily])
 _CAP = click.IntRange(min=0)
+_METHOD = click.Choice([
+    *dict.fromkeys(m for by_count in ROUTES.values() for routes in by_count.values() for m in routes),
+    "bruteforce",
+])
 
 
 def _guarded(fn: Callable[..., None]) -> Callable[..., None]:
@@ -71,7 +75,7 @@ def main() -> None:
 @click.option("--M", "m_order", type=int, default=None, help="Twist order (0 = no finite order).")
 @click.option(
     "--method",
-    type=click.Choice(["formula", "recurrence", "holonomic", "mu_sum", "closed", "egf", "bruteforce"]),
+    type=_METHOD,
     default=None,
     help="Computation route; defaults to the cheapest for the query.",
 )

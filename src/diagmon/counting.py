@@ -5,12 +5,12 @@ two or three independent routes (sum over integer partitions, recurrence,
 holonomic recurrence, closed form); the routes are deliberately kept
 separate so they can be played against each other by the verifier.
 
-A count asked for with no route takes the one chosen here, the cheapest
-this module has for that family: e_total and exi_total take the holonomic
-recurrence for B and PB, e_total the closed form for T and I, and the rest
-the first-piece recurrence; e_rank takes a row of every rank read off the
-bivariate EGF for every family but P, and the first-piece recurrence for
-P; exi_rank takes the first-piece recurrence.
+ROUTES alone says which routes each count has for each family, its
+default (the cheapest) first; any other method is refused.  By default
+e_total and exi_total take the holonomic recurrence for B and PB, e_total
+the closed form for T and I, and the rest the first-piece recurrence;
+e_rank takes the closed row off the bivariate EGF for every family but
+P, and P and exi_rank the first-piece recurrence.
 
 The holonomic recurrence ties a cell to four predecessors in its row and
 the row before, a row per count of rank-0 pieces mod the twist order, so
@@ -99,9 +99,7 @@ class _FamilyTables:
     column: tuple[int, list[int], dict[int | None, list[int]]] = field(
         default_factory=lambda: (1, [1], {})
     )
-    closed_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # B, PB only
-    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # all but P
-    closed_totals: dict[int, int] = field(default_factory=dict)  # T, I only
+    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # e_rank's closed rows
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
@@ -287,57 +285,71 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 # --------------------------------------------------------------------------
 # total idempotent counts
 
-# the route of each family's total when none is named, the cheapest it has;
-# the others take the first-piece recurrence.  P has no other route but the
-# formula.  Idual keeps the recurrence: with no rank-0 piece, its one
-# order-0 grid answers e_total and exi_total at every twist order, though
-# combinat.bell alone costs less for one total (about 2 ms against 10 ms
-# at n = 250, in process).
-_E_TOTAL_ROUTE = {
-    MonoidFamily.B: "holonomic",
-    MonoidFamily.PB: "holonomic",
-    MonoidFamily.T: "closed",
-    MonoidFamily.I: "closed",
+# The routes of each count by family, the default first; verify plays each
+# against the recurrence.  Idual's total keeps the recurrence, whose one
+# order-0 grid answers exi_total at every order too, though combinat.bell
+# costs less for one total (about 2 ms against 10 ms at n = 250).
+ROUTES: dict[str, dict[MonoidFamily, tuple[str, ...]]] = {
+    "e_total": {
+        MonoidFamily.P: ("recurrence", "formula"),
+        MonoidFamily.B: ("holonomic", "recurrence", "formula"),
+        MonoidFamily.PB: ("holonomic", "recurrence", "formula"),
+        MonoidFamily.T: ("closed", "recurrence", "formula"),
+        MonoidFamily.I: ("closed", "recurrence", "formula"),
+        MonoidFamily.IDUAL: ("recurrence", "formula"),
+    },
+    "e_rank": {
+        MonoidFamily.P: ("recurrence", "mu_sum"),
+        MonoidFamily.B: ("closed", "recurrence", "mu_sum"),
+        MonoidFamily.PB: ("closed", "recurrence", "mu_sum"),
+        MonoidFamily.T: ("closed", "recurrence", "mu_sum"),
+        MonoidFamily.I: ("closed", "recurrence", "mu_sum"),
+        MonoidFamily.IDUAL: ("closed", "recurrence", "mu_sum"),
+    },
+    "exi_total": {
+        MonoidFamily.P: ("recurrence", "formula"),
+        MonoidFamily.B: ("holonomic", "recurrence", "formula"),
+        MonoidFamily.PB: ("holonomic", "recurrence", "formula"),
+        MonoidFamily.T: ("recurrence", "formula"),
+        MonoidFamily.I: ("recurrence", "formula"),
+        MonoidFamily.IDUAL: ("recurrence", "formula"),
+    },
 }
+# bound once, so a warm default e_rank hit finds its route in one subscript
+_RANK_ROUTES = ROUTES["e_rank"]
+
+
+def _route(count: str, fam: MonoidFamily, method: str | None) -> str:
+    """method, or the count's default for the family when it is None; a
+    method ROUTES does not list for the family raises DomainError."""
+    routes = ROUTES[count][fam]
+    if method is None:
+        return routes[0]
+    if method not in routes:
+        raise DomainError(f"{count} has no route {method!r} for family {fam.value}, only {', '.join(routes)}")
+    return method
 
 
 def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
     """Number of idempotents in the family's monoid on n strands.
 
-    method is "formula" (a sum over the integer partitions of n, O(p(n))
-    terms), "recurrence" (the first-piece recurrence, O(n) convolutions),
-    "holonomic" (B and PB only, O(1) products a term) or "closed" (T and I
-    only).  None, the default, takes the holonomic route for B and PB, the
-    closed form for T and I, and the recurrence for P and Idual.  A route
-    the family lacks raises DomainError.
+    method is one of the family's ROUTES["e_total"], the first when None:
+    "formula" (a sum over the integer partitions of n, O(p(n)) terms),
+    "recurrence" (O(n) convolutions), "holonomic" (O(1) products a term)
+    or "closed" (I's 2^n, the partial identities; T's closed rank row summed).
     """
     fam = as_family(f)
     if n < 0:
         raise DomainError(f"e_total needs n >= 0, got {n}")
-    if method is None:
-        method = _E_TOTAL_ROUTE.get(fam, "recurrence")
+    method = _route("e_total", fam, method)
     if method == "recurrence":
         # the first point's piece is any irreducible one: twist order 1
         return _twisted_total(fam, n, 1)
     if method == "formula":
         return sum(map(sum, _partition_grid(fam, n)))
     if method == "holonomic":
-        if fam not in _HOLONOMIC_Q:
-            raise DomainError(f"no holonomic total for family {fam.value}")
         return _holonomic(fam, n, 1)
-    if method == "closed":
-        totals = _TABLES[fam].closed_totals
-        if n not in totals:
-            if fam is MonoidFamily.T:
-                # an idempotent map fixes its image of k points and sends each
-                # other point into it (Tainiter 1968); 0^0 = 1 is the empty map
-                totals[n] = sum(math.comb(n, k) * k ** (n - k) for k in range(n + 1))
-            elif fam is MonoidFamily.I:
-                totals[n] = 2**n  # the partial identities, one per subset
-            else:
-                raise DomainError(f"no closed total for family {fam.value}")
-        return totals[n]
-    raise DomainError(f"unknown e_total method {method!r}")
+    return 2**n if fam is MonoidFamily.I else sum(_closed_row(fam, n))
 
 
 # --------------------------------------------------------------------------
@@ -406,50 +418,37 @@ def _holonomic_entry(grid: _Grid, own: tuple[int, ...], marked: tuple[int, ...],
 # --------------------------------------------------------------------------
 # per-rank idempotent counts
 
-# the route of each family's per-rank count when none is named: a row of
-# every rank off the bivariate EGF where the family has one.  Every family
-# has an entry, since a subscript costs less than .get on a warm hit.
-_E_RANK_ROUTE = {
-    MonoidFamily.P: "recurrence",
-    MonoidFamily.B: "egf",
-    MonoidFamily.PB: "egf",
-    MonoidFamily.T: "egf",
-    MonoidFamily.I: "egf",
-    MonoidFamily.IDUAL: "egf",
-}
-
-
 def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> int:
     """Number of idempotents of rank exactly r.
 
-    method is "mu_sum", "recurrence", "closed" (B and PB only) or "egf"
-    (every family but P, one row of every rank per n; see _egf_rank_row).
-    None, the default, takes the egf route for every family but P, and the
-    recurrence, whose grid serves every later cell, for P.  A route the
-    family lacks raises DomainError.
+    method is one of the family's ROUTES["e_rank"], the first when None:
+    "closed" (every family but P, one row of every rank per n; see
+    _egf_rank_row), "recurrence" (the rank grid, whose cells serve every
+    later query; P's default) or "mu_sum" (a sum over the integer
+    partitions of n).
     """
     fam = as_family(f)
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"e_rank needs 0 <= r <= n, got n={n} r={r}")
-    if method is None:
-        method = _E_RANK_ROUTE[fam]
-    if method == "egf":
-        rows = _TABLES[fam].egf_rank_rows
+    # a warm default hit reads its row here, with no helper call
+    method = _RANK_ROUTES[fam][0] if method is None else _route("e_rank", fam, method)
+    if method == "closed":
         try:
-            return rows[n][r]
+            return _TABLES[fam].egf_rank_rows[n][r]
         except KeyError:
-            rows[n] = row = _egf_rank_row(fam, n)
-            return row[r]
+            return _closed_row(fam, n)[r]
     if method == "recurrence":
         # the first point's piece has rank 0 or 1
         return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n)
-    if method == "mu_sum":
-        return sum(row[r] for row in _partition_grid(fam, n)[r:])
-    if method == "closed":
-        if fam not in (MonoidFamily.B, MonoidFamily.PB):
-            raise DomainError(f"no closed per-rank form for family {fam.value}")
-        return _closed_rank_row(fam, n)[r]
-    raise DomainError(f"unknown e_rank method {method!r}")
+    return sum(row[r] for row in _partition_grid(fam, n)[r:])
+
+
+def _closed_row(fam: MonoidFamily, n: int) -> list[int]:
+    """The family's closed rank row at n, made once and kept."""
+    rows = _TABLES[fam].egf_rank_rows
+    if n not in rows:
+        rows[n] = _egf_rank_row(fam, n)
+    return rows[n]
 
 
 # L(j), the sets of lists on j points (OEIS A000262), PB's rank-0 free part
@@ -458,7 +457,7 @@ _SETS_OF_LISTS: list[int] = [1, 1]
 
 def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
     """row[r] = e_rank(n, r) for r = 0..n, any family but P, read off the
-    bivariate EGF of the rank grid.
+    bivariate EGF of the rank grid: e_rank's closed route.
 
     The first-piece recurrence marks each rank-1 piece with x, so by the
     exponential formula (Flajolet and Sedgewick, Analytic Combinatorics,
@@ -481,7 +480,8 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
     - (j - 1)(j - 2)·L(j - 2) from L(0) = L(1) = 1.
 
     T: c1 = m and c0 = 0, so C1 = t·e^t and e(n, r) = C(n, r)·r^(n-r), an
-    image of r fixed points and a map of the rest into it (0^0 = 1).
+    image of r fixed points and a map of the rest into it (0^0 = 1).  The
+    row sums to Tainiter's count (1968), T's closed total.
 
     I: c0 = c1 = 1 at m = 1 only, so C0 = C1 = t and e(n, r) = C(n, r).
 
@@ -491,8 +491,7 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
 
     A row of B, T or Idual costs O(n²) products of a big int by a small
     one (Idual's from combinat's Stirling triangle), and one of PB O(n²)
-    big-int products, against O(n³) for the rank grid.  P, which keeps the
-    recurrence, raises DomainError.
+    big-int products, against O(n³) for the rank grid.
     """
     if fam is MonoidFamily.B:
         return [
@@ -513,10 +512,8 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
         return [math.comb(n, r) * r ** (n - r) for r in range(n + 1)]
     if fam is MonoidFamily.I:
         return [math.comb(n, r) for r in range(n + 1)]
-    if fam is MonoidFamily.IDUAL:
-        # the top rank first grows the Stirling triangle column by column
-        return [stirling2(n, r) for r in range(n, -1, -1)][::-1]
-    raise DomainError(f"no egf per-rank route for family {fam.value}")
+    # Idual; the top rank first grows the Stirling triangle column by column
+    return [stirling2(n, r) for r in range(n, -1, -1)][::-1]
 
 
 def _pair_factors(r: int, m: int) -> Iterator[int]:
@@ -528,39 +525,6 @@ def _pair_factors(r: int, m: int) -> Iterator[int]:
 def _sets_of_lists_entry(j: int) -> int:
     lists = _SETS_OF_LISTS
     return (2 * j - 1) * lists[j - 1] - (j - 1) * (j - 2) * lists[j - 2]
-
-
-def _closed_rank_row(fam: MonoidFamily, n: int) -> list[int]:
-    """row[r] = e_rank(n, r) for B or PB by the closed form: one sweep over
-    the integer partitions of n, apart from the (k, r) grid.  A partition
-    with o odd parts weighs n!/Π(mult!·(even part)^mult) at rank o in B;
-    in PB each even part 2j also weighs 2j + 1 and any r of the o odd
-    parts may be the transversal ones.
-    """
-    rows = _TABLES[fam].closed_rank_rows
-    if n not in rows:
-        nf = math.factorial(n)
-        row = [0] * (n + 1)
-        for spec in integer_partitions(n):
-            den, even_weight, odd = 1, 1, 0
-            for i, mult in enumerate(spec.parts):
-                if mult:
-                    den *= math.factorial(mult)
-                    if i % 2:  # the part i+1 is even
-                        den *= (i + 1) ** mult
-                        even_weight *= (i + 2) ** mult
-                    else:
-                        odd += mult
-            weight, rem = divmod(nf, den)
-            assert rem == 0
-            if fam is MonoidFamily.B:
-                row[odd] += weight
-            else:
-                weight *= even_weight
-                for r in range(odd + 1):
-                    row[r] += weight * math.comb(odd, r)
-        rows[n] = row
-    return rows[n]
 
 
 # --------------------------------------------------------------------------
@@ -664,30 +628,24 @@ def b_nr(n: int, r: int) -> int:
 def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: str | None = None) -> int:
     """Number of twisted idempotents for the given twist order.
 
-    method is "formula", "recurrence" or "holonomic" (B and PB only; see
-    _holonomic).  The formula keeps the grid cells whose self-product
-    exponent, kernel classes minus rank, the twist annihilates; that
-    exponent is the number of rank-0 pieces, which the other two routes'
-    grids count mod M.  None, the default, takes the holonomic route for B
-    and PB, O(M·n) small products at order M, and the recurrence otherwise
-    (order 1 collapses to the plain count).  A route the family lacks
-    raises DomainError.  The recurrence grows a grid of M rows per order,
-    O(M·n²) products (one row once M > n); T and Idual, which have no
-    rank-0 piece, answer every order from their order-0 row.
+    method is one of the family's ROUTES["exi_total"], the first when None:
+    "formula", "recurrence" or "holonomic" (O(M·n) small products at order
+    M; see _holonomic).  The formula keeps the grid cells whose
+    self-product exponent, kernel classes minus rank, the twist
+    annihilates; that exponent is the number of rank-0 pieces, which the
+    other two routes' grids count mod M.  The recurrence grows a grid of M
+    rows per order, O(M·n²) products (one row once M > n), and order 1
+    collapses to the plain count; T and Idual, which have no rank-0 piece,
+    answer every order from their order-0 row.
     """
     fam = as_family(f)
     order = as_twist_order(t)
     if n < 0:
         raise DomainError(f"exi_total needs n >= 0, got {n}")
-    if method not in (None, "formula", "recurrence", "holonomic"):
-        raise DomainError(f"unknown exi_total method {method!r}")
-    if method is None:
-        method = "holonomic" if fam in _HOLONOMIC_Q else "recurrence"
+    method = _route("exi_total", fam, method)
     if method == "recurrence":
         return _twisted_total(fam, n, order.M)
     if method == "holonomic":
-        if fam not in _HOLONOMIC_Q:
-            raise DomainError(f"no holonomic twisted total for family {fam.value}")
         return _holonomic(fam, n, order.M)
     return sum(
         count
@@ -749,7 +707,7 @@ def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> 
 # Each asks for its highest rank first.  For P, whose default is the rank
 # grid, that one query grows every lower row column by column, where the
 # lowest rank first would grow one row at a time and remake each column's
-# weights for every row; the other families read one egf row.
+# weights for every row; the other families read one closed row.
 
 def completely_regular_count(f: MonoidFamily | str, n: int) -> int:
     """Number of elements lying in a subgroup: r! per idempotent of rank r."""

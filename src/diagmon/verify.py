@@ -24,6 +24,7 @@ from pathlib import Path
 from .combinat import bell, binomial, e_nrs
 from .core import MonoidFamily, _glue, _kernel_classes, _labels, _partition
 from .counting import (
+    ROUTES,
     a_nr,
     a_nrt,
     b_nr,
@@ -103,19 +104,15 @@ ENGINE_MAX_N = 10  # every engine identity but e_nrs's is checked at n = 0..10
 # checked further out, where a wrong start value or index would show
 FAST_ROUTE_MAX_N = 60
 B, PB = MonoidFamily.B, MonoidFamily.PB
-FAST_TOTALS = (
-    (B, "holonomic"), (PB, "holonomic"), (MonoidFamily.T, "closed"), (MonoidFamily.I, "closed"),
+# the routes of counting.ROUTES played against the recurrence further out
+# than the formula: the fast totals, and the holonomic twisted totals
+FAST_TOTALS = tuple(
+    (fam, method) for fam, routes in ROUTES["e_total"].items()
+    for method in routes if method not in ("recurrence", "formula")
 )
-# the routes of e_rank besides the recurrence, by family
-RANK_ROUTES = {
-    B: ("mu_sum", "closed", "egf"),
-    PB: ("mu_sum", "closed", "egf"),
-    MonoidFamily.T: ("mu_sum", "egf"),
-    MonoidFamily.I: ("mu_sum", "egf"),
-    MonoidFamily.IDUAL: ("mu_sum", "egf"),
-}
-# the n at which the egf rank rows of B and PB are summed against the
-# holonomic totals
+HOLONOMIC_TWISTED = tuple(fam for fam, routes in ROUTES["exi_total"].items() if "holonomic" in routes)
+# the n at which the closed rank rows of the families with a holonomic
+# total are summed against it
 EGF_ROW_SUMS_N = (20, 40, 60)
 
 
@@ -124,8 +121,9 @@ def check_total_methods() -> CheckResult:
     first-piece recurrence: the formula at n <= ENGINE_MAX_N (exi_total at
     twist orders 0 to 4), the holonomic and closed routes at n <=
     FAST_ROUTE_MAX_N (exi_total at orders 0 to 2, to 4 at n <= ENGINE_MAX_N).
-    And the holonomic totals of B and PB against the sums of their egf rank
-    rows, which serve n far past the rank grid's reach, at EGF_ROW_SUMS_N.
+    And the holonomic totals against the sums of the closed rank rows,
+    which serve n far past the rank grid's reach, at EGF_ROW_SUMS_N.  The
+    routes are read off counting.ROUTES.
 
     counting grows each distinct first-piece grid once, so some recurrence
     cases read another family's or order's grid: PB's order-0 cases play
@@ -152,12 +150,12 @@ def check_total_methods() -> CheckResult:
         cases += [
             (("exi_total({.value},{},order {}) holonomic vs recurrence", fam, n, order),
              exi_total(fam, n, order, "holonomic"), exi_total(fam, n, order, "recurrence"))
-            for fam in (B, PB) for order in range(5 if n <= ENGINE_MAX_N else 3)
+            for fam in HOLONOMIC_TWISTED for order in range(5 if n <= ENGINE_MAX_N else 3)
         ]
     cases += [
-        (("sum of e_rank({.value},{},r) egf vs holonomic e_total", fam, n),
-         sum(e_rank(fam, n, r, "egf") for r in range(n + 1)), e_total(fam, n, "holonomic"))
-        for fam in (B, PB) for n in EGF_ROW_SUMS_N
+        (("sum of e_rank({.value},{},r) closed vs holonomic e_total", fam, n),
+         sum(e_rank(fam, n, r, "closed") for r in range(n + 1)), e_total(fam, n, method))
+        for fam, method in FAST_TOTALS if method == "holonomic" for n in EGF_ROW_SUMS_N
     ]
     return _compare("total routes agree", cases)
 
@@ -166,8 +164,8 @@ def check_rank_methods() -> CheckResult:
     """Every other route of e_rank against the recurrence, and rank 0 against
     rho(f, n)² (P, B, PB; T and Idual have none once n >= 1, I has one)."""
     cases = []
-    for fam in FAMILIES:
-        methods = RANK_ROUTES.get(fam, ("mu_sum",))
+    for fam, routes in ROUTES["e_rank"].items():
+        methods = [method for method in routes if method != "recurrence"]
         for n in range(ENGINE_MAX_N + 1):
             # the top rank first grows the rank grid a column at a time, where
             # the lowest rank first would grow it a row at a time

@@ -134,16 +134,17 @@ def test_count_holonomic():
 
 
 def test_count_egf_ranks():
+    # the closed rank route, the row off the bivariate EGF, for every family but P
     for family in ("B", "PB", "T", "I", "Idual"):
         args = ("count", "--family", family, "--n", "9", "--rank", "3")
-        egf = run(*args, "--method", "egf")
-        assert (egf.exit_code, egf.output) == (0, run(*args, "--method", "recurrence").output), family
+        closed = run(*args, "--method", "closed")
+        assert (closed.exit_code, closed.output) == (0, run(*args, "--method", "recurrence").output), family
 
 
 def test_count_route_the_family_lacks_exits_2():
     for args in (
         ("--family", "P", "--rank", "2", "--method", "egf"),
-        ("--family", "Idual", "--rank", "2", "--method", "closed"),
+        ("--family", "P", "--rank", "2", "--method", "closed"),
         ("--family", "B", "--method", "egf"),
         ("--family", "P", "--method", "holonomic"),
         ("--family", "Idual", "--method", "closed"),
@@ -152,9 +153,69 @@ def test_count_route_the_family_lacks_exits_2():
         result = run("count", *args, "--n", "5")
         assert result.exit_code == 2, (args, result.output)
         assert "Traceback" not in result.output
+        if "egf" in args:  # no count has that route: click refuses the name
+            assert "Invalid value for '--method'" in result.output, result.output
     # the marked holonomic route answers every twist order
     result = run("count", "--family", "B", "--M", "2", "--method", "holonomic", "--n", "5")
     assert (result.exit_code, result.output) == (0, "196\n")
+
+
+def test_routes_are_pinned():
+    # verify builds its route checks from counting.ROUTES, so a route dropped
+    # from the table would drop its checks without a failure; this copy
+    # pins the table, default first
+    P, B, PB, T, I, IDUAL = MonoidFamily
+    assert counting.ROUTES == {
+        "e_total": {
+            P: ("recurrence", "formula"),
+            B: ("holonomic", "recurrence", "formula"),
+            PB: ("holonomic", "recurrence", "formula"),
+            T: ("closed", "recurrence", "formula"),
+            I: ("closed", "recurrence", "formula"),
+            IDUAL: ("recurrence", "formula"),
+        },
+        "e_rank": {
+            P: ("recurrence", "mu_sum"),
+            B: ("closed", "recurrence", "mu_sum"),
+            PB: ("closed", "recurrence", "mu_sum"),
+            T: ("closed", "recurrence", "mu_sum"),
+            I: ("closed", "recurrence", "mu_sum"),
+            IDUAL: ("closed", "recurrence", "mu_sum"),
+        },
+        "exi_total": {
+            P: ("recurrence", "formula"),
+            B: ("holonomic", "recurrence", "formula"),
+            PB: ("holonomic", "recurrence", "formula"),
+            T: ("recurrence", "formula"),
+            I: ("recurrence", "formula"),
+            IDUAL: ("recurrence", "formula"),
+        },
+    }
+    names = {"formula", "recurrence", "holonomic", "closed", "mu_sum"}
+    help_text = run("count", "--help").output
+    listed = re.search(r"--method \[([^\]]*)\]", help_text).group(1).split("|")
+    assert sorted(listed) == sorted([*names, "bruteforce"]), help_text
+    queries = {  # each count's cells at n, and one cell asked again through the CLI
+        "e_total": (lambda n: [(n,)], (4,), ()),
+        "e_rank": (lambda n: [(n, r) for r in range(n + 1)], (4, 2), ("--rank", "2")),
+        "exi_total": (lambda n: [(n, order) for order in range(5)], (4, 2), ("--M", "2")),
+    }
+    for count, (cells, cell, options) in queries.items():
+        function = getattr(counting, count)
+        for fam, routes in counting.ROUTES[count].items():
+            # every listed route answers, and agrees with the default
+            for n in range(7 if fam is P else 9):
+                for at in cells(n):
+                    default = function(fam, *at)
+                    for method in routes:
+                        assert function(fam, *at, method) == default, (count, fam, at, method)
+            # every other name is refused, by the library and by the CLI
+            for method in sorted(names - set(routes)) + ["egf", "magic"]:
+                with pytest.raises(DomainError):
+                    function(fam, *cell, method)
+                result = run("count", "--family", fam.value, "--n", "4", *options, "--method", method)
+                assert (result.exit_code, type(result.exception)) == (2, SystemExit), (count, fam, method)
+                assert "Traceback" not in result.output and "error" in result.output.lower(), result.output
 
 
 def test_count_passes_the_method_through(monkeypatch):

@@ -133,14 +133,16 @@ def test_a_holonomic_order_above_n_grows_no_grid_of_its_own(monkeypatch):
 
 
 def test_closed_totals_are_kept(monkeypatch):
-    # a second call reads the family's table and does not recompute the sum
+    # T's closed total sums its kept closed rank row, made once and not
+    # again; I's is 2^n, the partial identities, one per subset
     _fresh_tables(monkeypatch)
-    for fam in (T, I):
-        value = e_total(fam, 30, "closed")
-        totals = counting._TABLES[fam].closed_totals
-        assert totals == {30: value}
-        totals[30] = -1
-        assert e_total(fam, 30, "closed") == e_total(fam, 30) == -1
+    value = e_total(T, 30, "closed")
+    rows = counting._TABLES[T].egf_rank_rows
+    assert list(rows) == [30] and sum(rows[30]) == value == e_total(T, 30, "recurrence")
+    rows[30] = [-1]
+    assert e_total(T, 30, "closed") == e_total(T, 30) == -1
+    assert e_total(I, 30, "closed") == e_total(I, 30) == 2**30
+    assert counting._TABLES[I].egf_rank_rows == {}
 
 
 def test_a_route_the_family_lacks_is_refused():
@@ -197,28 +199,31 @@ def test_e_rank_units_and_parity():
 
 
 def test_egf_ranks_match_the_other_routes():
+    # the closed route is the row read off the bivariate EGF
     for fam, top in ((B, 60), (PB, 60), (T, 30), (I, 30), (IDUAL, 30)):
         for n in range(top + 1):
             for r in range(n + 1):
-                assert e_rank(fam, n, r, "egf") == e_rank(fam, n, r, "recurrence"), (fam, n, r)
+                assert e_rank(fam, n, r, "closed") == e_rank(fam, n, r, "recurrence"), (fam, n, r)
+    # and a sum over the integer partitions of n checks B's and PB's rows
     for fam in (B, PB):
         for n in range(15):
             for r in range(n + 1):
-                assert e_rank(fam, n, r, "egf") == e_rank(fam, n, r, "closed"), (fam, n, r)
+                assert e_rank(fam, n, r, "closed") == e_rank(fam, n, r, "mu_sum"), (fam, n, r)
 
 
 def test_egf_rank_rows_sum_to_the_holonomic_totals():
     for fam in (B, PB):
-        assert sum(e_rank(fam, 250, r, "egf") for r in range(251)) == e_total(fam, 250, "holonomic")
+        assert sum(e_rank(fam, 250, r, "closed") for r in range(251)) == e_total(fam, 250, "holonomic")
 
 
 def test_egf_ranks_are_refused_for_p():
-    with pytest.raises(DomainError):
-        e_rank(P, 4, 2, "egf")
+    for method in ("closed", "egf"):
+        with pytest.raises(DomainError):
+            e_rank(P, 4, 2, method)
 
 
 def test_egf_rank_rows_are_kept(monkeypatch):
-    # the default takes the egf row and grows no rank grid; a second call
+    # the default takes the closed row and grows no rank grid; a second call
     # reads the family's row and does not build it again
     _fresh_tables(monkeypatch)
     rows = {fam: [e_rank(fam, 30, r) for r in range(31)] for fam in (B, PB, T, I, IDUAL)}
@@ -227,12 +232,12 @@ def test_egf_rank_rows_are_kept(monkeypatch):
         assert tables.rank == [] and list(tables.egf_rank_rows) == [30], fam
 
     def refuse(fam, n):
-        raise AssertionError(f"egf row of {fam.value} at {n} built again")
+        raise AssertionError(f"closed row of {fam.value} at {n} built again")
 
     monkeypatch.setattr(counting, "_egf_rank_row", refuse)
     for fam, row in rows.items():
         assert [e_rank(fam, 30, r) for r in range(31)] == row, fam
-        assert e_rank(fam, 30, 7, "egf") == row[7], fam
+        assert e_rank(fam, 30, 7, "closed") == row[7], fam
     assert rows[I] == [math.comb(30, r) for r in range(31)]  # the partial identities
     assert rows[IDUAL] == [stirling2(30, r) for r in range(31)]  # a piece per block
 

@@ -204,21 +204,21 @@ def test_a_check_that_raises_is_a_fail_line(monkeypatch):
 
 
 def test_checks_referee_the_egf_route(monkeypatch):
-    # an egf row off by one fails every (family, n, r) it serves, named,
+    # a closed (EGF) row off by one fails every (family, n, r) it serves, named,
     # and past the rank grid's n the row sums of B and PB against the
     # holonomic totals catch it
     honest = verify.e_rank
 
-    def egf_off_by_one(fam, n, r, method=None):
-        return honest(fam, n, r, method) + (method == "egf")
+    def closed_off_by_one(fam, n, r, method=None):
+        return honest(fam, n, r, method) + (method == "closed")
 
-    monkeypatch.setattr(verify, "e_rank", egf_off_by_one)
+    monkeypatch.setattr(verify, "e_rank", closed_off_by_one)
     shown = verify.check_rank_methods().detail.split("; ")
-    assert shown[0] == "e_rank(B,0,0) egf vs recurrence: 2 != 1", shown
+    assert shown[0] == "e_rank(B,0,0) closed vs recurrence: 2 != 1", shown
     cells = 5 * (verify.ENGINE_MAX_N + 1) * (verify.ENGINE_MAX_N + 2) // 2  # B, PB, T, I and Idual
     assert shown[4] == f"and {cells - 4} more"
     shown = verify.check_total_methods().detail.split("; ")
-    assert shown[0].startswith("sum of e_rank(B,20,r) egf vs holonomic e_total: "), shown
+    assert shown[0].startswith("sum of e_rank(B,20,r) closed vs holonomic e_total: "), shown
     assert shown[4] == "and 2 more"
 
 
@@ -310,7 +310,7 @@ def test_total_methods_check_referees_the_fast_routes(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "e_total(B,0) holonomic vs recurrence: 2 != 1"
-    # and each sum of an egf rank row against it
+    # and each sum of a closed rank row against it
     cases = 2 * (verify.FAST_ROUTE_MAX_N + 1) + 2 * len(verify.EGF_ROW_SUMS_N)
     assert shown[4] == f"and {cases - 4} more"
 
