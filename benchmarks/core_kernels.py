@@ -17,14 +17,18 @@ Rows of an entry:
 
 - ``kernels_us``: microseconds per call of each kernel on every element of
   the B6, PB5 and P4 streams (the streams of ``diagmon verify --profile
-  full``); ``multiply`` squares the element, ``is_twisted_idempotent`` is at
-  order 0, ``green_signature`` is the R side.  ``graph_rank`` is
+  full``); ``multiply`` squares the element, ``is_idempotent_direct``
+  squares it in label form and compares the strings (both reach
+  ``core._glue``), ``is_twisted_idempotent`` is at order 0,
+  ``green_signature`` is the R side.  ``graph_rank`` is
   ``lambda_graph`` plus the component classification, timed on each
   idempotent of the B6 and PB5 streams only.  ``generate`` is microseconds
   per element of running ``enumerate_elements`` through the whole stream.
   ``green_table`` is microseconds per product of building the P3 and B4
   product tables of ``diagmon verify --profile full`` the way
-  ``check_green_orbits`` builds them (``verify._product_table``).
+  ``check_green_orbits`` builds them (``verify._product_table``; since
+  ``pr25-change`` one middle-row join per row and upper row of the bottom
+  factors, not one ``_glue`` per product).
   Median of ``ROUNDS`` scaled passes; each round times every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
@@ -154,6 +158,7 @@ ROUNDS = 7
 
 KERNELS = {
     "multiply": lambda a: multiply(a, a),
+    "is_idempotent_direct": is_idempotent_direct,
     "profile": profile,
     "is_idempotent_structural": is_idempotent_structural,
     "is_twisted_idempotent": lambda a: is_twisted_idempotent(a, 0),

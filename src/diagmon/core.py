@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CoverageError,
@@ -158,8 +158,8 @@ class LambdaGraph:
 # --------------------------------------------------------------------------
 # small disjoint-set helpers (path halving + naive linking; the structures
 # here are tiny and operation-local, so union by size buys nothing), for the
-# two-colored graph's components; the product and the kernel join inline
-# their own
+# two-colored graph's components; the product's middle row has its own,
+# _join, and the kernel join inlines its own
 
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
@@ -328,23 +328,22 @@ def _partition(n: int, labels: list[int]) -> DiagramPartition:
     return DiagramPartition(n, tuple([tuple(members) for members in blocks]))
 
 
-def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[list[int], int]:
-    """The product of two diagrams on n strands given by their restricted
-    growth strings, top with k blocks and bottom with m: the product's
-    restricted growth string and the number of components that the gluing
-    traps entirely in the middle row.
+def _join(n: int, top: list[int], k: int, upper: Sequence[int], size: int) -> tuple[list[int], int]:
+    """The middle-row join of a product: union-find parents on size nodes,
+    block i of the top factor (k blocks) and block k + j of the bottom one,
+    each middle point joining the top block that holds it as a lower point
+    to the bottom block labelled upper[point]; and the number of
+    components.  Only the first n labels of upper are read, so the bottom's
+    whole restricted growth string may be passed.
 
-    The components are unions of whole blocks: block i of the top factor and
-    block k + j of the bottom one are the nodes of a union-find, and each
-    middle point joins the top block holding it as a lower point to the
-    bottom block holding it as an upper point.  The product numbers its
-    blocks in order of first appearance along the top factor's upper points
-    and then the bottom factor's lower points; every component that none of
-    them reaches was swallowed.
+    Finds halve the path and links go to the smaller root, so parent[i] <= i;
+    the parents come back flattened, each node's entry its root.  This is the
+    one middle-row union-find: _glue joins one pair with it, _glue_group one
+    top with every bottom of an upper row.
     """
-    parent = list(range(k + m))
-    components = k + m
-    for x, y in zip(top[n:], bottom[:n]):  # the glued middle row
+    parent = list(range(size))
+    components = size
+    for x, y in zip(top[n:], upper):  # the glued middle row
         y += k
         while parent[x] != x:  # path halving: parent[x] is assigned before x
             parent[x] = x = parent[parent[x]]
@@ -357,8 +356,24 @@ def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[li
         elif y < x:
             parent[x] = y
             components -= 1
-    for i in range(k + m):  # in index order, one step reaches the root
+    for i in range(size):  # in index order, one step reaches the root
         parent[i] = parent[parent[i]]
+    return parent, components
+
+
+def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[list[int], int]:
+    """The product of two diagrams on n strands given by their restricted
+    growth strings, top with k blocks and bottom with m: the product's
+    restricted growth string and the number of components that the gluing
+    traps entirely in the middle row.
+
+    The components are unions of whole blocks, joined by _join on the k + m
+    blocks of both factors.  The product numbers its blocks in order of
+    first appearance along the top factor's upper points and then the
+    bottom factor's lower points; every component that none of them
+    reaches was swallowed.
+    """
+    parent, components = _join(n, top, k, bottom, k + m)
     name = [-1] * (k + m)  # each root's product block, once it has appeared
     rgs = []
     blocks = 0
@@ -377,6 +392,51 @@ def _glue(n: int, top: list[int], k: int, bottom: list[int], m: int) -> tuple[li
             blocks += 1
         rgs.append(name[r])
     return rgs, components - blocks
+
+
+def _glue_group(
+    n: int, tops: Iterable[tuple[list[int], int]], upper: Sequence[int], lowers: list[list[int]]
+) -> Iterator[list[list[int]]]:
+    """For each top factor (restricted growth string, block count) in tops,
+    the restricted growth strings of its products with every bottom factor
+    whose upper row is upper, one per lower row in lowers, as _glue gives
+    them.
+
+    The middle-row join reads only the top and upper, so it runs once per
+    top, and so does the numbering of the top's upper row; each product then
+    numbers only its lower row.  The bottoms' blocks labelled below
+    max(upper) + 1 reach the upper row, and each lies in its joined
+    component; a block labelled from there on touches only the lower row,
+    is its own component and always gets a fresh name.
+    """
+    count = max(upper) + 1 if upper else 0  # the bottoms' blocks on the upper row
+    for top, k in tops:
+        parent = _join(n, top, k, upper, k + count)[0]
+        # each bottom label's component: joined, then one of its own for each
+        # of the at most n labels past count
+        roots = parent[k:] + list(range(k + count, k + count + n))
+        name = [-1] * (k + count + n)  # each root's product block, once it has appeared
+        prefix = []
+        blocks = 0
+        for i in top[:n]:
+            r = parent[i]
+            if name[r] < 0:
+                name[r] = blocks
+                blocks += 1
+            prefix.append(name[r])
+        products = []
+        for lower in lowers:
+            named = name[:]
+            rgs = prefix[:]
+            b = blocks
+            for i in lower:
+                r = roots[i]
+                if named[r] < 0:
+                    named[r] = b
+                    b += 1
+                rgs.append(named[r])
+            products.append(rgs)
+        yield products
 
 
 def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition, int]:

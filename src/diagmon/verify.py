@@ -22,7 +22,7 @@ from functools import cache
 from pathlib import Path
 
 from .combinat import bell, binomial, e_nrs
-from .core import MonoidFamily, _glue, _kernel_classes, _labels, _partition
+from .core import MonoidFamily, _glue_group, _kernel_classes, _labels, _partition
 from .counting import (
     ROUTES,
     a_nr,
@@ -372,20 +372,35 @@ def check_rho_against_signatures(fam: MonoidFamily, n: int) -> CheckResult:
 def _product_table(n: int, elements: list) -> list[list[int | None]]:
     """Row i holds the index in elements of each product a_i·x, in the order
     of elements, or None for a product outside them.  Each element is put in
-    label form once, and each product is looked up by its label form."""
-    labels = [(_labels(a), len(a.blocks)) for a in elements]
-    index = {tuple(top): i for i, (top, _) in enumerate(labels)}
-    return [
-        [index.get(tuple(_glue(n, top, k, bottom, m)[0])) for bottom, m in labels]
-        for top, k in labels
-    ]
+    label form once, and each product is looked up by its label form.
+
+    The bottom factors are grouped by their upper row, whose labels alone
+    the middle-row join reads: _glue_group joins each row once per group
+    and numbers only the lower row per product.
+    """
+    labels = [_labels(a) for a in elements]
+    index = {tuple(rgs): j for j, rgs in enumerate(labels)}
+    tops = [(rgs, len(a.blocks)) for rgs, a in zip(labels, elements)]
+    table: list[list[int | None]] = [[None] * len(elements) for _ in elements]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j, rgs in enumerate(labels):
+        groups.setdefault(tuple(rgs[:n]), []).append(j)
+    for upper, members in groups.items():
+        lowers = [labels[j][n:] for j in members]
+        for row, products in zip(table, _glue_group(n, tops, upper, lowers)):
+            for j, rgs in zip(members, products):
+                row[j] = index.get(tuple(rgs))
+    return table
 
 
 def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
-    """Green's relations by definition, from one table of product indices:
-    row i is the right ideal a_i·S and column j the left ideal S·a_j (S
-    holds the identity).  A side's two partitions, by ideal and by signature,
-    agree exactly when each element's class has the same first element.
+    """Green's relations by definition, from one table of product indices
+    (_product_table, one middle-row join per row and upper row of the
+    bottom factors): row i is the right ideal a_i·S and column j the left
+    ideal S·a_j (S holds the identity).  A side's two partitions, by ideal
+    and by signature, agree exactly when each element's class has the same
+    first element.  A product outside the monoid fails the check, shown as
+    the table's kernel glues that pair alone.
     """
     name = f"Green orbits vs signatures {fam.value}_{n}"
     elements = list(enumerate_elements(fam, n))
@@ -393,7 +408,8 @@ def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     for a, row in zip(elements, table):
         if None in row:
             x = elements[row.index(None)]
-            rgs, _ = _glue(n, _labels(a), len(a.blocks), _labels(x), len(x.blocks))
+            bottom = _labels(x)
+            [[rgs]] = _glue_group(n, [(_labels(a), len(a.blocks))], bottom[:n], [bottom[n:]])
             return _result(name, [f"{a} * {x} = {_partition(n, rgs)} is not in {fam.value}_{n}"])
     rows = [frozenset(row) for row in table]
     columns = [frozenset(column) for column in zip(*table)]

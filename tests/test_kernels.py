@@ -1,5 +1,6 @@
 """The per-element kernels against the naive references, exhaustively on
-small monoids: the product and its label-form kernel, the profile, the
+small monoids: the product, its label-form kernel and the Green check's
+product table, glued once per upper row, the profile, the
 Green keys, the direct, structural and twisted idempotency tests and the
 embedded families' membership; the kernel join and the sweep's R-class key
 against the earlier algorithms they replaced."""
@@ -30,6 +31,7 @@ from diagmon.idempotency import (
     is_twisted_idempotent,
 )
 from diagmon.oracle import _r_key, brute_report, enumerate_elements, green_signature
+from diagmon.verify import _product_table
 
 from .oracles import (
     naive_family_check,
@@ -92,6 +94,51 @@ def test_glue_on_no_strands():
     empty = DiagramPartition(0, ())
     assert _labels(empty) == naive_rgs(empty) == []
     assert _glued(empty, empty) == _searched(empty, empty) == ([], 0)
+
+
+def _glued_table(elements: list[DiagramPartition]) -> list[list[int | None]]:
+    """The product table glued cell by cell: each a·x by _glue, looked up
+    among the elements by its restricted growth string."""
+    index = {tuple(_labels(x)): j for j, x in enumerate(elements)}
+    return [[index.get(tuple(_glued(a, x)[0])) for x in elements] for a in elements]
+
+
+TABLE_MONOIDS = [
+    (MonoidFamily.P, 0),  # the one upper row is empty: its group key is ()
+    (MonoidFamily.P, 1),
+    (MonoidFamily.P, 2),
+    (MonoidFamily.P, 3),
+    (MonoidFamily.PB, 3),
+    (MonoidFamily.B, 4),
+]
+
+
+@pytest.mark.parametrize("fam, n", TABLE_MONOIDS, ids=lambda x: getattr(x, "value", x))
+def test_product_table_matches_a_table_glued_cell_by_cell(fam, n):
+    elements = list(enumerate_elements(fam, n))
+    table = _product_table(n, elements)
+    assert table == _glued_table(elements)
+    assert None not in itertools.chain.from_iterable(table)
+
+
+@pytest.mark.parametrize("fam, n", [(MonoidFamily.P, 4), (MonoidFamily.PB, 4)], ids=["P4", "PB4"])
+def test_product_table_matches_search_on_seeded_elements(fam, n):
+    # 60 elements share few upper rows, so most groups hold several bottoms
+    rng = random.Random(f"product table {fam.value}{n}")
+    elements = rng.sample(list(enumerate_elements(fam, n)), 60)
+    index = {tuple(naive_rgs(x)): j for j, x in enumerate(elements)}
+    table = _product_table(n, elements)
+    assert len({tuple(_labels(x)[:n]) for x in elements}) < 30
+    for a, row in zip(elements, table):
+        for x, cell in zip(elements, row):
+            assert cell == index.get(tuple(naive_rgs(naive_multiply(a, x)[0]))), (a, x)
+
+
+def test_product_table_on_a_subset_keeps_its_missing_products(all_b3):
+    subset = all_b3[::2]
+    table = _product_table(3, subset)
+    assert table == _glued_table(subset)
+    assert 0 < sum(row.count(None) for row in table) < len(subset) ** 2
 
 
 def test_labels_are_the_restricted_growth_string(elements):

@@ -145,16 +145,20 @@ def test_green_check_fails_on_split_l_class(monkeypatch):
 
 def test_green_check_fails_on_product_outside_the_monoid(monkeypatch):
     # a product that is no Brauer diagram must fail the check, not raise
-    # the table glues label forms, so the leak goes in at that seam
-    honest = verify._glue
+    # the table glues each top with the bottoms of one upper row in label
+    # form, so the leak goes in at that seam
+    honest = verify._glue_group
     stray = parse_diagram("1,2,3,1',2',3'")
     unit = _labels(identity(3))
 
-    def leaking(n, top, k, bottom, m):
-        rgs, swallowed = honest(n, top, k, bottom, m)
-        return (_labels(stray), swallowed) if top == bottom == unit else (rgs, swallowed)
+    def leaking(n, tops, upper, lowers):
+        for (top, _), products in zip(tops, honest(n, tops, upper, lowers)):
+            yield [
+                _labels(stray) if top == [*upper, *lower] == unit else rgs
+                for lower, rgs in zip(lowers, products)
+            ]
 
-    monkeypatch.setattr(verify, "_glue", leaking)
+    monkeypatch.setattr(verify, "_glue_group", leaking)
     result = check_green_orbits(B, 3)
     assert not result.ok
     assert result.detail == f"{identity(3)} * {identity(3)} = {stray} is not in B_3"
