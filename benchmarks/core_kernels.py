@@ -28,7 +28,11 @@ Rows of an entry:
   product tables of ``diagmon verify --profile full`` the way
   ``check_green_orbits`` builds them (``verify._product_table``; since
   ``pr25-change`` one middle-row join per row and upper row of the bottom
-  factors, not one ``_glue`` per product).
+  factors, not one ``_glue`` per product).  ``parse_diagram`` also has a
+  ``mixed`` row: the three streams' texts shuffled together with seed
+  ``MIXED_SEED`` (``shuffled`` in ``perfbench/workloads.py``), the order in
+  which perfbench's enumerate-io parses them, so that consecutive texts
+  differ in n; entries before ``pr26-parent`` lack it.
   Median of ``ROUNDS`` scaled passes; each round times every kernel once.
 - ``brute_report``: seconds and microseconds per element of
   ``brute_report(family, n, M=0)`` for each (family, n) in ``FULL_SWEEPS``.
@@ -152,8 +156,10 @@ from diagmon.oracle import brute_report, enumerate_elements, green_signature  # 
 from diagmon.verify import FULL_SWEEPS, _product_table  # noqa: E402
 from run import src_digest  # noqa: E402
 from worker import probe_factor  # noqa: E402
+from workloads import shuffled  # noqa: E402
 
 STREAMS = (("B", 6), ("PB", 5), ("P", 4))
+MIXED_SEED = 1
 ROUNDS = 7
 
 KERNELS = {
@@ -227,10 +233,12 @@ def kernel_rows() -> tuple[dict, list[float]]:
     """Each round times every kernel once on every stream, so a slow stretch
     of a shared host hits all kernels alike."""
     passes = {}
+    mixed = []
     for fam, n in STREAMS:
         label = f"{fam}{n}"
         elements = list(enumerate_elements(fam, n))
         texts = [format_diagram(a) for a in elements]
+        mixed += texts
         for name, fn in KERNELS.items():
             passes[name, label] = partial(us_per_call, fn, elements)
         passes["parse_diagram", label] = partial(us_per_call, parse_diagram, texts)
@@ -238,6 +246,7 @@ def kernel_rows() -> tuple[dict, list[float]]:
             idempotents = [a for a in elements if is_idempotent_direct(a)]
             passes["graph_rank", label] = partial(us_per_call, graph_rank, idempotents)
         passes["generate", label] = partial(us_per_element, fam, n, len(elements))
+    passes["parse_diagram", "mixed"] = partial(us_per_call, parse_diagram, shuffled(mixed, MIXED_SEED))
     for fam, n in GREEN_TABLES:
         passes["green_table", f"{fam}{n}"] = partial(us_per_product, n, list(enumerate_elements(fam, n)))
 

@@ -234,14 +234,21 @@ def format_diagram(a: DiagramPartition) -> str:
     return "|".join([",".join(map(name, blk)) for blk in a.blocks])
 
 
+_TOKENS: dict[str, int] = {}  # "k" -> k and "k'" -> -k, grown by parse_diagram
+
+
 def _point(token: str) -> int:
     """The point k as k, the point k' as -k: a label of ASCII digits, at
-    least 1, then for k' a prime, after any ASCII whitespace."""
+    least 1, then for k' a prime, after any ASCII whitespace.  The one point
+    grammar: a label past int()'s digit limit is a bad point too."""
     token = token.strip()
     lower = token.endswith("'")
     digits = token[:-1].rstrip(" \t\n\r\f\v") if lower else token
-    if digits.isascii() and digits.isdigit() and (label := int(digits)) >= 1:
-        return -label if lower else label
+    try:
+        if digits.isascii() and digits.isdigit() and (label := int(digits)) >= 1:
+            return -label if lower else label
+    except ValueError:  # more digits than int() converts
+        pass
     raise DomainError(f"cannot parse point {token!r}")
 
 
@@ -250,49 +257,40 @@ def parse_diagram(text: str) -> DiagramPartition:
 
     Whitespace around points and separators is ignored.  n is inferred from
     the largest point label, and every point 1..n and 1'..n' must occur
-    exactly once.  A point written as format_diagram writes it is read
-    inline, any other token by _point, the one point grammar.  When the text
-    holds 2n points and none is missing from the owner array, grouping the
-    vertices in vertex order gives the canonical blocks with no sort.  Any
-    other text goes to make_partition, so a parse error is the one it reports.
+    exactly once.  A text of 2n tokens as format_diagram writes them is read
+    with one lookup per token in _TOKENS, one table for every n.  It grows to
+    n labels only when such a text arrives and it stops below n, so the
+    largest text parsed bounds it, never a label.  When every label is at
+    most n and no owner slot is missing, grouping the vertices in vertex
+    order gives the canonical blocks with no sort.  Any other text goes to
+    the one general reader, _point on every token and then make_partition,
+    so a parse error is the one make_partition or the point grammar reports.
     """
-    stripped = text.strip()
-    if not stripped:
-        return DiagramPartition(0, ())
-    blocks = []  # each point k as k and k' as -k, as _point gives them
-    n = 0
-    try:
-        for chunk in stripped.split("|"):
-            blk = []
-            for token in chunk.split(","):
-                if token.isdigit() and token.isascii() and token[0] != "0":
-                    label = int(token)
-                    blk.append(label)
-                elif (
-                    token[-1:] == "'"
-                    and (digits := token[:-1]).isdigit()
-                    and digits.isascii()
-                    and digits[0] != "0"
-                ):
-                    label = int(digits)
-                    blk.append(-label)
-                else:
-                    blk.append(point := _point(token))
-                    label = abs(point)
-                if label > n:
-                    n = label
-            blocks.append(blk)
-    except ValueError:  # _point's own error, or int() refusing a label past the digit limit
-        raise DomainError(f"cannot parse point {token.strip()!r}") from None
-    # allocated only for 2n points, so never larger than the text
-    if sum(map(len, blocks)) == 2 * n:
+    n, odd = divmod(text.count(",") + text.count("|") + 1, 2)
+    if not odd:
+        table = _TOKENS
+        if len(table) < 2 * n:
+            for k in range(len(table) // 2 + 1, n + 1):
+                table[str(k)] = k
+                table[f"{k}'"] = -k
         owner = [-1] * (2 * n + 1)  # the block of k at owner[k], of k' at owner[-k]
-        for i, blk in enumerate(blocks):
-            for point in blk:
-                owner[point] = i
-        labels = owner[1 : n + 1] + owner[:n:-1]  # in vertex order
-        if -1 not in labels:  # 2n points and none missing, so none repeated
-            return _partition(n, labels)
+        try:
+            for i, chunk in enumerate(text.split("|")):
+                for token in chunk.split(","):
+                    point = table[token]
+                    if not -n <= point <= n:
+                        raise KeyError(token)  # in the table, but past n
+                    owner[point] = i
+        except KeyError:
+            pass
+        else:
+            labels = owner[1 : n + 1] + owner[:n:-1]  # in vertex order
+            if -1 not in labels:  # 2n points and none missing, so none repeated
+                return _partition(n, labels)
+    if not text.strip():
+        return DiagramPartition(0, ())
+    blocks = [[_point(token) for token in chunk.split(",")] for chunk in text.split("|")]
+    n = max(abs(point) for blk in blocks for point in blk)
     return make_partition(n, ([v - 1 if v > 0 else n - v - 1 for v in blk] for blk in blocks))
 
 

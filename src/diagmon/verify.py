@@ -16,9 +16,10 @@ note, since the recomputed values are what the package stands behind.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .combinat import bell, binomial, e_nrs
@@ -369,25 +370,29 @@ def check_rho_against_signatures(fam: MonoidFamily, n: int) -> CheckResult:
 # --------------------------------------------------------------------------
 # Green cross-checks (orbit computation vs signatures)
 
-def _product_table(n: int, elements: list) -> list[list[int | None]]:
-    """Row i holds the index in elements of each product a_i·x, in the order
-    of elements, or None for a product outside them.  Each element is put in
-    label form once, and each product is looked up by its label form.
-
-    The bottom factors are grouped by their upper row, whose labels alone
-    the middle-row join reads: _glue_group joins each row once per group
-    and numbers only the lower row per product.
-    """
+def _glued_groups(n: int, elements: list) -> Iterator[tuple[list[int], Iterator[list[list[int]]]]]:
+    """For each group of bottom factors with one upper row (the first n
+    labels, all of a bottom that the middle-row join reads), in order of
+    first appearance: the group's indices in elements, and _glue_group's
+    products of each element in turn, as the top factor, with the group."""
     labels = [_labels(a) for a in elements]
-    index = {tuple(rgs): j for j, rgs in enumerate(labels)}
     tops = [(rgs, len(a.blocks)) for rgs, a in zip(labels, elements)]
-    table: list[list[int | None]] = [[None] * len(elements) for _ in elements]
     groups: dict[tuple[int, ...], list[int]] = {}
     for j, rgs in enumerate(labels):
         groups.setdefault(tuple(rgs[:n]), []).append(j)
     for upper, members in groups.items():
-        lowers = [labels[j][n:] for j in members]
-        for row, products in zip(table, _glue_group(n, tops, upper, lowers)):
+        yield members, _glue_group(n, tops, upper, [labels[j][n:] for j in members])
+
+
+def _product_table(n: int, elements: list) -> list[list[int | None]]:
+    """Row i holds the index in elements of each product a_i·x, in the order
+    of elements, or None for a product outside them, glued by _glued_groups
+    and looked up by its label form.
+    """
+    index = {tuple(_labels(a)): j for j, a in enumerate(elements)}
+    table: list[list[int | None]] = [[None] * len(elements) for _ in elements]
+    for members, rows in _glued_groups(n, elements):
+        for row, products in zip(table, rows):
             for j, rgs in zip(members, products):
                 row[j] = index.get(tuple(rgs))
     return table
@@ -399,18 +404,18 @@ def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     bottom factors): row i is the right ideal a_i·S and column j the left
     ideal S·a_j (S holds the identity).  A side's two partitions, by ideal
     and by signature, agree exactly when each element's class has the same
-    first element.  A product outside the monoid fails the check, shown as
-    the table's kernel glues that pair alone.
+    first element.  A product a_i·a_j outside the monoid fails the check,
+    shown as the table glued it: a_j's whole group again, through row i.
     """
     name = f"Green orbits vs signatures {fam.value}_{n}"
     elements = list(enumerate_elements(fam, n))
     table = _product_table(n, elements)
-    for a, row in zip(elements, table):
+    for i, row in enumerate(table):
         if None in row:
-            x = elements[row.index(None)]
-            bottom = _labels(x)
-            [[rgs]] = _glue_group(n, [(_labels(a), len(a.blocks))], bottom[:n], [bottom[n:]])
-            return _result(name, [f"{a} * {x} = {_partition(n, rgs)} is not in {fam.value}_{n}"])
+            j = row.index(None)
+            members, rows = next(group for group in _glued_groups(n, elements) if j in group[0])
+            product = _partition(n, next(islice(rows, i, None))[members.index(j)])
+            return _result(name, [f"{elements[i]} * {elements[j]} = {product} is not in {fam.value}_{n}"])
     rows = [frozenset(row) for row in table]
     columns = [frozenset(column) for column in zip(*table)]
     failures = []

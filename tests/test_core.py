@@ -7,7 +7,9 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagmon import core
 from diagmon.core import (
     DiagramPartition,
     EquivalenceRelation,
@@ -218,8 +220,8 @@ def test_parse_matches_the_regex_grammar_on_multi_digit_labels():
     ids=["upper", "lower", "lower-after-a-space"],
 )
 def test_parse_label_past_the_int_digit_limit_is_a_domain_error(text):
-    # int() refuses more than 4300 digits; read inline or by the point
-    # grammar, the label is a bad point like any other
+    # int() refuses more than 4300 digits; the point grammar reads the
+    # label as a bad point like any other
     token = text.split("|")[-1]
     for parse in (parse_diagram, naive_parse):
         with pytest.raises(DomainError, match=f"^cannot parse point {re.escape(repr(token))}$"):
@@ -236,6 +238,38 @@ def test_parse_huge_label_reports_the_gap_without_allocating_for_n():
     with pytest.raises(CoverageError, match="^vertex 2 is in no block$"):
         make_partition(10**12, [[0, 1], [5]])
     assert time.perf_counter() - started < 0.2
+
+
+# a B6 text: parsing it grows the token table to the labels 1..6
+B6_TEXT = format_diagram(next(enumerate_elements(MonoidFamily.B, 6)))
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("2|1", CoverageError),  # labels in the table, but past n = 1
+    ("2|2'", CoverageError),
+    ("1|1", OverlapError),  # 2n tokens, one repeated
+    ("1|1'|2", CoverageError),  # an odd token count
+    ("01|1'", make_partition(1, [[0], [1]])),  # tokens outside the table
+    ("1 |1'", make_partition(1, [[0], [1]])),
+    ("", identity(0)),
+    (" ", identity(0)),
+    ("1|3000000000000'", CoverageError),
+], ids=["upper-past-n", "lower-past-n", "repeat", "odd", "leading-zero", "space", "empty", "blank", "huge"])
+def test_parse_after_the_table_grew_matches_the_regex_grammar(monkeypatch, text, outcome):
+    monkeypatch.setattr(core, "_TOKENS", {})
+    assert parse_diagram(B6_TEXT) == naive_parse(B6_TEXT)
+    got = _outcome(parse_diagram, text)
+    assert got == _outcome(naive_parse, text)
+    assert (got if isinstance(got, DiagramPartition) else got[0]) == outcome
+    # sized by the largest text parsed, B6's 12 tokens, never by a label
+    assert core._TOKENS == {**{str(k): k for k in range(1, 7)}, **{f"{k}'": -k for k in range(1, 7)}}
+
+
+@settings(max_examples=60)
+@given(st.lists(diagrams(min_n=1, max_n=12), min_size=2, max_size=8))
+def test_format_parse_round_trip_interleaving_every_n(batch: list[DiagramPartition]):
+    for a in batch:
+        assert parse_diagram(format_diagram(a)) == a
 
 # --------------------------------------------------------------------------
 # multiplication

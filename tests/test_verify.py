@@ -5,7 +5,7 @@ import re
 import pytest
 
 from diagmon import counting, oracle, verify
-from diagmon.core import MonoidFamily, _labels, identity, parse_diagram
+from diagmon.core import MonoidFamily, _labels, identity, multiply, parse_diagram
 from diagmon.counting import a_nr
 from diagmon.verify import (
     CheckResult,
@@ -162,6 +162,28 @@ def test_green_check_fails_on_product_outside_the_monoid(monkeypatch):
     result = check_green_orbits(B, 3)
     assert not result.ok
     assert result.detail == f"{identity(3)} * {identity(3)} = {stray} is not in B_3"
+
+
+def test_green_check_names_the_product_a_group_dependent_fault_put_in_the_table(monkeypatch):
+    # a fault that only shows when a group holds more than one bottom (here,
+    # every bottom after the first gets the stray product): gluing the pair
+    # alone would print an honest product, so the line must glue the group
+    honest = verify._glue_group
+    stray = parse_diagram("1,2,3,1',2',3'")
+
+    def leaking(n, tops, upper, lowers):
+        for products in honest(n, tops, upper, lowers):
+            yield products[:1] + [_labels(stray)] * (len(products) - 1)
+
+    monkeypatch.setattr(verify, "_glue_group", leaking)
+    elements = list(oracle.enumerate_elements(B, 3))
+    table = verify._product_table(3, elements)
+    i = next(i for i, row in enumerate(table) if None in row)
+    a, x = elements[i], elements[table[i].index(None)]
+    assert multiply(a, x)[0] != stray  # the pair alone glues to an honest product
+    result = check_green_orbits(B, 3)
+    assert not result.ok
+    assert result.detail == f"{a} * {x} = {stray} is not in B_3"
 
 
 def test_rclass_uniformity_values():
