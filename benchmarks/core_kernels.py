@@ -41,8 +41,11 @@ Rows of an entry:
   on fresh counting tables (``counting._TABLES``; the tables of
   ``combinat`` stay warm except in ``c_values``).  ``e_rank_triangle`` is
   ``e_rank(fam, 80, 80, "recurrence")``, which grows every rank of B or PB
-  up to n = 80, and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80)``,
-  the same for the twisted ranks; ``e_rank_default`` asks
+  up to n = 80, and ``exi_rank_triangle`` is ``exi_rank(fam, 80, 80, 0,
+  "recurrence")``, the same for the twisted ranks; ``exi_rank_default`` is
+  ``exi_rank(fam, n, r, M)`` with no route, one cold cell by the library's
+  default, at each (fam, n, r, M) in ``DEFAULT_TWISTED_RANKS``;
+  ``e_rank_default`` asks
   ``e_rank(fam, n, r)`` with no route for r = n, ..., 0, one full rank row
   by the library's default, at each (fam, n) in ``DEFAULT_RANKS``, with
   ``combinat``'s Stirling table emptied too; ``e_rank_closed`` asks
@@ -100,7 +103,11 @@ Rows of an entry:
   ``pr24-parent`` the closed route of B and PB swept the integer
   partitions of n; from ``pr24-change`` it is the row off the bivariate
   EGF that the default reads, so ``e_rank_closed`` and ``e_rank_default``
-  time one route.
+  time one route.  Entries before ``pr27-parent`` lack ``exi_rank_default``,
+  and ``pr27-parent`` lacks it at M = 2: there ``exi_rank`` refused every
+  twist order M > 0, and its one route, the recurrence, was its default for
+  every family, so up to ``pr27-parent`` ``exi_rank_triangle`` took no
+  route name.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -180,6 +187,7 @@ DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
 ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000))
 CLOSED_RANK_N = 16
+DEFAULT_TWISTED_RANKS = (("T", 250, 80, 0), ("B", 250, 100, 0), ("B", 250, 100, 2))
 COLD_PAIRS_N = (20, 30, 40)
 BELL_N = (250, 1000)
 # count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by
@@ -296,6 +304,12 @@ def cold_rank_row_ms(fam: str, n: int) -> float:
     return cold_ms(rank_row, fam, n)
 
 
+def twisted_triangle(fam: str) -> None:
+    # checkouts whose ROUTES lacks exi_rank had the recurrence alone, and no method
+    route = ("recurrence",) if "exi_rank" in counting.ROUTES else ()
+    counting.exi_rank(fam, TRIANGLE_N, TRIANGLE_N, 0, *route)
+
+
 def shared_grids() -> None:
     for fam in SHARED_GRID_FAMILIES:
         counting.exi_total(fam, WIDE_N, 0, "recurrence")
@@ -322,10 +336,15 @@ def counting_rows() -> tuple[dict, list[float]]:
         label = f"{fam}{TRIANGLE_N}"
         passes["e_rank_triangle", label] = partial(
             cold_ms, counting.e_rank, fam, TRIANGLE_N, TRIANGLE_N, "recurrence")
-        passes["exi_rank_triangle", label] = partial(cold_ms, counting.exi_rank, fam, TRIANGLE_N, TRIANGLE_N)
+        passes["exi_rank_triangle", label] = partial(cold_ms, twisted_triangle, fam)
         passes["e_rank_closed", f"{fam}{CLOSED_RANK_N}"] = partial(cold_ms, closed_ranks, fam)
     for fam, n in DEFAULT_RANKS:
         passes["e_rank_default", f"{fam}{n}"] = partial(cold_rank_row_ms, fam, n)
+    for fam, n, r, order in DEFAULT_TWISTED_RANKS:
+        if order and "exi_rank" not in counting.ROUTES:  # that checkout refused every order M > 0
+            continue
+        label = f"{fam}{n} rank {r}" + (f" M={order}" if order else "")
+        passes["exi_rank_default", label] = partial(cold_ms, counting.exi_rank, fam, n, r, order)
     for fam in WIDE_FAMILIES:
         passes["e_total", f"{fam}{WIDE_N}"] = partial(cold_ms, counting.e_total, fam, WIDE_N, "recurrence")
         passes["exi_total", f"{fam}{WIDE_N}"] = partial(

@@ -122,9 +122,7 @@ def _count(
         return report.idempotents_total
     if m_order is not None:
         if rank is not None:
-            if method not in (None, "recurrence"):
-                raise DomainError(f"per-rank twisted counts have only the recurrence route, not {method}")
-            return exi_rank(fam, n, rank, m_order)
+            return exi_rank(fam, n, rank, m_order, method)
         return exi_total(fam, n, m_order, method)
     if rank is not None:
         return e_rank(fam, n, rank, method)

@@ -98,30 +98,6 @@ class EquivalenceRelation:
     n: int
     classes: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_classes(n: int, classes: Iterable[Iterable[int]]) -> "EquivalenceRelation":
-        canon = sorted(tuple(sorted(c)) for c in classes)
-        seen: set[int] = set()
-        for cls in canon:
-            if not cls:
-                raise EmptyBlockError("equivalence class with no members")
-            for x in cls:
-                if not 1 <= x <= n:
-                    raise VertexRangeError(f"point {x} outside 1..{n}")
-                if x in seen:
-                    raise OverlapError(f"point {x} in two classes")
-                seen.add(x)
-        if len(seen) != n:
-            raise CoverageError("classes do not cover 1..n")
-        return EquivalenceRelation(n, tuple(canon))
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
-
 
 @dataclass(frozen=True, slots=True)
 class StructuralProfile:
@@ -259,20 +235,17 @@ def parse_diagram(text: str) -> DiagramPartition:
     the largest point label, and every point 1..n and 1'..n' must occur
     exactly once.  A text of 2n tokens as format_diagram writes them is read
     with one lookup per token in _TOKENS, one table for every n.  It grows to
-    n labels only when such a text arrives and it stops below n, so the
-    largest text parsed bounds it, never a label.  When every label is at
-    most n and no owner slot is missing, grouping the vertices in vertex
-    order gives the canonical blocks with no sort.  Any other text goes to
-    the one general reader, _point on every token and then make_partition,
-    so a parse error is the one make_partition or the point grammar reports.
+    n labels once the general reader has made a diagram on n points, so the
+    largest diagram parsed bounds it, never a label or a malformed text.
+    When every label is at most n and no owner slot is missing, grouping the
+    vertices in vertex order gives the canonical blocks with no sort.  Any
+    other text goes to the one general reader, _point on every token and
+    then make_partition, so a parse error is the one make_partition or the
+    point grammar reports.
     """
     n, odd = divmod(text.count(",") + text.count("|") + 1, 2)
     if not odd:
         table = _TOKENS
-        if len(table) < 2 * n:
-            for k in range(len(table) // 2 + 1, n + 1):
-                table[str(k)] = k
-                table[f"{k}'"] = -k
         owner = [-1] * (2 * n + 1)  # the block of k at owner[k], of k' at owner[-k]
         try:
             for i, chunk in enumerate(text.split("|")):
@@ -291,7 +264,11 @@ def parse_diagram(text: str) -> DiagramPartition:
         return DiagramPartition(0, ())
     blocks = [[_point(token) for token in chunk.split(",")] for chunk in text.split("|")]
     n = max(abs(point) for blk in blocks for point in blk)
-    return make_partition(n, ([v - 1 if v > 0 else n - v - 1 for v in blk] for blk in blocks))
+    diagram = make_partition(n, ([v - 1 if v > 0 else n - v - 1 for v in blk] for blk in blocks))
+    for k in range(len(_TOKENS) // 2 + 1, n + 1):
+        _TOKENS[str(k)] = k
+        _TOKENS[f"{k}'"] = -k
+    return diagram
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ ROUTES alone says which routes each count has for each family, its
 default (the cheapest) first; any other method is refused.  By default
 e_total and exi_total take the holonomic recurrence for B and PB, e_total
 the closed form for T and I, and the rest the first-piece recurrence;
-e_rank takes the closed row off the bivariate EGF for every family but
-P, and P and exi_rank the first-piece recurrence.
+e_rank and exi_rank take a closed row off the bivariate EGF for every
+family but P, and P the first-piece recurrence.
 
 The holonomic recurrence ties a cell to four predecessors in its row and
 the row before, a row per count of rank-0 pieces mod the twist order, so
@@ -23,11 +23,12 @@ convolution of a c-value column with a row, summed in C.  The two rank
 grids are indexed by rank and n.  exi_total's recurrence keeps one grid
 per twist order M, indexed by the number of rank-0 pieces mod M, the twist
 exponent, and n: order 0 has the one row of rank-1 pieces, order M > 0
-grows M rows and reads row 0, and order 1's row is e_total's recurrence.
+grows M rows and reads row 0, and order 1's row is e_total's recurrence;
+exi_rank's rows of rank-0 pieces alone, at order M > 0, are kept alike.
 A grid is fixed by the c-value columns its pieces read, so each distinct
-grid grows once: PB's grids of rank-1 pieces alone (exi_rank's, and both
-totals' at order 0) are B's, and T and Idual, which have no rank-0 piece,
-read their order-0 grid at every order (_C1_TWIN, _NO_RANK_0).  A grid
+total grid grows once: PB's order-0 grids, of rank-1 pieces alone, are
+B's, and T and Idual, which have no rank-0 piece, read their order-0 grid
+at every order (_C1_TWIN, _NO_RANK_0).  A grid
 grows column by column, so the weight rows of one column (_weights) serve
 every row that column needs.  Each family's tables sit in one
 _FamilyTables.  The partition routes share one sweep over the integer
@@ -84,13 +85,14 @@ class _FamilyTables:
     # each c-value column's length up to its last nonzero value
     c_support: list[int] = field(default_factory=lambda: [0, 0])
     # the first-piece grids, [r][n]; exi_total's, one per twist order M, count
-    # rank-0 pieces mod M, not rank, and order 1's serves e_total's recurrence;
-    # PB's twisted[0] and twisted_rank are B's lists, and every twisted[M] of
-    # T and Idual is its twisted[0] (see _C1_TWIN); holonomic[M], B and PB
-    # only, is keyed alike, [q mod M][n], and PB's holonomic[0] is B's
+    # rank-0 pieces mod M, not rank; PB's twisted[0] is B's, and every
+    # twisted[M] of T and Idual its twisted[0] (see _C1_TWIN); holonomic[M], B
+    # and PB only, and rank0[holonomic, M] are keyed alike, [q mod M][n], and
+    # PB's holonomic[0] is B's
     twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
-    twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank
+    twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank at order 0
+    rank0: dict[tuple[bool, int], list[list[int]]] = field(default_factory=dict)  # exi_rank, order M > 0
     holonomic: dict[int, list[list[int]]] = field(default_factory=dict)  # e_total (order 1), exi_total
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
@@ -100,6 +102,7 @@ class _FamilyTables:
         default_factory=lambda: (1, [1], {})
     )
     egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # e_rank's closed rows
+    twisted_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # exi_rank's, order 0
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
@@ -152,8 +155,8 @@ def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
 # column (m! at odd m, 0 at even m), and T and Idual have no rank-0 piece
 # (c0 = 0 at every m).  A first-piece grid is fixed by the columns its
 # pieces read (the exponential formula), not by the family that asks, so
-# PB's grids of rank-1 pieces alone (exi_rank's, and exi_total's at order
-# 0) are B's, and every twist order of T and Idual is its order-0 grid.
+# PB's twisted totals at order 0, whose grids read rank-1 pieces alone, are
+# B's, and every twist order of T and Idual is its order-0 grid.
 # The sharing is decided when a grid is first grown, and the shared list
 # is kept in the asking family's tables, so a warm query reads its own.
 _C1_TWIN = {MonoidFamily.PB: MonoidFamily.B}
@@ -314,9 +317,13 @@ ROUTES: dict[str, dict[MonoidFamily, tuple[str, ...]]] = {
         MonoidFamily.I: ("recurrence", "formula"),
         MonoidFamily.IDUAL: ("recurrence", "formula"),
     },
+    "exi_rank": {
+        fam: ("recurrence",) if fam is MonoidFamily.P else ("closed", "recurrence") for fam in MonoidFamily
+    },
 }
-# bound once, so a warm default e_rank hit finds its route in one subscript
+# bound once, so a warm default rank hit finds its route in one subscript
 _RANK_ROUTES = ROUTES["e_rank"]
+_TWISTED_RANK_ROUTES = ROUTES["exi_rank"]
 
 
 def _route(count: str, fam: MonoidFamily, method: str | None) -> str:
@@ -679,26 +686,64 @@ def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
     return grid[0][n]
 
 
-def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0) -> int:
-    """Twisted idempotents of rank exactly r, for twist order 0, by the
-    first-piece recurrence over rank-1 pieces; PB reads B's grid."""
+def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0,
+             method: str | None = None) -> int:
+    """Twisted idempotents of rank exactly r for the given twist order.
+
+    method is one of the family's ROUTES["exi_rank"], the first when None:
+    "closed" (see _closed_twisted) or "recurrence" (the first-piece grid of
+    rank-1 pieces), at order 0, where no piece has rank 0.  At order M > 0
+    the q rank-0 pieces, M | q, cover j <= n - r points, so exi_rank(n, r, M)
+    = Σ_j C(n, j)·Z_M(j)·exi_rank(n - j, r, 0) (_rank0_only; each factor by
+    the method's route): an order above n - r is order 0, and order 1 e_rank.
+    """
     fam = as_family(f)
-    order = as_twist_order(t)
-    if order.M != 0:
-        raise DomainError("per-rank twisted counts are exposed for order 0 only")
+    M = as_twist_order(t).M
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
+    # a warm default hit at order 0 reads its row here, with no helper call
+    method = _TWISTED_RANK_ROUTES[fam][0] if method is None else _route("exi_rank", fam, method)
     tables = _TABLES[fam]
+    if 0 < M <= n - r:
+        order0 = (partial(_closed_twisted, fam, r=r) if method == "closed"
+                  else partial(_first_piece, fam, tables.twisted_rank, ((1, 1),), r))
+        zero = _rank0_only(fam, n - r, M, method)
+        return sum(math.comb(n, j) * z * order0(n - j) for j, z in enumerate(zero) if z)
     try:
-        return tables.twisted_rank[r][n]
-    except IndexError:
+        return tables.twisted_rank_rows[n][r] if method == "closed" else tables.twisted_rank[r][n]
+    except (KeyError, IndexError):
         pass
-    # every irreducible piece of a twisted idempotent has rank 1, so the grid
-    # reads c1 alone, and PB's is B's
-    owner = _C1_TWIN.get(fam, fam)
-    with _GROWING:
-        tables.twisted_rank = grid = _TABLES[owner].twisted_rank
-    return _first_piece(owner, grid, ((1, 1),), r, n)
+    if method == "closed":
+        row = tables.twisted_rank_rows[n] = [_closed_twisted(fam, n, s) for s in range(n + 1)]
+        return row[r]
+    return _first_piece(fam, tables.twisted_rank, ((1, 1),), r, n)
+
+
+def _closed_twisted(fam: MonoidFamily, n: int, r: int) -> int:
+    """exi_rank's closed cell at order 0, any family but P: n!/r!·[t^n] C1^r,
+    _egf_rank_row's cell with C0 = 0.  B and PB: C1 = t/(1 - t²), so it is
+    n!/r!·C(r + k - 1, k) at n - r = 2k and r >= 1, and [n = 0] at r = 0; T
+    and Idual, whose C0 is 0: e_rank's closed cell; I: C1 = t, so [r = n]."""
+    if fam in _NO_RANK_0:
+        return _closed_row(fam, n)[r]
+    k, odd = divmod(n - r, 2)
+    if odd or not r or fam is MonoidFamily.I:
+        return int(r == n)
+    return math.perm(n, 2 * k) * math.comb(r + k - 1, k)
+
+
+def _rank0_only(fam: MonoidFamily, m: int, M: int, method: str) -> list[int]:
+    """Z_M(j) for j = 0..m, M > 0: the idempotents on j points of rank-0
+    pieces alone, q ≡ 0 (mod M) of them.  Row 0 of a grid kept per order: for
+    the closed route of B and PB the marked holonomic grid with no rank-1
+    piece (Q1 = 0), else the first-piece grid of M rows of rank-0 pieces."""
+    holonomic = method == "closed" and fam in _HOLONOMIC_Q
+    grid = _TABLES[fam].rank0.setdefault((holonomic, M), [])  # one atomic step, so no lock
+    if holonomic:
+        grow_grid(grid, M - 1, m, partial(_holonomic_entry, grid, (0, 0, 0, 0), _HOLONOMIC_Q[fam][0]))
+    else:
+        _first_piece(fam, grid, ((0, 1),), M - 1, m, M)
+    return grid[0][: m + 1]
 
 
 # --------------------------------------------------------------------------

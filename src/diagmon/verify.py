@@ -23,7 +23,7 @@ from itertools import islice
 from pathlib import Path
 
 from .combinat import bell, binomial, e_nrs
-from .core import MonoidFamily, _glue_group, _kernel_classes, _labels, _partition
+from .core import MonoidFamily, _glue_group, _kernel_classes, _labels
 from .counting import (
     ROUTES,
     a_nr,
@@ -123,8 +123,10 @@ def check_total_methods() -> CheckResult:
     twist orders 0 to 4), the holonomic and closed routes at n <=
     FAST_ROUTE_MAX_N (exi_total at orders 0 to 2, to 4 at n <= ENGINE_MAX_N).
     And the holonomic totals against the sums of the closed rank rows,
-    which serve n far past the rank grid's reach, at EGF_ROW_SUMS_N.  The
-    routes are read off counting.ROUTES.
+    which serve n far past the rank grid's reach, at EGF_ROW_SUMS_N.  And
+    exi_rank's recurrence at n <= ENGINE_MAX_N: rows summed against exi_total's
+    (orders 0 to 4), order-1 rows against e_rank's, and against every other
+    route per cell at orders 0 and 2.  The routes are read off counting.ROUTES.
 
     counting grows each distinct first-piece grid once, so some recurrence
     cases read another family's or order's grid: PB's order-0 cases play
@@ -158,6 +160,17 @@ def check_total_methods() -> CheckResult:
          sum(e_rank(fam, n, r, "closed") for r in range(n + 1)), e_total(fam, n, method))
         for fam, method in FAST_TOTALS if method == "holonomic" for n in EGF_ROW_SUMS_N
     ]
+    for fam, routes in ROUTES["exi_rank"].items():
+        for n in range(ENGINE_MAX_N + 1):
+            rows = [[exi_rank(fam, n, r, order, "recurrence") for r in range(n + 1)] for order in range(5)]
+            cases += [(("sum of exi_rank({.value},{},r,order {}) vs exi_total recurrence", fam, n, order),
+                       sum(row), exi_total(fam, n, order, "recurrence")) for order, row in enumerate(rows)]
+            cases += [(("exi_rank({.value},{},{},order 1) vs e_rank recurrence", fam, n, r),
+                       count, e_rank(fam, n, r, "recurrence")) for r, count in enumerate(rows[1])]
+            cases += [(("exi_rank({.value},{},{},order {}) {} vs recurrence", fam, n, r, order, method),
+                       exi_rank(fam, n, r, order, method), rows[order][r])
+                      for method in routes if method != "recurrence"
+                      for order in (0, 2) for r in range(n + 1)]
     return _compare("total routes agree", cases)
 
 
@@ -323,8 +336,8 @@ def check_oracle_counts(fam: MonoidFamily, n: int) -> CheckResult:
            report.idempotents_by_rank.get(r, 0)) for r in range(n + 1)),
         (("exi_total({},{},order 0) formula vs oracle", *where),
          exi_total(fam, n, 0, "formula"), report.twisted_total),
-        *((("exi_rank({},{},{}) vs oracle", *where, r), exi_rank(fam, n, r),
-           report.twisted_by_rank.get(r, 0)) for r in range(n + 1)),
+        *((("exi_rank({},{},{}) {} vs oracle", *where, r, method), exi_rank(fam, n, r, 0, method),
+           report.twisted_by_rank.get(r, 0)) for method in ROUTES["exi_rank"][fam] for r in range(n + 1)),
     ]
     return _compare(
         f"oracle sweep {fam.value}_{n}",
@@ -404,8 +417,8 @@ def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
     bottom factors): row i is the right ideal a_i·S and column j the left
     ideal S·a_j (S holds the identity).  A side's two partitions, by ideal
     and by signature, agree exactly when each element's class has the same
-    first element.  A product a_i·a_j outside the monoid fails the check,
-    shown as the table glued it: a_j's whole group again, through row i.
+    first element.  A product a_i·a_j outside the monoid fails at its cell
+    (i, j), in the raw labels the table glued: a_j's group again, row i.
     """
     name = f"Green orbits vs signatures {fam.value}_{n}"
     elements = list(enumerate_elements(fam, n))
@@ -414,8 +427,9 @@ def check_green_orbits(fam: MonoidFamily, n: int) -> CheckResult:
         if None in row:
             j = row.index(None)
             members, rows = next(group for group in _glued_groups(n, elements) if j in group[0])
-            product = _partition(n, next(islice(rows, i, None))[members.index(j)])
-            return _result(name, [f"{elements[i]} * {elements[j]} = {product} is not in {fam.value}_{n}"])
+            labels = next(islice(rows, i, None))[members.index(j)]
+            return _result(name, [f"cell ({i}, {j}): {elements[i]} * {elements[j]} glues to labels {labels},"
+                                  f" not in {fam.value}_{n}"])
     rows = [frozenset(row) for row in table]
     columns = [frozenset(column) for column in zip(*table)]
     failures = []

@@ -49,13 +49,19 @@ def test_count_twisted_rank():
     assert result.output.strip() == "6"
 
 
-def test_count_twisted_rank_has_only_the_recurrence():
-    # per-rank twisted counts have one route; any other method is refused
-    args = ("count", "--family", "B", "--n", "3", "--rank", "1", "--M", "0")
-    for method in ("formula", "mu_sum", "closed"):
-        result = run(*args, "--method", method)
-        assert result.exit_code == 2, (method, result.output)
-    assert run(*args, "--method", "recurrence").output == "6\n"
+def test_count_twisted_rank_routes():
+    # per-rank twisted counts take the routes ROUTES lists, at every order;
+    # any other method is refused
+    for order in ("0", "2"):
+        args = ("count", "--family", "B", "--n", "3", "--rank", "1", "--M", order)
+        for method in ("closed", "recurrence"):
+            result = run(*args, "--method", method)
+            assert (result.exit_code, result.output) == (0, "6\n"), (order, method)
+        for method in ("formula", "mu_sum"):
+            result = run(*args, "--method", method)
+            assert result.exit_code == 2, (order, method, result.output)
+    result = run("count", "--family", "P", "--n", "3", "--rank", "1", "--M", "0", "--method", "closed")
+    assert result.exit_code == 2, result.output
 
 
 def test_readme_count_examples():
@@ -190,6 +196,14 @@ def test_routes_are_pinned():
             I: ("recurrence", "formula"),
             IDUAL: ("recurrence", "formula"),
         },
+        "exi_rank": {
+            P: ("recurrence",),
+            B: ("closed", "recurrence"),
+            PB: ("closed", "recurrence"),
+            T: ("closed", "recurrence"),
+            I: ("closed", "recurrence"),
+            IDUAL: ("closed", "recurrence"),
+        },
     }
     names = {"formula", "recurrence", "holonomic", "closed", "mu_sum"}
     help_text = run("count", "--help").output
@@ -199,6 +213,8 @@ def test_routes_are_pinned():
         "e_total": (lambda n: [(n,)], (4,), ()),
         "e_rank": (lambda n: [(n, r) for r in range(n + 1)], (4, 2), ("--rank", "2")),
         "exi_total": (lambda n: [(n, order) for order in range(5)], (4, 2), ("--M", "2")),
+        "exi_rank": (lambda n: [(n, r, order) for r in range(n + 1) for order in range(4)], (4, 2, 2),
+                     ("--rank", "2", "--M", "2")),
     }
     for count, (cells, cell, options) in queries.items():
         function = getattr(counting, count)
@@ -220,13 +236,14 @@ def test_routes_are_pinned():
 
 def test_count_passes_the_method_through(monkeypatch):
     seen = []
-    for name in ("e_total", "e_rank", "exi_total"):
+    for name in ("e_total", "e_rank", "exi_total", "exi_rank"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: seen.append((name, args[-1])) or 0)
-    for args in ((), ("--rank", "2"), ("--M", "0"), ("--M", "2"), ("--M", "0", "--method", "formula")):
+    for args in ((), ("--rank", "2"), ("--M", "0"), ("--M", "2"), ("--M", "0", "--method", "formula"),
+                 ("--rank", "2", "--M", "2"), ("--rank", "2", "--M", "2", "--method", "closed")):
         assert run("count", "--family", "B", "--n", "4", *args).output == "0\n"
     assert seen == [
         ("e_total", None), ("e_rank", None), ("exi_total", None), ("exi_total", None),
-        ("exi_total", "formula"),
+        ("exi_total", "formula"), ("exi_rank", None), ("exi_rank", "closed"),
     ]
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from diagmon import core
 from diagmon.core import (
     DiagramPartition,
-    EquivalenceRelation,
     MonoidFamily,
     decompose_irreducible,
     family_check,
@@ -32,7 +31,6 @@ from diagmon.errors import (
     NotDecomposableError,
     NotPartialBrauerError,
     OverlapError,
-    VertexRangeError,
 )
 from diagmon.oracle import enumerate_elements
 
@@ -85,25 +83,6 @@ def test_make_partition_empty_block():
 def test_make_partition_bad_vertex_is_index_error():
     with pytest.raises(IndexError):
         make_partition(2, [{0, 1}, {2, 3, 4}])
-
-
-def test_equivalence_from_classes_is_canonical():
-    relation = EquivalenceRelation.from_classes(4, [[4, 1], (3,), {2}])
-    assert relation == EquivalenceRelation(4, ((1, 4), (2,), (3,)))
-    assert EquivalenceRelation.from_classes(0, []).classes == ()
-
-
-@pytest.mark.parametrize("classes, error, message", [
-    ([[1, 2], []], EmptyBlockError, "^equivalence class with no members$"),
-    ([[1, 2], [3]], VertexRangeError, r"^point 3 outside 1\.\.2$"),
-    ([[0], [1, 2]], VertexRangeError, r"^point 0 outside 1\.\.2$"),
-    ([[1, 2], [2]], OverlapError, "^point 2 in two classes$"),
-    ([[1, 1], [2]], OverlapError, "^point 1 in two classes$"),
-    ([[2]], CoverageError, r"^classes do not cover 1\.\.n$"),
-], ids=["empty class", "point past n", "point 0", "overlap", "point twice in a class", "gap"])
-def test_equivalence_from_classes_errors(classes, error, message):
-    with pytest.raises(error, match=message):
-        EquivalenceRelation.from_classes(2, classes)
 
 
 def test_empty_diagram_is_legal():
@@ -265,6 +244,14 @@ def test_parse_after_the_table_grew_matches_the_regex_grammar(monkeypatch, text,
     assert core._TOKENS == {**{str(k): k for k in range(1, 7)}, **{f"{k}'": -k for k in range(1, 7)}}
 
 
+def test_parse_of_a_malformed_text_leaves_the_token_table_as_it_was():
+    # 20,000 tokens that name no diagram grow no table of 10,000 labels
+    size = len(core._TOKENS)
+    with pytest.raises(OverlapError, match="^vertex 0 appears more than once$"):
+        parse_diagram(",".join(["1"] * 20_000))
+    assert len(core._TOKENS) == size
+
+
 @settings(max_examples=60)
 @given(st.lists(diagrams(min_n=1, max_n=12), min_size=2, max_size=8))
 def test_format_parse_round_trip_interleaving_every_n(batch: list[DiagramPartition]):
@@ -372,14 +359,14 @@ def test_profile_running_example():
     assert prof.lower_domain == {4, 5}
     assert prof.upper_kernel.classes == ((1, 4), (2, 3), (5, 6))
     assert prof.lower_kernel.classes == ((1, 3, 6), (2,), (4, 5))
-    assert prof.kernel.class_count == 1
+    assert len(prof.kernel.classes) == 1
 
 
 def test_profile_identity():
     prof = profile(identity(4))
     assert prof.rank == 4
     assert prof.upper_domain == prof.lower_domain == {1, 2, 3, 4}
-    assert prof.upper_kernel.is_discrete() and prof.lower_kernel.is_discrete()
+    assert prof.upper_kernel.classes == prof.lower_kernel.classes == ((1,), (2,), (3,), (4,))
 
 
 def test_profile_beta_kernel():

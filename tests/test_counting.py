@@ -524,16 +524,15 @@ def test_shared_grids_rest_on_equal_c_value_columns():
 
 
 def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
-    # PB's twisted ranks and order-0 total, on fresh tables, grow B's grids
-    # and no rank-1 grid of PB's own
+    # PB's order-0 total, on fresh tables, grows B's grid and no rank-1 grid
+    # of PB's own; its twisted ranks read the closed row, and grow no grid
     expected = [rho(B, 40, r) * b_nr(40, r) if r % 2 == 0 else 0 for r in range(41)]
     total = exi_total(PB, 40, 0, "holonomic")
     _fresh_tables(monkeypatch)
     tables = counting._TABLES
     assert [exi_rank(PB, 40, r) for r in range(41)] == expected
     assert exi_total(PB, 40, 0, "recurrence") == total
-    assert tables[PB].twisted_rank is tables[B].twisted_rank
-    assert len(tables[B].twisted_rank) == 41 and all(len(row) == 41 for row in tables[B].twisted_rank)
+    assert tables[PB].twisted_rank == tables[B].twisted_rank == []
     assert list(tables[PB].twisted) == [0] and tables[PB].twisted[0] is tables[B].twisted[0]
     assert [len(row) for row in tables[B].twisted[0]] == [41]
     assert tables[PB].c == ([], [])  # both grids grew from B's c-value columns
@@ -558,8 +557,38 @@ def test_exi_rank_examples():
     assert exi_rank(P, 3, 1) == 43
     for n in range(1, 9):
         assert exi_rank(B, n, 0) == 0
-    with pytest.raises(DomainError):
-        exi_rank(B, 3, 1, 2)
+    # by brute force: 6 of the 9 rank-1 idempotents of B3 have no rank-0
+    # piece, and the other 3 have one, which order 1 annihilates and order 2
+    # does not
+    for method in ("closed", "recurrence"):
+        assert exi_rank(B, 3, 1, 2, method) == 6
+        assert exi_rank(B, 3, 1, 1, method) == 9 == e_rank(B, 3, 1)
+    with pytest.raises(DomainError, match="^exi_rank has no route 'closed' for family P, only recurrence$"):
+        exi_rank(P, 3, 1, 0, "closed")
+
+
+@pytest.mark.parametrize("fam, n", [(P, 3), (B, 6), (PB, 5), (T, 4), (I, 4), (IDUAL, 4)])
+def test_exi_rank_matches_the_oracle_at_twist_orders_2_and_3(fam, n):
+    for M in (2, 3):
+        report = brute_report(fam, n, M=M)
+        expected = [report.twisted_by_rank.get(r, 0) for r in range(n + 1)]
+        for method in counting.ROUTES["exi_rank"][fam]:
+            assert [exi_rank(fam, n, r, M, method) for r in range(n + 1)] == expected, (M, method)
+
+
+def test_exi_rank_order_above_n_minus_r_is_order_0(monkeypatch):
+    # the r rank-1 pieces take r points, so at most n - r are left for the
+    # rank-0 pieces: an order above that grows no grid of its rows
+    _fresh_tables(monkeypatch)
+    for method in ("closed", "recurrence"):
+        row = [exi_rank(B, 10, r, 10**6, method) for r in range(11)]
+        assert row == [exi_rank(B, 10, r) for r in range(11)], method
+        assert counting._TABLES[B].rank0 == {}, method
+        # at M = n - r, the n - r single-point rank-0 pieces of PB make q = M
+        assert exi_rank(PB, 10, 0, 10, method) == 1 and exi_rank(PB, 10, 0, 11, method) == 0, method
+        assert exi_rank(PB, 10, 2, 8, method) == exi_rank(PB, 10, 2) + math.comb(10, 8), method
+        row = [exi_rank(PB, 10, r, 10, method) for r in range(11)]
+        assert sum(row) == exi_total(PB, 10, 10, "formula"), method
 
 
 def test_exi_rank_sums_to_exi_total():
@@ -665,7 +694,7 @@ def test_weight_rows_of_i_hold_one_weight(monkeypatch):
     # weight per cell; the digest test below shows the cells unchanged
     _fresh_tables(monkeypatch)
     assert e_rank(I, 30, 12, "recurrence") == math.comb(30, 12)  # the partial identities of rank 12
-    assert exi_rank(I, 30, 30) == 1
+    assert exi_rank(I, 30, 30, 0, "recurrence") == 1
     assert counting._TABLES[I].c_support == [1, 1]
     column, binomials, rows = counting._TABLES[I].column
     assert column == 30 and rows and all(len(row) == 1 for row in rows.values())
@@ -709,7 +738,7 @@ def test_rank_grids_do_not_depend_on_query_order(monkeypatch):
                 value = exi_total(fam, n, 0, "recurrence")
             else:
                 assert e_rank(fam, n, r, "recurrence") == expected[n, r, i], (name, fam, n, r)
-                value = exi_rank(fam, n, r)
+                value = exi_rank(fam, n, r, 0, "recurrence")
             twisted.setdefault((n, r, i), set()).add(value)
     assert all(len(values) == 1 for values in twisted.values())
     for i, fam in enumerate(ALL_FAMILIES):
@@ -736,7 +765,7 @@ def test_first_piece_tables_match_their_digest(monkeypatch):
             digest.update(f"{fam.value} {n} {totals[0]} {totals[1]}\n".encode())
         for n in range((20 if deep else 40) + 1):
             for r in range(n + 1):
-                ranks = e_rank(fam, n, r, "recurrence"), exi_rank(fam, n, r)
+                ranks = e_rank(fam, n, r, "recurrence"), exi_rank(fam, n, r, 0, "recurrence")
                 digest.update(f"{fam.value} {n} {r} {ranks[0]} {ranks[1]}\n".encode())
     assert digest.hexdigest() == _FIRST_PIECE_DIGEST
 
@@ -760,6 +789,7 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         "e_rank": e_rank,
         "e_rank recurrence": lambda fam, n, r: e_rank(fam, n, r, "recurrence"),
         "exi_rank": exi_rank,
+        "exi_rank order 2": lambda fam, n, r: exi_rank(fam, n, r, 2, "recurrence"),
         "e_total": e_total,
         "exi_total": lambda fam, n: exi_total(fam, n, 0, "recurrence"),
         "exi_total order 1": lambda fam, n: exi_total(fam, n, 1),
@@ -767,15 +797,18 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         "exi_total order 3": lambda fam, n: exi_total(fam, n, 3),
         "exi_total order 5": lambda fam, n: exi_total(fam, n, 5),
     }
-    # B and PB grow B's rank-1 grids, and T's orders grow its order-0 grid,
-    # from several threads at once
+    # B and PB grow B's order-0 twisted grid, T's orders grow its order-0
+    # grid, and each family grows its twisted rank grid and its rows of
+    # rank-0 pieces, from several threads at once
     keys = []
     for fam in (B, PB, T):
         for n in range(40):
             keys += [("e_total", fam, n), ("exi_total", fam, n)]
             keys += [(f"exi_total order {order}", fam, n) for order in (1, 2, 3, 5)]
             keys += [
-                (name, fam, n, r) for name in ("e_rank", "e_rank recurrence", "exi_rank") for r in range(n + 1)
+                (name, fam, n, r)
+                for name in ("e_rank", "e_rank recurrence", "exi_rank", "exi_rank order 2")
+                for r in range(n + 1)
             ]
     expected = {key: queries[key[0]](*key[1:]) for key in keys}
     _fresh_tables(monkeypatch)
@@ -799,5 +832,5 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
     assert len(results) == len(keys) * len(threads)
     assert all(value == expected[key] for (key, _), value in results.items())
     tables = counting._TABLES
-    assert tables[PB].twisted_rank is tables[B].twisted_rank and tables[PB].twisted[0] is tables[B].twisted[0]
+    assert tables[PB].twisted[0] is tables[B].twisted[0]
     assert all(grid is tables[T].twisted[0] for grid in tables[T].twisted.values())

@@ -159,9 +159,12 @@ def test_green_check_fails_on_product_outside_the_monoid(monkeypatch):
             ]
 
     monkeypatch.setattr(verify, "_glue_group", leaking)
+    elements = list(oracle.enumerate_elements(B, 3))
+    i = elements.index(identity(3))
     result = check_green_orbits(B, 3)
     assert not result.ok
-    assert result.detail == f"{identity(3)} * {identity(3)} = {stray} is not in B_3"
+    unit = identity(3)
+    assert result.detail == f"cell ({i}, {i}): {unit} * {unit} glues to labels {_labels(stray)}, not in B_3"
 
 
 def test_green_check_names_the_product_a_group_dependent_fault_put_in_the_table(monkeypatch):
@@ -179,11 +182,31 @@ def test_green_check_names_the_product_a_group_dependent_fault_put_in_the_table(
     elements = list(oracle.enumerate_elements(B, 3))
     table = verify._product_table(3, elements)
     i = next(i for i, row in enumerate(table) if None in row)
-    a, x = elements[i], elements[table[i].index(None)]
+    j = table[i].index(None)
+    a, x = elements[i], elements[j]
     assert multiply(a, x)[0] != stray  # the pair alone glues to an honest product
     result = check_green_orbits(B, 3)
     assert not result.ok
-    assert result.detail == f"{a} * {x} = {stray} is not in B_3"
+    assert result.detail == f"cell ({i}, {j}): {a} * {x} glues to labels {_labels(stray)}, not in B_3"
+
+
+def test_green_check_names_the_cell_of_a_product_too_short_to_format(monkeypatch):
+    # a product one label short is no diagram at all: the line names its
+    # cell and shows the raw labels, where formatting it would raise
+    honest = verify._glue_group
+
+    def dropping(n, tops, upper, lowers):
+        rows = honest(n, tops, upper, lowers)
+        first = next(rows)  # each group's first product through row 0
+        yield [first[0][:-1], *first[1:]]
+        yield from rows
+
+    monkeypatch.setattr(verify, "_glue_group", dropping)
+    unit = next(oracle.enumerate_elements(B, 3))
+    result = check_green_orbits(B, 3)
+    assert not result.ok and "raised" not in result.detail
+    short = _labels(multiply(unit, unit)[0])[:-1]
+    assert result.detail == f"cell (0, 0): {unit} * {unit} glues to labels {short}, not in B_3"
 
 
 def test_rclass_uniformity_values():
@@ -318,9 +341,10 @@ def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
     shown = result.detail.split("; ")
     assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
     # at twist orders 0 to 4, and each holonomic case of B and PB: orders 0
-    # to 4 at n <= ENGINE_MAX_N, and orders 0 to 2 further out
+    # to 4 at n <= ENGINE_MAX_N, and orders 0 to 2 further out; and each
+    # exi_rank row summed at orders 0 to 4
     holonomic = 5 * (verify.ENGINE_MAX_N + 1) + 3 * (verify.FAST_ROUTE_MAX_N - verify.ENGINE_MAX_N)
-    cases = 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * holonomic
+    cases = 2 * 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * holonomic
     assert shown[4] == f"and {cases - 4} more"
 
 
