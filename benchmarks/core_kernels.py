@@ -107,7 +107,12 @@ Rows of an entry:
   and ``pr27-parent`` lacks it at M = 2: there ``exi_rank`` refused every
   twist order M > 0, and its one route, the recurrence, was its default for
   every family, so up to ``pr27-parent`` ``exi_rank_triangle`` took no
-  route name.
+  route name.  Entries before ``pr28-parent`` lack ``exi_total_order2`` at
+  T1000 and I1000.  From ``pr28-change`` ``e_total`` is ``exi_total`` at
+  twist order 1, so the ``e_total`` and ``e_total_default`` rows run
+  through ``exi_total``; and T's and I's defaults at every order read their
+  closed totals, where up to ``pr28-parent`` they grew a first-piece grid
+  of two rows at order 2.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -185,7 +190,7 @@ WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
 DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
-ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000))
+ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000), ("T", 1000), ("I", 1000))
 CLOSED_RANK_N = 16
 DEFAULT_TWISTED_RANKS = (("T", 250, 80, 0), ("B", 250, 100, 0), ("B", 250, 100, 2))
 COLD_PAIRS_N = (20, 30, 40)

@@ -6,11 +6,17 @@ holonomic recurrence, closed form); the routes are deliberately kept
 separate so they can be played against each other by the verifier.
 
 ROUTES alone says which routes each count has for each family, its
-default (the cheapest) first; any other method is refused.  By default
-e_total and exi_total take the holonomic recurrence for B and PB, e_total
-the closed form for T and I, and the rest the first-piece recurrence;
-e_rank and exi_rank take a closed row off the bivariate EGF for every
-family but P, and P the first-piece recurrence.
+default (the cheapest) first; any other method is refused.  e_total is
+exi_total at twist order 1, which annihilates every exponent.  By default
+exi_total takes the holonomic recurrence for B and PB, the closed form for
+T and I, and the first-piece recurrence for P and Idual; e_rank and
+exi_rank take a closed row off the bivariate EGF for every family but P,
+and P the first-piece recurrence.
+
+A twist sees only the rank-0 pieces: the exponent it must annihilate is
+their number q.  So by the exponential formula a count at twist order M > 0
+is its order-0 count convolved with Z_M, the idempotents of rank-0 pieces
+alone with q ≡ 0 (mod M) (_twist, _rank0_only).
 
 The holonomic recurrence ties a cell to four predecessors in its row and
 the row before, a row per count of rank-0 pieces mod the twist order, so
@@ -20,15 +26,13 @@ needed.  Each splits an idempotent at the irreducible piece holding its
 first point, and each is a grid grown by grow_grid through one helper
 (_first_piece) and one entry (_piece_entry): a new cell is a binomial
 convolution of a c-value column with a row, summed in C.  The two rank
-grids are indexed by rank and n.  exi_total's recurrence keeps one grid
-per twist order M, indexed by the number of rank-0 pieces mod M, the twist
-exponent, and n: order 0 has the one row of rank-1 pieces, order M > 0
-grows M rows and reads row 0, and order 1's row is e_total's recurrence;
-exi_rank's rows of rank-0 pieces alone, at order M > 0, are kept alike.
-A grid is fixed by the c-value columns its pieces read, so each distinct
-total grid grows once: PB's order-0 grids, of rank-1 pieces alone, are
-B's, and T and Idual, which have no rank-0 piece, read their order-0 grid
-at every order (_C1_TWIN, _NO_RANK_0).  A grid
+grids are indexed by rank and n.  exi_total's recurrence keeps one row at
+order 0, of rank-1 pieces, and one at order 1, of every piece; every
+higher order is the convolution.  Z_M's grid has M rows, indexed by the
+number of rank-0 pieces mod M, and row 0 answers.  A grid is fixed by the
+c-value columns its pieces read, so PB's order-0 row, of rank-1 pieces
+alone, is B's (_C1_TWIN); and where c0 is zero up to n no rank-0 piece
+fits, so order 1's row is order 0's and Z_M is [1].  A grid
 grows column by column, so the weight rows of one column (_weights) serve
 every row that column needs.  Each family's tables sit in one
 _FamilyTables.  The partition routes share one sweep over the integer
@@ -84,16 +88,15 @@ class _FamilyTables:
     c: tuple[list[int], list[int]] = field(default_factory=lambda: ([], []))
     # each c-value column's length up to its last nonzero value
     c_support: list[int] = field(default_factory=lambda: [0, 0])
-    # the first-piece grids, [r][n]; exi_total's, one per twist order M, count
-    # rank-0 pieces mod M, not rank; PB's twisted[0] is B's, and every
-    # twisted[M] of T and Idual its twisted[0] (see _C1_TWIN); holonomic[M], B
-    # and PB only, and rank0[holonomic, M] are keyed alike, [q mod M][n], and
-    # PB's holonomic[0] is B's
+    # the first-piece grids, [r][n]; exi_total's, at twist orders 0 and 1
+    # only, are one row each, and PB's twisted[0] is B's (see _C1_TWIN);
+    # holonomic[M], B and PB only, and rank0[holonomic, M] are keyed
+    # [q mod M][n], q the number of rank-0 pieces, and PB's holonomic[0] is B's
     twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     rank: list[list[int]] = field(default_factory=list)  # e_rank
     twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank at order 0
-    rank0: dict[tuple[bool, int], list[list[int]]] = field(default_factory=dict)  # exi_rank, order M > 0
-    holonomic: dict[int, list[list[int]]] = field(default_factory=dict)  # e_total (order 1), exi_total
+    rank0: dict[tuple[bool, int], list[list[int]]] = field(default_factory=dict)  # Z_M, order M > 0
+    holonomic: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
     partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
     # C(j-1, i) for i below min(j, the longest c_support) and the weight rows
@@ -152,15 +155,13 @@ def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
 
 
 # Equal c-value columns, read off the cases above: B and PB have one c1
-# column (m! at odd m, 0 at even m), and T and Idual have no rank-0 piece
-# (c0 = 0 at every m).  A first-piece grid is fixed by the columns its
-# pieces read (the exponential formula), not by the family that asks, so
-# PB's twisted totals at order 0, whose grids read rank-1 pieces alone, are
-# B's, and every twist order of T and Idual is its order-0 grid.
-# The sharing is decided when a grid is first grown, and the shared list
-# is kept in the asking family's tables, so a warm query reads its own.
+# column (m! at odd m, 0 at even m).  A first-piece grid is fixed by the
+# columns its pieces read (the exponential formula), not by the family that
+# asks, so PB's twisted totals at order 0, whose grids read rank-1 pieces
+# alone, are B's.  The sharing is decided when a grid is first grown, and
+# the shared list is kept in the asking family's tables, so a warm query
+# reads its own.
 _C1_TWIN = {MonoidFamily.PB: MonoidFamily.B}
-_NO_RANK_0 = frozenset({MonoidFamily.T, MonoidFamily.IDUAL})
 
 
 def c_values(f: MonoidFamily | str, n: int) -> tuple[int, int, int]:
@@ -289,11 +290,12 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 # total idempotent counts
 
 # The routes of each count by family, the default first; verify plays each
-# against the recurrence.  Idual's total keeps the recurrence, whose one
-# order-0 grid answers exi_total at every order too, though combinat.bell
-# costs less for one total (about 2 ms against 10 ms at n = 250).
+# against the recurrence.  e_total has exi_total's (it is order 1).
+# Idual's totals keep the recurrence, whose one order-0 row answers every
+# twist order, though combinat.bell costs less for one total (about 2 ms
+# against 10 ms at n = 250).
 ROUTES: dict[str, dict[MonoidFamily, tuple[str, ...]]] = {
-    "e_total": {
+    "exi_total": {
         MonoidFamily.P: ("recurrence", "formula"),
         MonoidFamily.B: ("holonomic", "recurrence", "formula"),
         MonoidFamily.PB: ("holonomic", "recurrence", "formula"),
@@ -309,19 +311,12 @@ ROUTES: dict[str, dict[MonoidFamily, tuple[str, ...]]] = {
         MonoidFamily.I: ("closed", "recurrence", "mu_sum"),
         MonoidFamily.IDUAL: ("closed", "recurrence", "mu_sum"),
     },
-    "exi_total": {
-        MonoidFamily.P: ("recurrence", "formula"),
-        MonoidFamily.B: ("holonomic", "recurrence", "formula"),
-        MonoidFamily.PB: ("holonomic", "recurrence", "formula"),
-        MonoidFamily.T: ("recurrence", "formula"),
-        MonoidFamily.I: ("recurrence", "formula"),
-        MonoidFamily.IDUAL: ("recurrence", "formula"),
-    },
     "exi_rank": {
         fam: ("recurrence",) if fam is MonoidFamily.P else ("closed", "recurrence") for fam in MonoidFamily
     },
 }
-# bound once, so a warm default rank hit finds its route in one subscript
+# bound once, so a warm default hit finds its route in one subscript
+_TOTAL_ROUTES = ROUTES["exi_total"]
 _RANK_ROUTES = ROUTES["e_rank"]
 _TWISTED_RANK_ROUTES = ROUTES["exi_rank"]
 
@@ -338,25 +333,10 @@ def _route(count: str, fam: MonoidFamily, method: str | None) -> str:
 
 
 def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
-    """Number of idempotents in the family's monoid on n strands.
-
-    method is one of the family's ROUTES["e_total"], the first when None:
-    "formula" (a sum over the integer partitions of n, O(p(n)) terms),
-    "recurrence" (O(n) convolutions), "holonomic" (O(1) products a term)
-    or "closed" (I's 2^n, the partial identities; T's closed rank row summed).
-    """
-    fam = as_family(f)
-    if n < 0:
-        raise DomainError(f"e_total needs n >= 0, got {n}")
-    method = _route("e_total", fam, method)
-    if method == "recurrence":
-        # the first point's piece is any irreducible one: twist order 1
-        return _twisted_total(fam, n, 1)
-    if method == "formula":
-        return sum(map(sum, _partition_grid(fam, n)))
-    if method == "holonomic":
-        return _holonomic(fam, n, 1)
-    return 2**n if fam is MonoidFamily.I else sum(_closed_row(fam, n))
+    """Number of idempotents in the family's monoid on n strands:
+    exi_total at twist order 1, which annihilates every exponent, by any
+    of its routes (ROUTES["exi_total"]), the first when method is None."""
+    return exi_total(f, n, 1, method)
 
 
 # --------------------------------------------------------------------------
@@ -633,57 +613,72 @@ def b_nr(n: int, r: int) -> int:
 # twisted-algebra counts
 
 def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: str | None = None) -> int:
-    """Number of twisted idempotents for the given twist order.
+    """Number of twisted idempotents for the given twist order; at order 1,
+    which annihilates every exponent, the number of idempotents (e_total).
 
     method is one of the family's ROUTES["exi_total"], the first when None:
-    "formula", "recurrence" or "holonomic" (O(M·n) small products at order
-    M; see _holonomic).  The formula keeps the grid cells whose
-    self-product exponent, kernel classes minus rank, the twist
-    annihilates; that exponent is the number of rank-0 pieces, which the
-    other two routes' grids count mod M.  The recurrence grows a grid of M
-    rows per order, O(M·n²) products (one row once M > n), and order 1
-    collapses to the plain count; T and Idual, which have no rank-0 piece,
-    answer every order from their order-0 row.
+    "formula" (a sum over the integer partitions of n, O(p(n)) terms),
+    "recurrence" (O(n) convolutions), "holonomic" (B and PB, O(M·n) small
+    products at order M; see _holonomic) or "closed" (T and I).  The
+    formula keeps the grid cells whose self-product exponent, kernel classes
+    minus rank, the twist annihilates; that exponent is the number q of
+    rank-0 pieces, which the holonomic grid counts mod M.  The recurrence
+    reads a one-row first-piece grid at orders 0 and 1 (_twisted_total) and
+    convolves order 0's with Z_M above them (_twist).  The closed form: T
+    has no rank-0 piece, so every order is its closed rank row summed,
+    Tainiter's Σ C(n, k)·k^(n-k); I's rank-0 pieces are its idle points, so
+    order M is Σ_{q ≡ 0 (mod M)} C(n, q): 1 at order 0, and 2^n, the
+    partial identities, at order 1.
     """
     fam = as_family(f)
-    order = as_twist_order(t)
+    M = as_twist_order(t).M
     if n < 0:
         raise DomainError(f"exi_total needs n >= 0, got {n}")
-    method = _route("exi_total", fam, method)
+    method = _TOTAL_ROUTES[fam][0] if method is None else _route("exi_total", fam, method)
     if method == "recurrence":
-        return _twisted_total(fam, n, order.M)
+        if M > 1:
+            return _twist(fam, n, n, M, method, partial(_twisted_total, fam, M=0))
+        return _twisted_total(fam, n, M)
     if method == "holonomic":
-        return _holonomic(fam, n, order.M)
-    return sum(
-        count
-        for k, row in enumerate(_partition_grid(fam, n))
-        for r, count in enumerate(row)
-        if order.annihilates(k - r)
-    )
+        return _holonomic(fam, n, M)
+    if method == "closed":
+        if fam is MonoidFamily.T:
+            return sum(_closed_row(fam, n))
+        return 2**n if M == 1 else sum(map(math.comb, repeat(n), range(0, n + 1, M))) if M else 1
+    # row k's rank-r cell has exponent k - r, annihilated where r = k (mod M)
+    return sum(sum(row[k % M :: M]) if M else row[k] for k, row in enumerate(_partition_grid(fam, n)))
 
 
 def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
-    """Cell (0, n) of order M's grid, whose row i counts q = i (mod M) rank-0
-    pieces (order 0: q = 0).  Row i is zero below column i, so row 0 reads
-    no other row once M > n, and a grown row 0 is final.
-
-    A family with no rank-0 piece has q = 0 always, so its order M grid is
-    its order-0 grid; and the order-0 grid, which reads c1 alone, is B's
-    for PB (see _C1_TWIN)."""
-    grids = _TABLES[fam].twisted
+    """Cell n of the one-row first-piece grid of twist order M, 0 or 1.  At
+    order 0 the twist keeps only q = 0, so every piece has rank 1; at order
+    1 a piece has either rank, and one convolution with the weights of
+    c0 + c1 does.  Where c0 is zero up to n no rank-0 piece fits, so
+    order 1 reads order 0's row; and order 0's row, which reads c1 alone,
+    is B's for PB (see _C1_TWIN)."""
+    tables = _TABLES[fam]
+    # once c0 has a nonzero value, the first test needs no c-values grown
+    if M and not tables.c_support[0] and not _grown(fam, n).c_support[0]:
+        M = 0
     try:
-        return grids[M][0][n]
+        return tables.twisted[M][0][n]
     except (KeyError, IndexError):
         pass
-    order = 0 if fam in _NO_RANK_0 else M
-    owner = fam if order else _C1_TWIN.get(fam, fam)
+    owner = fam if M else _C1_TWIN.get(fam, fam)
     with _GROWING:
-        grid = grids.setdefault(M, _TABLES[owner].twisted.setdefault(order, []))
-    # a rank-1 piece keeps q, and a rank-0 piece raises it by one; at order
-    # 1 both keep row 0, so one convolution with the weights of c0 + c1 does
-    pieces = ((None, 0),) if order == 1 else ((1, 0), (0, 1))
-    _first_piece(owner, grid, pieces, order - 1 if 0 < order <= n else 0, n, order)
-    return grid[0][n]
+        grid = tables.twisted.setdefault(M, _TABLES[owner].twisted.setdefault(M, []))
+    return _first_piece(owner, grid, ((None, 0),) if M else ((1, 0),), 0, n)
+
+
+def _twist(fam: MonoidFamily, n: int, m: int, M: int, method: str, order0: Callable[[int], int]) -> int:
+    """Σ_j C(n, j)·Z_M(j)·order0(n - j) for j = 0..m, M > 0: by the
+    exponential formula an idempotent at twist order M is its q rank-0
+    pieces, M | q, on some j points (Z_M, by the method's route; see
+    _rank0_only) and an idempotent on the other n - j points with no
+    rank-0 piece, counted by order0.  m bounds j: n for a total, n - r at
+    rank r, whose r rank-1 pieces take r points."""
+    zero = _rank0_only(fam, m, M, method)
+    return sum(math.comb(n, j) * z * order0(n - j) for j, z in enumerate(zero) if z)
 
 
 def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0,
@@ -694,8 +689,8 @@ def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0,
     "closed" (see _closed_twisted) or "recurrence" (the first-piece grid of
     rank-1 pieces), at order 0, where no piece has rank 0.  At order M > 0
     the q rank-0 pieces, M | q, cover j <= n - r points, so exi_rank(n, r, M)
-    = Σ_j C(n, j)·Z_M(j)·exi_rank(n - j, r, 0) (_rank0_only; each factor by
-    the method's route): an order above n - r is order 0, and order 1 e_rank.
+    = Σ_j C(n, j)·Z_M(j)·exi_rank(n - j, r, 0) (_twist; each factor by the
+    method's route): an order above n - r is order 0, and order 1 e_rank.
     """
     fam = as_family(f)
     M = as_twist_order(t).M
@@ -707,8 +702,7 @@ def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0,
     if 0 < M <= n - r:
         order0 = (partial(_closed_twisted, fam, r=r) if method == "closed"
                   else partial(_first_piece, fam, tables.twisted_rank, ((1, 1),), r))
-        zero = _rank0_only(fam, n - r, M, method)
-        return sum(math.comb(n, j) * z * order0(n - j) for j, z in enumerate(zero) if z)
+        return _twist(fam, n, n - r, M, method, order0)
     try:
         return tables.twisted_rank_rows[n][r] if method == "closed" else tables.twisted_rank[r][n]
     except (KeyError, IndexError):
@@ -724,7 +718,7 @@ def _closed_twisted(fam: MonoidFamily, n: int, r: int) -> int:
     _egf_rank_row's cell with C0 = 0.  B and PB: C1 = t/(1 - t²), so it is
     n!/r!·C(r + k - 1, k) at n - r = 2k and r >= 1, and [n = 0] at r = 0; T
     and Idual, whose C0 is 0: e_rank's closed cell; I: C1 = t, so [r = n]."""
-    if fam in _NO_RANK_0:
+    if fam is MonoidFamily.T or fam is MonoidFamily.IDUAL:
         return _closed_row(fam, n)[r]
     k, odd = divmod(n - r, 2)
     if odd or not r or fam is MonoidFamily.I:
@@ -733,12 +727,18 @@ def _closed_twisted(fam: MonoidFamily, n: int, r: int) -> int:
 
 
 def _rank0_only(fam: MonoidFamily, m: int, M: int, method: str) -> list[int]:
-    """Z_M(j) for j = 0..m, M > 0: the idempotents on j points of rank-0
-    pieces alone, q ≡ 0 (mod M) of them.  Row 0 of a grid kept per order: for
-    the closed route of B and PB the marked holonomic grid with no rank-1
-    piece (Q1 = 0), else the first-piece grid of M rows of rank-0 pieces."""
+    """Z_M(j) for j = 0..m, M > 0, zero past the list's end: the idempotents
+    on j points of rank-0 pieces alone, q ≡ 0 (mod M) of them.  q <= j, so
+    it is [1] when M > m, and also when c0 is zero up to m, where no rank-0
+    piece fits.  Else row 0 of a grid kept per order: for the closed route
+    of B and PB the marked holonomic grid with no rank-1 piece (Q1 = 0),
+    else the first-piece grid of M rows of rank-0 pieces."""
     holonomic = method == "closed" and fam in _HOLONOMIC_Q
-    grid = _TABLES[fam].rank0.setdefault((holonomic, M), [])  # one atomic step, so no lock
+    tables = _TABLES[fam]
+    # as in _twisted_total, once c0 has a nonzero value no c-values are grown
+    if M > m or not (holonomic or tables.c_support[0] or _grown(fam, m).c_support[0]):
+        return [1]
+    grid = tables.rank0.setdefault((holonomic, M), [])  # one atomic step, so no lock
     if holonomic:
         grow_grid(grid, M - 1, m, partial(_holonomic_entry, grid, (0, 0, 0, 0), _HOLONOMIC_Q[fam][0]))
     else:

@@ -106,12 +106,12 @@ ENGINE_MAX_N = 10  # every engine identity but e_nrs's is checked at n = 0..10
 FAST_ROUTE_MAX_N = 60
 B, PB = MonoidFamily.B, MonoidFamily.PB
 # the routes of counting.ROUTES played against the recurrence further out
-# than the formula: the fast totals, and the holonomic twisted totals
+# than the formula: the holonomic totals of B and PB, and the closed ones
+# of T and I, at every twist order
 FAST_TOTALS = tuple(
-    (fam, method) for fam, routes in ROUTES["e_total"].items()
+    (fam, method) for fam, routes in ROUTES["exi_total"].items()
     for method in routes if method not in ("recurrence", "formula")
 )
-HOLONOMIC_TWISTED = tuple(fam for fam, routes in ROUTES["exi_total"].items() if "holonomic" in routes)
 # the n at which the closed rank rows of the families with a holonomic
 # total are summed against it
 EGF_ROW_SUMS_N = (20, 40, 60)
@@ -127,51 +127,48 @@ def check_total_methods() -> CheckResult:
     exi_rank's recurrence at n <= ENGINE_MAX_N: rows summed against exi_total's
     (orders 0 to 4), order-1 rows against e_rank's, and against every other
     route per cell at orders 0 and 2.  The routes are read off counting.ROUTES.
+    The cases are made one at a time, as _compare reads them.
 
-    counting grows each distinct first-piece grid once, so some recurrence
-    cases read another family's or order's grid: PB's order-0 cases play
-    PB's partition formula against B's grid, the paper's identity that B
-    and PB have one twisted count at order 0; T's and Idual's cases at
-    every order, and their e_total, play the formula against their
-    order-0 row."""
-    cases = []
+    e_total is exi_total at order 1, and the recurrence at every order above
+    1 convolves its order-0 row with Z_M, so these cases referee that
+    convolution at orders 2 to 4.  counting grows each distinct first-piece
+    grid once, so some recurrence cases read another family's or order's
+    grid: PB's order-0 cases play PB's partition formula against B's grid,
+    the paper's identity that B and PB have one twisted count at order 0;
+    T's and Idual's cases at every order, and their e_total, play the
+    formula against their order-0 row, since c0 is zero."""
+    return _compare("total routes agree", _total_cases())
+
+
+def _total_cases() -> Iterator[tuple[tuple, int, int]]:
     for fam in FAMILIES:
         for n in range(ENGINE_MAX_N + 1):
-            cases.append((("e_total({.value},{}) formula vs recurrence", fam, n),
-                          e_total(fam, n, "formula"), e_total(fam, n, "recurrence")))
-            cases += [
-                (("exi_total({.value},{},order {}) formula vs recurrence", fam, n, order),
-                 exi_total(fam, n, order, "formula"), exi_total(fam, n, order, "recurrence"))
-                for order in range(5)
-            ]
+            yield (("e_total({.value},{}) formula vs recurrence", fam, n),
+                   e_total(fam, n, "formula"), e_total(fam, n, "recurrence"))
+            yield from ((("exi_total({.value},{},order {}) formula vs recurrence", fam, n, order),
+                         exi_total(fam, n, order, "formula"), exi_total(fam, n, order, "recurrence"))
+                        for order in range(5))
     for n in range(FAST_ROUTE_MAX_N + 1):
-        cases += [
-            (("e_total({.value},{}) {} vs recurrence", fam, n, method),
-             e_total(fam, n, method), e_total(fam, n, "recurrence"))
-            for fam, method in FAST_TOTALS
-        ]
-        cases += [
-            (("exi_total({.value},{},order {}) holonomic vs recurrence", fam, n, order),
-             exi_total(fam, n, order, "holonomic"), exi_total(fam, n, order, "recurrence"))
-            for fam in HOLONOMIC_TWISTED for order in range(5 if n <= ENGINE_MAX_N else 3)
-        ]
-    cases += [
-        (("sum of e_rank({.value},{},r) closed vs holonomic e_total", fam, n),
-         sum(e_rank(fam, n, r, "closed") for r in range(n + 1)), e_total(fam, n, method))
-        for fam, method in FAST_TOTALS if method == "holonomic" for n in EGF_ROW_SUMS_N
-    ]
+        for fam, method in FAST_TOTALS:
+            yield (("e_total({.value},{}) {} vs recurrence", fam, n, method),
+                   e_total(fam, n, method), e_total(fam, n, "recurrence"))
+            yield from ((("exi_total({.value},{},order {}) {} vs recurrence", fam, n, order, method),
+                         exi_total(fam, n, order, method), exi_total(fam, n, order, "recurrence"))
+                        for order in range(5 if n <= ENGINE_MAX_N else 3))
+    yield from ((("sum of e_rank({.value},{},r) closed vs holonomic e_total", fam, n),
+                 sum(e_rank(fam, n, r, "closed") for r in range(n + 1)), e_total(fam, n, method))
+                for fam, method in FAST_TOTALS if method == "holonomic" for n in EGF_ROW_SUMS_N)
     for fam, routes in ROUTES["exi_rank"].items():
         for n in range(ENGINE_MAX_N + 1):
             rows = [[exi_rank(fam, n, r, order, "recurrence") for r in range(n + 1)] for order in range(5)]
-            cases += [(("sum of exi_rank({.value},{},r,order {}) vs exi_total recurrence", fam, n, order),
-                       sum(row), exi_total(fam, n, order, "recurrence")) for order, row in enumerate(rows)]
-            cases += [(("exi_rank({.value},{},{},order 1) vs e_rank recurrence", fam, n, r),
-                       count, e_rank(fam, n, r, "recurrence")) for r, count in enumerate(rows[1])]
-            cases += [(("exi_rank({.value},{},{},order {}) {} vs recurrence", fam, n, r, order, method),
-                       exi_rank(fam, n, r, order, method), rows[order][r])
-                      for method in routes if method != "recurrence"
-                      for order in (0, 2) for r in range(n + 1)]
-    return _compare("total routes agree", cases)
+            yield from ((("sum of exi_rank({.value},{},r,order {}) vs exi_total recurrence", fam, n, order),
+                         sum(row), exi_total(fam, n, order, "recurrence")) for order, row in enumerate(rows))
+            yield from ((("exi_rank({.value},{},{},order 1) vs e_rank recurrence", fam, n, r),
+                         count, e_rank(fam, n, r, "recurrence")) for r, count in enumerate(rows[1]))
+            yield from ((("exi_rank({.value},{},{},order {}) {} vs recurrence", fam, n, r, order, method),
+                         exi_rank(fam, n, r, order, method), rows[order][r])
+                        for method in routes if method != "recurrence"
+                        for order in (0, 2) for r in range(n + 1))
 
 
 def check_rank_methods() -> CheckResult:
@@ -268,7 +265,8 @@ def check_embedded_families() -> CheckResult:
 
 
 def check_twist_collapse() -> CheckResult:
-    # by the formula: order 1's grid is e_total's recurrence, P's and Idual's default
+    # e_total is exi_total at order 1: the formula, which keeps every cell
+    # there, against each family's default route
     return _compare("twist order 1 collapses to plain counts", (
         (("exi_total({.value},{},order 1) formula vs e_total", fam, n),
          exi_total(fam, n, 1, "formula"), e_total(fam, n))

@@ -106,14 +106,15 @@ def test_count_bruteforce_rank_out_of_range_exits_2():
 
 
 def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
-    # the recurrences are far cheaper than the partition formula: every
-    # order takes the holonomic one for B and PB, and every other family
-    # the first-piece one.  counting picks the route.  On fresh
-    # tables, since a grown cell of a twisted grid is read without the
-    # first-piece helper.
+    # the grids and closed forms are far cheaper than the partition formula:
+    # every order takes the holonomic grid for B and PB, the closed form for
+    # T and I, and the first-piece recurrence for P and Idual.  counting
+    # picks the route.  On fresh tables, since a grown cell of a twisted
+    # grid is read without the first-piece helper.
     monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
     seen = []
-    routes = (("_first_piece", "recurrence"), ("_holonomic", "holonomic"), ("_partition_grid", "formula"))
+    routes = (("_first_piece", "recurrence"), ("_holonomic", "holonomic"), ("_partition_grid", "formula"),
+              ("_closed_row", "closed"))
     for name, route in routes:
         honest = getattr(counting, name)
         monkeypatch.setattr(
@@ -121,10 +122,27 @@ def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
         )
     assert run("count", "--family", "PB", "--n", "6", "--M", "0").output.strip() == "1201"
     assert run("count", "--family", "T", "--n", "6", "--M", "0").output.strip() == "1057"
+    assert run("count", "--family", "T", "--n", "6", "--M", "2").output.strip() == "1057"
+    # I's closed form reads no table: the subsets with an even number of idle points
+    assert run("count", "--family", "I", "--n", "6", "--M", "2").output.strip() == "32"
+    assert run("count", "--family", "Idual", "--n", "6", "--M", "2").output.strip() == "203"
     assert run("count", "--family", "PB", "--n", "6", "--M", "2").exit_code == 0
     formula = run("count", "--family", "PB", "--n", "6", "--M", "0", "--method", "formula")
     assert formula.output.strip() == "1201"
-    assert seen == ["holonomic", "recurrence", "holonomic", "formula"]
+    assert seen == ["holonomic", "closed", "closed", "recurrence", "holonomic", "formula"]
+
+
+def test_count_plain_total_refusals_name_the_count():
+    # e_total is exi_total at twist order 1, so a refused plain count names
+    # the twisted count that answers it
+    for args, message in (
+        (("--n", "3", "--method", "mu_sum"),
+         "error: exi_total has no route 'mu_sum' for family B, only holonomic, recurrence, formula\n"),
+        (("--n", "-1"), "error: exi_total needs n >= 0, got -1\n"),
+    ):
+        result = run("count", "--family", "B", *args)
+        assert (result.exit_code, type(result.exception)) == (2, SystemExit), args
+        assert result.output == message, result.output
 
 
 def test_count_holonomic():
@@ -169,10 +187,11 @@ def test_count_route_the_family_lacks_exits_2():
 def test_routes_are_pinned():
     # verify builds its route checks from counting.ROUTES, so a route dropped
     # from the table would drop its checks without a failure; this copy
-    # pins the table, default first
+    # pins the three tables, default first.  e_total is exi_total at twist
+    # order 1 and takes its routes
     P, B, PB, T, I, IDUAL = MonoidFamily
     assert counting.ROUTES == {
-        "e_total": {
+        "exi_total": {
             P: ("recurrence", "formula"),
             B: ("holonomic", "recurrence", "formula"),
             PB: ("holonomic", "recurrence", "formula"),
@@ -188,14 +207,6 @@ def test_routes_are_pinned():
             I: ("closed", "recurrence", "mu_sum"),
             IDUAL: ("closed", "recurrence", "mu_sum"),
         },
-        "exi_total": {
-            P: ("recurrence", "formula"),
-            B: ("holonomic", "recurrence", "formula"),
-            PB: ("holonomic", "recurrence", "formula"),
-            T: ("recurrence", "formula"),
-            I: ("recurrence", "formula"),
-            IDUAL: ("recurrence", "formula"),
-        },
         "exi_rank": {
             P: ("recurrence",),
             B: ("closed", "recurrence"),
@@ -209,16 +220,16 @@ def test_routes_are_pinned():
     help_text = run("count", "--help").output
     listed = re.search(r"--method \[([^\]]*)\]", help_text).group(1).split("|")
     assert sorted(listed) == sorted([*names, "bruteforce"]), help_text
-    queries = {  # each count's cells at n, and one cell asked again through the CLI
-        "e_total": (lambda n: [(n,)], (4,), ()),
-        "e_rank": (lambda n: [(n, r) for r in range(n + 1)], (4, 2), ("--rank", "2")),
-        "exi_total": (lambda n: [(n, order) for order in range(5)], (4, 2), ("--M", "2")),
-        "exi_rank": (lambda n: [(n, r, order) for r in range(n + 1) for order in range(4)], (4, 2, 2),
-                     ("--rank", "2", "--M", "2")),
+    queries = {  # each count's route table, its cells at n, and one cell asked again through the CLI
+        "e_total": ("exi_total", lambda n: [(n,)], (4,), ()),
+        "e_rank": ("e_rank", lambda n: [(n, r) for r in range(n + 1)], (4, 2), ("--rank", "2")),
+        "exi_total": ("exi_total", lambda n: [(n, order) for order in range(5)], (4, 2), ("--M", "2")),
+        "exi_rank": ("exi_rank", lambda n: [(n, r, order) for r in range(n + 1) for order in range(4)],
+                     (4, 2, 2), ("--rank", "2", "--M", "2")),
     }
-    for count, (cells, cell, options) in queries.items():
+    for count, (table, cells, cell, options) in queries.items():
         function = getattr(counting, count)
-        for fam, routes in counting.ROUTES[count].items():
+        for fam, routes in counting.ROUTES[table].items():
             # every listed route answers, and agrees with the default
             for n in range(7 if fam is P else 9):
                 for at in cells(n):

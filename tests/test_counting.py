@@ -145,6 +145,40 @@ def test_closed_totals_are_kept(monkeypatch):
     assert counting._TABLES[I].egf_rank_rows == {}
 
 
+def test_e_total_is_exi_total_at_twist_order_1():
+    # order 1 annihilates every exponent, so every route of the plain count
+    # is the twisted count's at order 1
+    for fam, routes in counting.ROUTES["exi_total"].items():
+        for method in (None, *routes):
+            for n in range(13):
+                assert e_total(fam, n, method) == exi_total(fam, n, 1, method), (fam, method, n)
+
+
+def test_closed_twisted_totals_match_the_formula():
+    # T has no rank-0 piece, so every order is its closed rank row summed;
+    # I's rank-0 pieces are its idle points, so order M counts the subsets
+    # with q = 0 (mod M) of them
+    for fam in (T, I):
+        for n in range(13):
+            for order in range(7):
+                assert exi_total(fam, n, order, "closed") == exi_total(fam, n, order, "formula"), (fam, n, order)
+    assert exi_total(I, 9, 0, "closed") == 1 and exi_total(I, 9, 1, "closed") == 2**9
+    assert exi_total(I, 9, 4, "closed") == 1 + math.comb(9, 4) + math.comb(9, 8)
+
+
+def test_families_without_a_rank_0_piece_grow_no_z_grid(monkeypatch):
+    # c0 is zero for T and Idual, so Z_M is [1] at every order, on both
+    # routes, and the convolution is the order-0 count alone
+    _fresh_tables(monkeypatch)
+    for fam in (T, IDUAL):
+        for method in ("closed", "recurrence"):
+            for order in (2, 3, 300):
+                for n, r in ((10, 3), (300, 0)):
+                    if order <= n - r:
+                        assert exi_rank(fam, n, r, order, method) == e_rank(fam, n, r, "closed"), (fam, order)
+            assert counting._TABLES[fam].rank0 == {}, (fam, method)
+
+
 def test_a_route_the_family_lacks_is_refused():
     for fam in (P, T, I, IDUAL):
         with pytest.raises(DomainError):
@@ -396,29 +430,28 @@ def test_twisted_grid_at_order_1_is_the_plain_total():
 
 
 def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
-    # each order's first-piece grid is first asked below M - 1, where it
-    # grows row 0 alone, and then past M, where it grows all M rows over that
-    # row; T and Idual, with no rank-0 piece, answer every order from their
-    # order-0 row.  B's and PB's holonomic grids, their default, answer an
-    # order above n from order 0's grid, and past M grow all M rows at once
+    # the recurrence at each order above 1 convolves the one-row order-0
+    # grid with Z_M.  Asked below M - 1 first, Z_M is [1] and grows no grid;
+    # past M it grows its grid of M rows.  T and Idual, whose c0 is zero,
+    # never grow one.  B's and PB's holonomic grids, their default, answer
+    # an order above n from order 0's grid, and past M grow all M rows at once
     keys = [(fam, n, order) for fam in (B, PB, T, IDUAL) for order in (2, 3, 7) for n in (0, 1, 4, 5, 9, 14, 20)]
     expected = {key: exi_total(*key, "formula") for key in keys}
     small = [key for key in keys if key[1] < key[2] - 1]
     large = [key for key in keys if key[1] > key[2]]
-    route = {B: "recurrence", PB: "recurrence", T: None, IDUAL: None}
     _fresh_tables(monkeypatch)
     rng = random.Random(7)
     for fam, n, order in rng.sample(small, len(small)):
-        assert exi_total(fam, n, order, route[fam]) == expected[fam, n, order], (fam, n, order)
-        assert len(counting._TABLES[fam].twisted[order]) == 1, (fam, n, order)
+        assert exi_total(fam, n, order, "recurrence") == expected[fam, n, order], (fam, n, order)
+        assert counting._TABLES[fam].rank0 == {}, (fam, n, order)
     for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
-        assert exi_total(fam, n, order, route[fam]) == expected[fam, n, order], (fam, n, order)
-    for fam in (B, PB):
-        assert [len(counting._TABLES[fam].twisted[order]) for order in (2, 3, 7)] == [2, 3, 7]
-        assert counting._TABLES[fam].holonomic == {}, fam
-    for fam in (T, IDUAL):
-        grids = counting._TABLES[fam].twisted
-        assert all(grids[order] is grids[0] for order in (2, 3, 7)) and len(grids[0]) == 1, fam
+        assert exi_total(fam, n, order, "recurrence") == expected[fam, n, order], (fam, n, order)
+    for fam in (B, PB, T, IDUAL):
+        tables = counting._TABLES[fam]
+        assert list(tables.twisted) == [0] and len(tables.twisted[0]) == 1, fam
+        shapes = {M: len(grid) for (_, M), grid in tables.rank0.items()}
+        assert shapes == ({2: 2, 3: 3, 7: 7} if fam in (B, PB) else {}), fam
+        assert tables.holonomic == {}, fam
     # the same shuffle on the holonomic grids
     keys, small, large = ([key for key in part if key[0] in (B, PB)] for part in (keys, small, large))
     for fam, n, order in rng.sample(small, len(small)):
@@ -455,11 +488,11 @@ class FormulaReached(Exception):
 def test_default_routes_are_chosen_in_counting(monkeypatch):
     # with the partition formula out of reach, every default still answers,
     # and the first-piece total grids are reached by exactly the defaults
-    # that take the recurrence.  The holonomic grids that grow show which
-    # totals take that route.  e_total's recurrence and order 1 share one
-    # grid, so a total grid is reached when one holds column n afterwards:
-    # each (family, n) asks a larger n than those before it.  A grid shared
-    # with another order or family sits in the asking family's tables too.
+    # that take the recurrence, P's and Idual's.  The holonomic grids that
+    # grow show which totals take that route.  e_total is order 1, and every
+    # order above 1 convolves order 0's grid, so a total grid is reached
+    # when one holds column n afterwards: each (family, n) asks a larger n
+    # than those before it.
     expected = {
         (fam, n): [e_total(fam, n, "formula")] + [exi_total(fam, n, order, "formula") for order in range(3)]
         for fam in ALL_FAMILIES for n in range(13)
@@ -478,14 +511,14 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     for fam in ALL_FAMILIES:
         for n in range(13):
             total, *twisted = expected[fam, n]
-            # the recurrence for P and Idual, holonomic for B and PB, closed for T and I
+            # at every order: the recurrence for P and Idual, holonomic for
+            # B and PB, closed for T and I
             assert through_total_grid(e_total, fam, n) == (total, fam in (P, IDUAL)), (fam, n)
-            # holonomic at every order for B and PB, the recurrence otherwise
-            assert through_total_grid(exi_total, fam, n) == (twisted[0], fam not in (B, PB)), (fam, n)
+            assert through_total_grid(exi_total, fam, n) == (twisted[0], fam in (P, IDUAL)), (fam, n)
             assert exi_total(fam, n, 0) == twisted[0], (fam, n)
             for order in (1, 2):
                 reached = through_total_grid(exi_total, fam, n, order)
-                assert reached == (twisted[order], fam not in (B, PB)), (fam, n)
+                assert reached == (twisted[order], fam in (P, IDUAL)), (fam, n)
             assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
             with pytest.raises(FormulaReached):
                 exi_total(fam, n, 0, "formula")
@@ -496,15 +529,14 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
         shapes = {M: [len(row) for row in grid] for M, grid in tables[fam].holonomic.items()}
         assert shapes == ({0: [13], 1: [13], 2: [13, 13]} if fam in (B, PB) else {}), fam
     assert tables[PB].holonomic[0] is tables[B].holonomic[0]
-    # T and Idual, with no rank-0 piece, answer orders 1 and 2 from order 0's
-    # grid; B and PB grow no first-piece total grid
+    # the first-piece total grids are one row each, at orders 0 and 1 only:
+    # Idual, whose c0 is zero, reads order 0's at order 1, and P alone grows
+    # Z_2's grid of two rows; B, PB, T and I grow none
     for fam in ALL_FAMILIES:
         grids = tables[fam].twisted
-        if fam in (B, PB):
-            assert grids == {}, fam
-            continue
-        shared = fam in (T, IDUAL)
-        assert [grids[order] is grids.get(0) for order in (1, 2)] == [shared, shared], fam
+        assert sorted(grids) == {P: [0, 1], IDUAL: [0]}.get(fam, []), fam
+        assert all(len(grid) == 1 and len(grid[0]) == 13 for grid in grids.values()), fam
+        assert {M: len(grid) for (_, M), grid in tables[fam].rank0.items()} == ({2: 2} if fam is P else {}), fam
     # where the formula would sweep the 204,226 integer partitions of 50
     assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
     # recorded from exi_total("B", 40, 2, "formula"), which sweeps 37,338 partitions
@@ -513,14 +545,17 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
 
 def test_shared_grids_rest_on_equal_c_value_columns():
     # the premise of counting's grid sharing, read off the c-value columns:
-    # B's and PB's rank-1 columns agree, and T and Idual have no rank-0 piece
-    assert counting._C1_TWIN == {PB: B} and counting._NO_RANK_0 == {T, IDUAL}
+    # B's and PB's rank-1 columns agree, and T and Idual have no rank-0
+    # piece, so the c0 support that order 1 and Z_M read stays zero
+    assert counting._C1_TWIN == {PB: B} and not hasattr(counting, "_NO_RANK_0")
     for m in range(1, 301):
         assert c_values(PB, m)[1] == c_values(B, m)[1], m
         assert c_values(T, m)[0] == c_values(IDUAL, m)[0] == 0, m
+    assert counting._TABLES[T].c_support[0] == counting._TABLES[IDUAL].c_support[0] == 0
     # every other family has a rank-0 piece, so its twist orders differ
     for fam in (P, B, PB, I):
         assert any(c_values(fam, m)[0] for m in range(1, 4)), fam
+        assert counting._TABLES[fam].c_support[0], fam
 
 
 def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
@@ -537,19 +572,18 @@ def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
     assert [len(row) for row in tables[B].twisted[0]] == [41]
     assert tables[PB].c == ([], [])  # both grids grew from B's c-value columns
     assert [exi_rank(B, 40, r) for r in range(41)] == expected and exi_total(B, 40, 0, "recurrence") == total
-    # every twist order of T and Idual, and e_total's recurrence, read one
-    # grid of one row; I, which has a rank-0 piece, keeps a grid per order
+    # every twist order of T and Idual, and e_total's recurrence, read their
+    # one order-0 row, and their Z_M is [1]; I, which has a rank-0 piece,
+    # keeps one row at orders 0 and 1 and a Z_M grid of M rows above them
     for fam in (T, IDUAL, I):
         formula = [exi_total(fam, 30, order, "formula") for order in range(8)]
-        assert [exi_total(fam, 30, order) for order in range(8)] == formula, fam
+        assert [exi_total(fam, 30, order, "recurrence") for order in range(8)] == formula, fam
         assert e_total(fam, 30, "recurrence") == e_total(fam, 30, "formula"), fam
         grids = tables[fam].twisted
-        assert sorted(grids) == list(range(8)), fam
-        distinct = {id(grid) for grid in grids.values()}
-        if fam is I:
-            assert len(distinct) == 8
-        else:
-            assert len(distinct) == 1 and len(grids[0]) == 1, fam
+        assert sorted(grids) == ([0, 1] if fam is I else [0]), fam
+        assert all(len(grid) == 1 for grid in grids.values()), fam
+        shapes = {M: len(grid) for (_, M), grid in tables[fam].rank0.items()}
+        assert shapes == ({M: M for M in range(2, 8)} if fam is I else {}), fam
 
 
 def test_exi_rank_examples():

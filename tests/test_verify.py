@@ -340,11 +340,12 @@ def test_total_methods_check_referees_the_twisted_recurrence(monkeypatch):
     assert not result.ok
     shown = result.detail.split("; ")
     assert shown[0] == "exi_total(P,0,order 0) formula vs recurrence: 1 != 2"
-    # at twist orders 0 to 4, and each holonomic case of B and PB: orders 0
-    # to 4 at n <= ENGINE_MAX_N, and orders 0 to 2 further out; and each
-    # exi_rank row summed at orders 0 to 4
-    holonomic = 5 * (verify.ENGINE_MAX_N + 1) + 3 * (verify.FAST_ROUTE_MAX_N - verify.ENGINE_MAX_N)
-    cases = 2 * 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 2 * holonomic
+    # at twist orders 0 to 4, and each fast case, holonomic for B and PB and
+    # closed for T and I: orders 0 to 4 at n <= ENGINE_MAX_N, and orders 0
+    # to 2 further out; and each exi_rank row summed at orders 0 to 4
+    fast = 5 * (verify.ENGINE_MAX_N + 1) + 3 * (verify.FAST_ROUTE_MAX_N - verify.ENGINE_MAX_N)
+    assert len(verify.FAST_TOTALS) == 4
+    cases = 2 * 5 * len(verify.FAMILIES) * (verify.ENGINE_MAX_N + 1) + 4 * fast
     assert shown[4] == f"and {cases - 4} more"
 
 
