@@ -112,7 +112,12 @@ Rows of an entry:
   twist order 1, so the ``e_total`` and ``e_total_default`` rows run
   through ``exi_total``; and T's and I's defaults at every order read their
   closed totals, where up to ``pr28-parent`` they grew a first-piece grid
-  of two rows at order 2.
+  of two rows at order 2.  Entries before ``pr29-parent`` lack
+  ``e_rank_default`` at PB1000.  Up to ``pr29-parent`` PB's closed row was
+  a binomial convolution with the sets of lists, O(n²) products of two big
+  ints (about 5 s a pass at PB1000); from ``pr29-change`` it is a
+  three-term recurrence at rank 0 and a two-term step to each rank above,
+  products of a big int by a small one.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -189,7 +194,8 @@ TRIANGLE_N, WIDE_N, CELLS_N = 80, 250, 10
 WIDE_FAMILIES = ("B", "PB", "T", "I", "Idual")
 DEFAULT_TWISTED = (("B", 40), ("PB", 40), ("P", 20))
 DEFAULT_TOTALS = (("B", 250), ("B", 1200), ("B", 5000), ("T", 1200), ("I", 250))
-DEFAULT_RANKS = (("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250))
+DEFAULT_RANKS = (
+    ("B", 80), ("PB", 80), ("B", 250), ("PB", 250), ("T", 250), ("Idual", 250), ("PB", 1000))
 ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000), ("T", 1000), ("I", 1000))
 CLOSED_RANK_N = 16
 DEFAULT_TWISTED_RANKS = (("T", 250, 80, 0), ("B", 250, 100, 0), ("B", 250, 100, 2))

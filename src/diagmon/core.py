@@ -132,25 +132,6 @@ class LambdaGraph:
 
 
 # --------------------------------------------------------------------------
-# small disjoint-set helpers (path halving + naive linking; the structures
-# here are tiny and operation-local, so union by size buys nothing), for the
-# two-colored graph's components; the product's middle row has its own,
-# _join, and the kernel join inlines its own
-
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> None:
-    rx, ry = _find(parent, x), _find(parent, y)
-    if rx != ry:
-        parent[ry] = rx
-
-
-# --------------------------------------------------------------------------
 # construction and text format
 
 def make_partition(n: int, blocks: Iterable[Iterable[int]]) -> DiagramPartition:
@@ -456,8 +437,8 @@ def _kernel(blocks: Iterable[Block], n: int) -> tuple[list[int], list[tuple[int,
     are joined to each other, and its lower points to each other, never the
     one part to the other.  Finds halve the path and links go to the
     smaller root, so parent[x] <= x, as in _glue.  This is the one kernel
-    join: _kernel_classes groups it, and the idempotency tests read the
-    roots of the pairs."""
+    join: _kernel_classes groups it, the idempotency tests read the roots of
+    the pairs, and the two-colored graph's components are its classes."""
     parent = list(range(n))
     pairs = []
     classes = n

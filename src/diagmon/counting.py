@@ -45,15 +45,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, mul
-from typing import Callable, Iterator
+from typing import Callable
 
 from .combinat import (
     _GROWING,
     bell,
     e_nrs,
-    grow,
     grow_grid,
     integer_partitions,
     involutions,
@@ -438,10 +437,6 @@ def _closed_row(fam: MonoidFamily, n: int) -> list[int]:
     return rows[n]
 
 
-# L(j), the sets of lists on j points (OEIS A000262), PB's rank-0 free part
-_SETS_OF_LISTS: list[int] = [1, 1]
-
-
 def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
     """row[r] = e_rank(n, r) for r = 0..n, any family but P, read off the
     bivariate EGF of the rank grid: e_rank's closed route.
@@ -459,12 +454,16 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
     it is zero when n - r is odd.
 
     PB: c0 = (m+1)·(m-1)! = m! + (m-1)! at even m and m! at odd m, so
-    C0 = t/(1 - t) - ½·log(1 - t²), and C1 is B's.  The EGF is B's times
-    exp(t/(1 - t)) = Σ L(j)·t^j/j!, the sets of lists, a binomial
-    convolution: e(n, r) = Σ_j C(n, j)·e_B(j, r)·L(n - j), which with
-    j = r + 2i is C(n, r)·Σ_i C(n - r, 2i)·Π_{l<i}(2l + 1)(2r + 2l + 1)
-    ·L(n - r - 2i).  L′ = L/(1 - t)² gives L(j) = (2j - 1)·L(j - 1)
-    - (j - 1)(j - 2)·L(j - 2) from L(0) = L(1) = 1.
+    C0 = t/(1 - t) - ½·log(1 - t²), and C1 is B's.  So e(n, r) = C(n, r)
+    ·h_r(n - r), h_r(m) being m!·[t^m] H_r with H_r = exp(t/(1 - t))
+    ·(1 - t²)^-(r+½), which is D-finite (Stanley, European J. Combin. 1980).
+    From log H_0 = t/(1 - t) - ½·log(1 - t²), H_0′/H_0 = 1/(1 - t)²
+    + t/(1 - t²), and over the common denominator (1 - t)(1 - t²)·H_0′ =
+    (1 + 2t - t²)·H_0; the coefficient of t^m times m! reads h_0(m+1) =
+    (m+1)·h_0(m) + m(m+1)·h_0(m-1) - m(m-1)²·h_0(m-2), from h_0(0) = 1 and
+    h_0(-1) = h_0(-2) = 0.  Each rank up divides by 1 - t²: (1 - t²)·H_r+1
+    = H_r reads h_r+1(m) = h_r(m) + m(m-1)·h_r+1(m-2), stepped in place in
+    ascending m.
 
     T: c1 = m and c0 = 0, so C1 = t·e^t and e(n, r) = C(n, r)·r^(n-r), an
     image of r fixed points and a map of the rest into it (0^0 = 1).  The
@@ -476,24 +475,27 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
     n!/r!·[t^n] (e^t - 1)^r = S(n, r), the Stirling number of the second
     kind: a partition of the n points into r blocks, each block one piece.
 
-    A row of B, T or Idual costs O(n²) products of a big int by a small
-    one (Idual's from combinat's Stirling triangle), and one of PB O(n²)
-    big-int products, against O(n³) for the rank grid.
+    A row of any of them costs O(n²) products of a big int by a small one
+    (Idual's from combinat's Stirling triangle), against O(n³) for the rank
+    grid.
     """
     if fam is MonoidFamily.B:
         return [
-            math.comb(n, r) * math.prod(_pair_factors(r, n - r)) if (n - r) % 2 == 0 else 0
+            math.comb(n, r) * math.prod(map(mul, range(1, n - r, 2), range(2 * r + 1, n + r, 2)))
+            if (n - r) % 2 == 0 else 0
             for r in range(n + 1)
         ]
     if fam is MonoidFamily.PB:
-        lists = grow(_SETS_OF_LISTS, n, _sets_of_lists_entry)
+        free = [1]  # h_r(m) for m = 0..n - r, from r = 0
+        h, h1, h2 = 1, 0, 0
+        for m in range(n):
+            h, h1, h2 = (m + 1) * h + m * (m + 1) * h1 - m * (m - 1) * (m - 1) * h2, h, h1
+            free.append(h)
         row = []
         for r in range(n + 1):
-            m = n - r
-            # C(m, 2i)·L(m - 2i) and Π_{l<i}(2l + 1)(2r + 2l + 1), for i = 0..m // 2
-            free = map(mul, map(math.comb, repeat(m), range(0, m + 1, 2)), lists[m::-2])
-            pairs = accumulate(_pair_factors(r, m), mul, initial=1)
-            row.append(math.comb(n, r) * sum(map(mul, free, pairs)))
+            row.append(math.comb(n, r) * free[n - r])
+            for m in range(2, n - r):  # h_r+1(m - 2) is in place before h_r+1(m)
+                free[m] += m * (m - 1) * free[m - 2]
         return row
     if fam is MonoidFamily.T:
         return [math.comb(n, r) * r ** (n - r) for r in range(n + 1)]
@@ -501,17 +503,6 @@ def _egf_rank_row(fam: MonoidFamily, n: int) -> list[int]:
         return [math.comb(n, r) for r in range(n + 1)]
     # Idual; the top rank first grows the Stirling triangle column by column
     return [stirling2(n, r) for r in range(n, -1, -1)][::-1]
-
-
-def _pair_factors(r: int, m: int) -> Iterator[int]:
-    """(2l + 1)(2r + 2l + 1) for l < m // 2: the l-th pair of m free points
-    beside r transversals in B's rank-r count."""
-    return map(mul, range(1, m, 2), range(2 * r + 1, 2 * r + m, 2))
-
-
-def _sets_of_lists_entry(j: int) -> int:
-    lists = _SETS_OF_LISTS
-    return (2 * j - 1) * lists[j - 1] - (j - 1) * (j - 2) * lists[j - 2]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DiagramPartition, LambdaGraph, _find, _glue, _kernel, _labels, _union
+from .core import DiagramPartition, LambdaGraph, _glue, _kernel, _labels
 from .errors import DomainError, NotBalancedError
 
 
@@ -133,19 +133,22 @@ def classify_lambda_components(
     which happens exactly when the graph does not come from an idempotent.
     """
     n = g.n
-    parent = list(range(n + 1))  # union-find over the vertices, joined along edges
     for color, edges, loops in (("red", g.red_edges, g.red_loops), ("blue", g.blue_edges, g.blue_loops)):
         held = [x for edge in edges for x in edge] + list(loops)
         if not all(1 <= x <= n for x in held):
             raise NotBalancedError(f"{color} item outside the vertices 1..{n}")
         if len(set(held)) < len(held):
             raise NotBalancedError(f"some vertex carries two {color} items")
-        for u, v in edges:
-            _union(parent, u, v)
-    root = [_find(parent, x) for x in range(n + 1)]
+    # the components are the kernel classes of the blocks the edges draw, on
+    # the points 0..n (0 unused): a red edge the upper block (u, v), a blue
+    # one the lower block (n+1+u, n+1+v); a block in one row may list either end first
+    blocks = [*g.red_edges, *[(n + 1 + u, n + 1 + v) for u, v in g.blue_edges]]
+    root = _kernel(blocks, n + 1)[0]
     components: dict[int, list[int]] = {}  # by root, in order of their smallest vertex
     for x in range(1, n + 1):
-        components.setdefault(root[x], []).append(x)
+        # root[x] <= x, so in point order one step reaches the root
+        root[x] = r = root[root[x]]
+        components.setdefault(r, []).append(x)
     edge_counts = [0] * (n + 1)  # by root
     loop_counts = [0] * (n + 1)
     for u, _ in g.red_edges + g.blue_edges:  # an edge's two ends share a root

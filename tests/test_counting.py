@@ -246,8 +246,8 @@ def test_egf_ranks_match_the_other_routes():
 
 
 def test_egf_rank_rows_sum_to_the_holonomic_totals():
-    for fam in (B, PB):
-        assert sum(e_rank(fam, 250, r, "closed") for r in range(251)) == e_total(fam, 250, "holonomic")
+    for fam, n in ((B, 250), (PB, 250), (PB, 600)):
+        assert sum(e_rank(fam, n, r, "closed") for r in range(n + 1)) == e_total(fam, n, "holonomic")
 
 
 def test_egf_ranks_are_refused_for_p():

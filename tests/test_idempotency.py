@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from diagmon.core import MonoidFamily, identity, lambda_graph, multiply, parse_diagram, profile
+from diagmon.core import (
+    LambdaGraph,
+    MonoidFamily,
+    identity,
+    lambda_graph,
+    multiply,
+    parse_diagram,
+    profile,
+)
 from diagmon.counting import exi_total
 from diagmon.errors import DomainError, NotBalancedError
 from diagmon.idempotency import (
@@ -17,7 +25,7 @@ from diagmon.idempotency import (
 )
 from diagmon.oracle import enumerate_elements
 
-from .oracles import naive_is_idempotent
+from .oracles import bfs_components, naive_is_idempotent
 
 
 def test_twist_order_validation():
@@ -127,6 +135,21 @@ def test_classify_even_path_with_loops():
     comps = classify_lambda_components(lambda_graph(a))
     assert comps == [((1, 2, 3), ComponentType.EVEN_PATH_LOOPS)]
     assert rank_from_components(comps) == 0
+
+
+def test_components_are_the_connected_components():
+    # the components read off the kernel join are those a search over both
+    # colors' edges finds, whichever end a hand-built graph lists first
+    hand = [
+        LambdaGraph(4, ((2, 1), (4, 3)), (), ((3, 2), (4, 1)), ()),  # a circuit on 1..4
+        LambdaGraph(4, ((3, 1),), (), ((4, 3),), ()),  # the path 1-3-4 beside the bare 2
+        LambdaGraph(5, ((5, 2),), (1, 3, 4), ((3, 1), (4, 2)), (5,)),  # two loop-capped paths
+    ]
+    balanced = [g for g in map(lambda_graph, enumerate_elements(MonoidFamily.PB, 4)) if is_balanced(g)]
+    for g in balanced + hand:
+        found = bfs_components(list(range(1, g.n + 1)), [*g.red_edges, *g.blue_edges])
+        expected = sorted(tuple(sorted(c)) for c in found)
+        assert [vertices for vertices, _ in classify_lambda_components(g)] == expected, g
 
 
 def test_single_loop_vertex_is_unbalanced():
