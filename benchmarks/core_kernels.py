@@ -117,7 +117,12 @@ Rows of an entry:
   a binomial convolution with the sets of lists, O(n²) products of two big
   ints (about 5 s a pass at PB1000); from ``pr29-change`` it is a
   three-term recurrence at rank 0 and a two-term step to each rank above,
-  products of a big int by a small one.
+  products of a big int by a small one.  ``formula_sweep`` is
+  ``counting._partition_grid(fam, n)`` for every n <= ``FORMULA_N`` on one
+  set of fresh tables, count-wide's partition sweeps, for each family, and
+  ``exi_total_formula`` is ``exi_total(fam, n, M, "formula")`` at each
+  (fam, n, M) in ``FORMULA_TWISTED``; entries before ``pr30-parent`` lack
+  both.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's
@@ -200,6 +205,8 @@ ORDER_2_TWISTED = (("B", 40), ("B", 250), ("B", 1000), ("T", 1000), ("I", 1000))
 CLOSED_RANK_N = 16
 DEFAULT_TWISTED_RANKS = (("T", 250, 80, 0), ("B", 250, 100, 0), ("B", 250, 100, 2))
 COLD_PAIRS_N = (20, 30, 40)
+FORMULA_N = 16
+FORMULA_TWISTED = (("B", 40, 2),)
 BELL_N = (250, 1000)
 # count-deep's first-piece totals at n = WIDE_N: exi_total at order 0 by
 # recurrence for these families, and Idual's default e_total
@@ -321,6 +328,11 @@ def twisted_triangle(fam: str) -> None:
     counting.exi_rank(fam, TRIANGLE_N, TRIANGLE_N, 0, *route)
 
 
+def formula_sweeps(fam: MonoidFamily) -> None:
+    for n in range(FORMULA_N + 1):
+        counting._partition_grid(fam, n)
+
+
 def shared_grids() -> None:
     for fam in SHARED_GRID_FAMILIES:
         counting.exi_total(fam, WIDE_N, 0, "recurrence")
@@ -368,6 +380,11 @@ def counting_rows() -> tuple[dict, list[float]]:
         passes["exi_total_order2", f"{fam}{n}"] = partial(cold_ms, counting.exi_total, fam, n, 2)
     for fam, n in DEFAULT_TOTALS:
         passes["e_total_default", f"{fam}{n}"] = partial(cold_ms, counting.e_total, fam, n)
+    for fam in MonoidFamily:
+        passes["formula_sweep", f"{fam.value}{FORMULA_N}"] = partial(cold_ms, formula_sweeps, fam)
+    for fam, n, order in FORMULA_TWISTED:
+        passes["exi_total_formula", f"{fam}{n} M={order}"] = partial(
+            cold_ms, counting.exi_total, fam, n, order, "formula")
     for n in COLD_PAIRS_N:
         passes["c_values", f"P{n}"] = partial(cold_pairs_ms, n)
     passes["shared_grids", f"count-deep{WIDE_N}"] = partial(cold_ms, shared_grids)

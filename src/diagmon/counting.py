@@ -264,23 +264,43 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     A partition with k parts is the shape of the kernel; pi_count labels
     it, and each part of size m holds an irreducible idempotent of rank 0
     (c0(m) ways) or of rank 1 (c1(m) ways).
+
+    The factor (c0 + c1·x)^mult of mult parts of one size is made once per
+    (size, mult) in a sweep, by its binomial row trimmed to its nonzero
+    span lo..hi: from degree mult if c0 is zero, to degree 0 if c1 is.  So
+    B's, T's and Idual's factors are one term, a scalar pass of _poly_mul,
+    and the product starts at the sum of the factors' lo.  A factor with
+    c0 = c1 = 0 is empty, as is every part above 1 of I: the partition
+    counts nothing and is left before pi_count.  Every other partition
+    still adds its own term, its product weighted by pi_count, to row k;
+    the factors are not regrouped by part size, which would be the
+    exponential formula that the recurrences follow.
     """
     grids = _TABLES[fam].partition_grids
     if n not in grids:
         c0s, c1s = _grown(fam, n).c
         grid = [[0] * (k + 1) for k in range(n + 1)]
+        factors: dict[tuple[int, int], tuple[int, list[int]]] = {}  # this sweep's only
         for spec in integer_partitions(n):
-            poly = [1]
+            poly, low = [1], 0
             for i, mult in enumerate(spec.parts):
-                if mult:  # (c0 + c1·x)^mult, by its binomial row
-                    c0, c1 = c0s[i], c1s[i]
-                    poly = _poly_mul(
-                        poly, [math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(mult + 1)]
-                    )
-            weight = pi_count(spec)
-            row = grid[len(poly) - 1]
-            for r, coef in enumerate(poly):
-                row[r] += weight * coef
+                if mult:
+                    if (i, mult) not in factors:
+                        c0, c1 = c0s[i], c1s[i]
+                        lo, hi = (0 if c0 else mult), (mult if c1 else 0)
+                        factors[i, mult] = lo, [
+                            math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(lo, hi + 1)
+                        ]
+                    lo, factor = factors[i, mult]
+                    if not factor:
+                        break
+                    poly = _poly_mul(poly, factor)
+                    low += lo
+            else:
+                weight = pi_count(spec)
+                row = grid[sum(spec.parts)]
+                for r, coef in enumerate(poly, low):
+                    row[r] += weight * coef
         grids[n] = grid
     return grids[n]
 
@@ -636,8 +656,11 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
         if fam is MonoidFamily.T:
             return sum(_closed_row(fam, n))
         return 2**n if M == 1 else sum(map(math.comb, repeat(n), range(0, n + 1, M))) if M else 1
+    grid = _partition_grid(fam, n)
+    if M == 1:  # every cell, with no slice per row
+        return sum(map(sum, grid))
     # row k's rank-r cell has exponent k - r, annihilated where r = k (mod M)
-    return sum(sum(row[k % M :: M]) if M else row[k] for k, row in enumerate(_partition_grid(fam, n)))
+    return sum(sum(row[k % M :: M]) if M else row[k] for k, row in enumerate(grid))
 
 
 def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:

@@ -29,6 +29,7 @@ from diagmon.core import (
     multiply,
     profile,
 )
+from diagmon.counting import c_values
 from diagmon.errors import DomainError
 from diagmon.idempotency import (
     TwistOrder,
@@ -259,6 +260,24 @@ def reference_e_pairs(max_n: int) -> list[list[list[int]]]:
                                 out[b + b2] += (xa * b2 + xb * a2) * y
         rows.append(row)
     return rows
+
+
+def reference_partition_grid(f: MonoidFamily | str, n: int) -> list[list[int]]:
+    """grid[k][r] of the partition formula, by set partitions instead of
+    integer partitions: every set partition of n points, each block of m
+    points an irreducible idempotent of rank 0 (c0(m) ways) or rank 1
+    (c1(m) ways), the product of (c0 + c1·x) over the blocks added into
+    row len(blocks).  No integer partition and no pi_count."""
+    grid = [[0] * (k + 1) for k in range(n + 1)]
+    for blocks in set_partitions(tuple(range(n))):
+        poly = [1]
+        for block in blocks:
+            c0, c1, _ = c_values(f, len(block))
+            poly = [c0 * a + c1 * b for a, b in zip(poly + [0], [0] + poly)]
+        row = grid[len(blocks)]
+        for r, coef in enumerate(poly):
+            row[r] += coef
+    return grid
 
 
 def naive_involutions(n: int) -> int:

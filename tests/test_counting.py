@@ -30,6 +30,8 @@ from diagmon.core import MonoidFamily
 from diagmon.errors import DomainError, ParityError
 from diagmon.oracle import brute_report
 
+from .oracles import reference_partition_grid
+
 P, B, PB = MonoidFamily.P, MonoidFamily.B, MonoidFamily.PB
 T, I, IDUAL = MonoidFamily.T, MonoidFamily.I, MonoidFamily.IDUAL
 
@@ -417,6 +419,24 @@ def test_twisted_grid_matches_the_formula_at_every_order():
                 formula = exi_total(fam, n, order, "formula")
                 assert exi_total(fam, n, order) == formula, (fam, n, order)
                 assert exi_total(fam, n, order, "recurrence") == formula, (fam, n, order)
+
+
+def test_partition_grid_matches_the_set_partition_referee():
+    # every cell of the sweep over integer partitions, its factor rows
+    # trimmed and its zero-factor partitions skipped, against a walk over
+    # the set partitions that shares neither integer_partitions nor pi_count
+    for fam in ALL_FAMILIES:
+        for n in range(9):
+            assert counting._partition_grid(fam, n) == reference_partition_grid(fam, n), (fam, n)
+
+
+def test_partition_grid_of_i_is_one_row():
+    # I's pieces are single points, so every partition with a part above 1
+    # counts nothing: n kernel classes, and C(n, r) ways to choose the r
+    # points of rank 1
+    grid = counting._partition_grid(I, 30)
+    assert grid[30] == [math.comb(30, r) for r in range(31)]
+    assert not any(map(any, grid[:30]))
 
 
 def test_twisted_grid_at_order_1_is_the_plain_total():
