@@ -122,7 +122,11 @@ Rows of an entry:
   set of fresh tables, count-wide's partition sweeps, for each family, and
   ``exi_total_formula`` is ``exi_total(fam, n, M, "formula")`` at each
   (fam, n, M) in ``FORMULA_TWISTED``; entries before ``pr30-parent`` lack
-  both.
+  both.  From ``pr31-change`` every counting table sits in the one
+  ``counting._FamilyTables`` of its family, so the reset above still makes
+  each pass cold; PB's ``exi_rank_triangle`` grows B's grid of rank-1
+  pieces, which reads the same c1 column as PB's own did up to
+  ``pr31-parent``.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's

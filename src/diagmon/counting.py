@@ -13,31 +13,28 @@ T and I, and the first-piece recurrence for P and Idual; e_rank and
 exi_rank take a closed row off the bivariate EGF for every family but P,
 and P the first-piece recurrence.
 
-A twist sees only the rank-0 pieces: the exponent it must annihilate is
-their number q.  So by the exponential formula a count at twist order M > 0
-is its order-0 count convolved with Z_M, the idempotents of rank-0 pieces
+An idempotent is its irreducible pieces, one per kernel class, each of
+rank 0 or 1; the c-value columns c0 and c1 count them by size.  A twist
+sees only the rank-0 pieces: the exponent it must annihilate is their
+number q.  So by the exponential formula a count at twist order M > 0 is
+its order-0 count convolved with Z_M, the idempotents of rank-0 pieces
 alone with q ≡ 0 (mod M) (_twist, _rank0_only).
 
-The holonomic recurrence ties a cell to four predecessors in its row and
-the row before, a row per count of rank-0 pieces mod the twist order, so
-each new cell costs O(1) products (_holonomic).  The first-piece
-recurrences are bottom-up tables grown to the largest index a query has
-needed.  Each splits an idempotent at the irreducible piece holding its
-first point, and each is a grid grown by grow_grid through one helper
-(_first_piece) and one entry (_piece_entry): a new cell is a binomial
-convolution of a c-value column with a row, summed in C.  The two rank
-grids are indexed by rank and n.  exi_total's recurrence keeps one row at
-order 0, of rank-1 pieces, and one at order 1, of every piece; every
-higher order is the convolution.  Z_M's grid has M rows, indexed by the
-number of rank-0 pieces mod M, and row 0 answers.  A grid is fixed by the
-c-value columns its pieces read, so PB's order-0 row, of rank-1 pieces
-alone, is B's (_C1_TWIN); and where c0 is zero up to n no rank-0 piece
-fits, so order 1's row is order 0's and Z_M is [1].  A grid
-grows column by column, so the weight rows of one column (_weights) serve
-every row that column needs.  Each family's tables sit in one
-_FamilyTables.  The partition routes share one sweep over the integer
-partitions of n per (family, n): it fills a grid by kernel classes and
-rank, and each route is a sum over part of that grid.
+Every grid kept is a grid of idempotents made of some kinds of piece, named
+once in _GRIDS by its route and its pieces: for each kind, the c-value
+column it reads and the rows it moves a count on, so that a row is a rank
+or, in a grid of M rows, q mod M.  One grower, _grow, grows any of them
+column by column through grow_grid: the first-piece recurrence splits off
+the piece holding the first point, a binomial convolution of a c-value
+column with a row (_piece_entry); the holonomic one, for B and PB, ties a
+cell to four predecessors in its row and the row before (_holonomic_entry).
+A grid of pieces that read c1 alone is its _C1_TWIN's list, so PB reads
+B's.  Where c0 is zero up to n no rank-0 piece fits, so order 1 is order 0
+and Z_M is [1]; that is tested per query, and never stored.  Each family
+keeps its c-value columns, its grids, its closed rows and its partition
+grids in one _FamilyTables.  The partition routes share one sweep over the
+integer partitions of n per (family, n): it fills a grid by kernel classes
+and rank, and each route is a sum over part of that grid.
 """
 
 from __future__ import annotations
@@ -87,30 +84,22 @@ class _FamilyTables:
     c: tuple[list[int], list[int]] = field(default_factory=lambda: ([], []))
     # each c-value column's length up to its last nonzero value
     c_support: list[int] = field(default_factory=lambda: [0, 0])
-    # the first-piece grids, [r][n]; exi_total's, at twist orders 0 and 1
-    # only, are one row each, and PB's twisted[0] is B's (see _C1_TWIN);
-    # holonomic[M], B and PB only, and rank0[holonomic, M] are keyed
-    # [q mod M][n], q the number of rank-0 pieces, and PB's holonomic[0] is B's
-    twisted: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
-    rank: list[list[int]] = field(default_factory=list)  # e_rank
-    twisted_rank: list[list[int]] = field(default_factory=list)  # exi_rank at order 0
-    rank0: dict[tuple[bool, int], list[list[int]]] = field(default_factory=dict)  # Z_M, order M > 0
-    holonomic: dict[int, list[list[int]]] = field(default_factory=dict)  # exi_total
-    partition_grids: dict[int, list[list[int]]] = field(default_factory=dict)
     # the column _weights served last: its index j, the binomial row
     # C(j-1, i) for i below min(j, the longest c_support) and the weight rows
     # made from it so far, by c-value column (None: c0 + c1)
     column: tuple[int, list[int], dict[int | None, list[int]]] = field(
         default_factory=lambda: (1, [1], {})
     )
-    egf_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # e_rank's closed rows
-    twisted_rank_rows: dict[int, list[int]] = field(default_factory=dict)  # exi_rank's, order 0
+    # each grid of _GRIDS, [row][n], by its name, or by (name, M) if it has
+    # M > 0 rows; and e_rank's closed rows, exi_rank's at order 0 and the
+    # partition grids, each by n under its name
+    grids: dict = field(default_factory=lambda: {"e_rank closed": {}, "exi_rank closed": {}, "formula": {}})
 
 
 _TABLES = {fam: _FamilyTables() for fam in MonoidFamily}
 
 _Grid = list[list[int]]
-_Pieces = tuple[tuple[int | None, int], ...]  # (c-value column, rank) of each kind of piece
+_Pieces = tuple[tuple[int | None, int], ...]  # (c-value column, rows it moves on) of each kind of piece
 
 
 # --------------------------------------------------------------------------
@@ -154,12 +143,8 @@ def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
 
 
 # Equal c-value columns, read off the cases above: B and PB have one c1
-# column (m! at odd m, 0 at even m).  A first-piece grid is fixed by the
-# columns its pieces read (the exponential formula), not by the family that
-# asks, so PB's twisted totals at order 0, whose grids read rank-1 pieces
-# alone, are B's.  The sharing is decided when a grid is first grown, and
-# the shared list is kept in the asking family's tables, so a warm query
-# reads its own.
+# column (m! at odd m, 0 at even m), so a grid whose pieces read c1 alone is
+# the same for both (see _grow).
 _C1_TWIN = {MonoidFamily.PB: MonoidFamily.B}
 
 
@@ -221,15 +206,62 @@ def _weights(tables: _FamilyTables, which: int | None, j: int) -> list[int]:
     return rows[which]
 
 
-def _first_piece(fam: MonoidFamily, grid: _Grid, pieces: _Pieces, r: int, n: int, M: int = 0) -> int:
-    """Cell (r, n) of one of the family's first-piece grids, grown there by
-    _piece_entry with these pieces, and rows taken mod M if M > 0."""
+# Every grid kept, by name: its route and its pieces, (c-value column, rows
+# it moves on) for each kind of piece, None reading c0 + c1.  A rank-1 piece
+# moves a rank grid's count one row on; in a grid of M rows, kept under
+# (name, M), a rank-0 piece moves it one row mod M, and row 0 answers.
+_GRIDS: dict[str, tuple[str, _Pieces]] = {
+    "e_rank": ("recurrence", ((0, 0), (1, 1))),
+    "exi_rank": ("recurrence", ((1, 1),)),  # order 0: no rank-0 piece
+    "order 0": ("recurrence", ((1, 0),)),  # exi_total
+    "order 1": ("recurrence", ((None, 0),)),  # exi_total, and e_total
+    "Z": ("recurrence", ((0, 1),)),  # Z_M
+    "holonomic 0": ("holonomic", ((1, 0),)),
+    "holonomic 1": ("holonomic", ((None, 0),)),
+    "holonomic": ("holonomic", ((1, 0), (0, 1))),  # order M > 1
+    "holonomic Z": ("holonomic", ((0, 1),)),
+}
+# the grids whose pieces read c1 alone, each its _C1_TWIN's list (see _grow)
+_C1_ALONE = {name for name, (_, pieces) in _GRIDS.items() if all(which == 1 for which, _ in pieces)}
+
+
+def _cell(fam: MonoidFamily, key: str | tuple[str, int], r: int, n: int) -> int:
+    """Cell (r, n) of the family's grid under key, grown there if need be."""
     try:  # a grown cell needs no c-values
-        return grid[r][n]
-    except IndexError:
-        pass
-    entry = partial(_piece_entry, _grown(fam, n), grid, pieces, M)
-    return grow_grid(grid, r, n, entry)
+        return _TABLES[fam].grids[key][r][n]
+    except (KeyError, IndexError):
+        return _grow(fam, key, r, n)
+
+
+def _grow(fam: MonoidFamily, key: str | tuple[str, int], r: int, n: int) -> int:
+    """Cell (r, n) of the family's grid under key, after growing rows
+    0..max(r, M - 1) of it to column n, M the key's twist order (0 for a
+    bare name), by the route _GRIDS gives its name.
+
+    A grid is fixed by its route and the c-value columns its pieces read,
+    not by the family that asks: one whose pieces read c1 alone is grown
+    from and kept in _C1_TWIN's tables, and the asking family keeps the same
+    list.  The holonomic recurrence reads each piece's (Q0, Q1) pair of
+    _HOLONOMIC_Q: Q0 for c0, Q1 for c1 and both for None.
+    """
+    name, M = (key, 0) if isinstance(key, str) else key
+    route, pieces = _GRIDS[name]
+    owner = _C1_TWIN.get(fam, fam) if name in _C1_ALONE else fam
+    grid = _TABLES[fam].grids.get(key)
+    if grid is None:
+        with _GROWING:
+            grid = _TABLES[fam].grids.setdefault(key, _TABLES[owner].grids.setdefault(key, []))
+    if route == "holonomic":
+        q0, q1 = _HOLONOMIC_Q[owner]
+        q = {0: q0, 1: q1, None: tuple(map(add, q0, q1))}
+        # summed over the pieces that stay on their row, and those that move
+        own = tuple(map(sum, zip((0, 0, 0, 0), *(q[which] for which, d in pieces if not d))))
+        marked = tuple(map(sum, zip(*(q[which] for which, d in pieces if d))))
+        entry = partial(_holonomic_entry, grid, own, marked)
+    else:
+        entry = partial(_piece_entry, _grown(owner, n), grid, pieces, M)
+    grow_grid(grid, max(r, M - 1), n, entry)
+    return grid[r][n]
 
 
 def _piece_entry(tables: _FamilyTables, grid: _Grid, pieces: _Pieces, M: int, r: int, j: int) -> int:
@@ -257,6 +289,50 @@ def _piece_entry(tables: _FamilyTables, grid: _Grid, pieces: _Pieces, M: int, r:
     return total
 
 
+# (1 - t²)²·C′ by degree, for the EGF C = Σ c(m)·t^m/m! of each c-value
+# column of _irreducible, as the pair (Q0, Q1) for c0 and c1.  B: C0 =
+# -½·log(1 - t²) and C1 = t/(1 - t²); PB: C0 is B's plus t/(1 - t), C1 B's
+_HOLONOMIC_Q = {
+    MonoidFamily.B: ((0, 1, 0, -1), (1, 0, 1, 0)),
+    MonoidFamily.PB: ((1, 3, 1, -1), (1, 0, 1, 0)),
+}
+
+
+def _holonomic_entry(grid: _Grid, own: tuple[int, ...], marked: tuple[int, ...], i: int, m: int) -> int:
+    """Cell (i, m) of a holonomic grid, B and PB only, whose row i counts
+    the idempotents with q = i (mod M) rank-0 pieces, M its number of rows.
+
+    Mark each piece that moves a row with x.  By the exponential formula
+    (Flajolet and Sedgewick, Analytic Combinatorics, ch. III) the EGF is
+    E = exp(Σ C), summed over the grid's pieces, so E′ = (Σ C′)·E; times
+    (1 - t²)², (1 - 2t² + t⁴)·E′ = (x·marked + own)·E, own and marked the
+    Q of the pieces that stay on their row and of those that move, summed
+    (see _grow).  The coefficient of t^n/n! in t^k·F is n^(k)·f(n-k),
+    n^(k) = n(n-1)...(n-k+1), so for own
+
+        e(n+1) = q0·e(n) + (q1·n^(1) + 2·n^(2))·e(n-1) + q2·n^(2)·e(n-2)
+                 + (q3·n^(3) - n^(4))·e(n-3)
+
+    on the cell's own row (n^(k) = 0 at n < k), plus the same sum for marked
+    without E′'s 2·n^(2) and n^(4) on row i - 1, as x moves a count one row
+    on; row 0 wraps to row M - 1.  The series is D-finite (Stanley, European
+    J. Combin. 1980).  A cell costs at most eight products of a big int by a
+    small one.
+    """
+    if m == 0:
+        return int(i == 0)  # the empty diagram, with no rank-0 piece
+    n = m - 1
+    f2 = n * (n - 1)
+    f3 = f2 * (n - 2)
+    start = max(n - 3, 0)
+    coefficients = (own[0], own[1] * n + 2 * f2, own[2] * f2, (own[3] - n + 3) * f3)
+    total = sum(map(mul, coefficients, reversed(grid[i][start:m])))
+    if marked:  # grid[-1] is row M - 1
+        coefficients = (marked[0], marked[1] * n, marked[2] * f2, marked[3] * f3)
+        total += sum(map(mul, coefficients, reversed(grid[i - 1][start:m])))
+    return total
+
+
 def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     """grid[k][r]: idempotents on n points with k kernel classes and rank r,
     summed over the integer partitions of n.
@@ -276,7 +352,7 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     the factors are not regrouped by part size, which would be the
     exponential formula that the recurrences follow.
     """
-    grids = _TABLES[fam].partition_grids
+    grids = _TABLES[fam].grids["formula"]
     if n not in grids:
         c0s, c1s = _grown(fam, n).c
         grid = [[0] * (k + 1) for k in range(n + 1)]
@@ -359,69 +435,6 @@ def e_total(f: MonoidFamily | str, n: int, method: str | None = None) -> int:
 
 
 # --------------------------------------------------------------------------
-# holonomic totals
-
-# (1 - t²)²·C′ by degree, for the EGF C = Σ c(m)·t^m/m! of each c-value
-# column of _irreducible, as the pair (rank-0 part, rank-1 part).  B: C0 =
-# -½·log(1 - t²) and C1 = t/(1 - t²); PB: C0 is B's plus t/(1 - t), C1 B's
-_HOLONOMIC_Q = {
-    MonoidFamily.B: ((0, 1, 0, -1), (1, 0, 1, 0)),
-    MonoidFamily.PB: ((1, 3, 1, -1), (1, 0, 1, 0)),
-}
-
-
-def _holonomic(fam: MonoidFamily, n: int, M: int) -> int:
-    """Cell (0, n) of order M's marked holonomic grid, B and PB only, whose
-    row i counts the idempotents with q = i (mod M) rank-0 pieces (order 0:
-    q = 0).  q <= n, so an order M > n is order 0 and grows no grid.
-
-    Mark each rank-0 piece with x.  By the exponential formula (Flajolet and
-    Sedgewick, Analytic Combinatorics, ch. III) the EGF is E = exp(x·C0 +
-    C1), so E′ = (x·C0′ + C1′)·E, and times (1 - t²)², (1 - 2t² + t⁴)·E′ =
-    (x·Q0 + Q1)·E for the pair (Q0, Q1) of _HOLONOMIC_Q.  The coefficient of
-    t^n/n! in t^k·F is n^(k)·f(n-k), n^(k) = n(n-1)...(n-k+1), so for Q1
-
-        e(n+1) = q0·e(n) + (q1·n^(1) + 2·n^(2))·e(n-1) + q2·n^(2)·e(n-2)
-                 + (q3·n^(3) - n^(4))·e(n-3)
-
-    on the cell's own row (n^(k) = 0 at n < k), plus the same sum for Q0
-    without E′'s 2·n^(2) and n^(4) on row i - 1, as x moves a count one row
-    on; row 0 wraps to row M - 1.  At orders 0 and 1, x is the number M and
-    the grid one row: Q1, which B and PB share (_C1_TWIN), and Q0 + Q1,
-    e_total's.  The series is D-finite (Stanley, European J. Combin. 1980).
-    A cell costs at most eight products of a big int by a small one.
-    """
-    M = M if M <= n else 0
-    grids = _TABLES[fam].holonomic
-    try:
-        return grids[M][0][n]
-    except (KeyError, IndexError):
-        pass
-    owner = fam if M else _C1_TWIN.get(fam, fam)
-    with _GROWING:
-        grid = grids.setdefault(M, _TABLES[owner].holonomic.setdefault(M, []))
-    rank0, rank1 = _HOLONOMIC_Q[owner]
-    own = rank1 if M > 1 else tuple(q1 + M * q0 for q0, q1 in zip(rank0, rank1))  # x = M
-    grow_grid(grid, max(M - 1, 0), n, partial(_holonomic_entry, grid, own, rank0 if M > 1 else ()))
-    return grid[0][n]
-
-
-def _holonomic_entry(grid: _Grid, own: tuple[int, ...], marked: tuple[int, ...], i: int, m: int) -> int:
-    if m == 0:
-        return int(i == 0)  # the empty diagram, with no rank-0 piece
-    n = m - 1
-    f2 = n * (n - 1)
-    f3 = f2 * (n - 2)
-    start = max(n - 3, 0)
-    coefficients = (own[0], own[1] * n + 2 * f2, own[2] * f2, (own[3] - n + 3) * f3)
-    total = sum(map(mul, coefficients, reversed(grid[i][start:m])))
-    if marked:  # grid[-1] is row M - 1
-        coefficients = (marked[0], marked[1] * n, marked[2] * f2, marked[3] * f3)
-        total += sum(map(mul, coefficients, reversed(grid[i - 1][start:m])))
-    return total
-
-
-# --------------------------------------------------------------------------
 # per-rank idempotent counts
 
 def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> int:
@@ -440,18 +453,17 @@ def e_rank(f: MonoidFamily | str, n: int, r: int, method: str | None = None) -> 
     method = _RANK_ROUTES[fam][0] if method is None else _route("e_rank", fam, method)
     if method == "closed":
         try:
-            return _TABLES[fam].egf_rank_rows[n][r]
+            return _TABLES[fam].grids["e_rank closed"][n][r]
         except KeyError:
             return _closed_row(fam, n)[r]
     if method == "recurrence":
-        # the first point's piece has rank 0 or 1
-        return _first_piece(fam, _TABLES[fam].rank, ((0, 0), (1, 1)), r, n)
+        return _cell(fam, "e_rank", r, n)
     return sum(row[r] for row in _partition_grid(fam, n)[r:])
 
 
 def _closed_row(fam: MonoidFamily, n: int) -> list[int]:
     """The family's closed rank row at n, made once and kept."""
-    rows = _TABLES[fam].egf_rank_rows
+    rows = _TABLES[fam].grids["e_rank closed"]
     if n not in rows:
         rows[n] = _egf_rank_row(fam, n)
     return rows[n]
@@ -630,16 +642,16 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
     method is one of the family's ROUTES["exi_total"], the first when None:
     "formula" (a sum over the integer partitions of n, O(p(n)) terms),
     "recurrence" (O(n) convolutions), "holonomic" (B and PB, O(M·n) small
-    products at order M; see _holonomic) or "closed" (T and I).  The
+    products at order M; see _holonomic_entry) or "closed" (T and I).  The
     formula keeps the grid cells whose self-product exponent, kernel classes
     minus rank, the twist annihilates; that exponent is the number q of
     rank-0 pieces, which the holonomic grid counts mod M.  The recurrence
-    reads a one-row first-piece grid at orders 0 and 1 (_twisted_total) and
-    convolves order 0's with Z_M above them (_twist).  The closed form: T
-    has no rank-0 piece, so every order is its closed rank row summed,
-    Tainiter's Σ C(n, k)·k^(n-k); I's rank-0 pieces are its idle points, so
-    order M is Σ_{q ≡ 0 (mod M)} C(n, q): 1 at order 0, and 2^n, the
-    partial identities, at order 1.
+    reads a one-row grid of _GRIDS at orders 0 and 1 and convolves order
+    0's with Z_M above them (_twist).  The closed form: T has no rank-0
+    piece, so every order is its closed rank row summed, Tainiter's
+    Σ C(n, k)·k^(n-k); I's rank-0 pieces are its idle points, so order M is
+    Σ_{q ≡ 0 (mod M)} C(n, q): 1 at order 0, and 2^n, the partial
+    identities, at order 1.
     """
     fam = as_family(f)
     M = as_twist_order(t).M
@@ -648,10 +660,15 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
     method = _TOTAL_ROUTES[fam][0] if method is None else _route("exi_total", fam, method)
     if method == "recurrence":
         if M > 1:
-            return _twist(fam, n, n, M, method, partial(_twisted_total, fam, M=0))
-        return _twisted_total(fam, n, M)
+            return _twist(fam, n, n, M, method, partial(_cell, fam, "order 0", 0))
+        # where c0 is zero up to n no rank-0 piece fits, so order 1 is
+        # order 0; once c0 has a nonzero value, the test grows no c-values
+        if M and not _TABLES[fam].c_support[0] and not _grown(fam, n).c_support[0]:
+            M = 0
+        return _cell(fam, "order 1" if M else "order 0", 0, n)
     if method == "holonomic":
-        return _holonomic(fam, n, M)
+        M = M if M <= n else 0  # q <= n, so an order above n is order 0
+        return _cell(fam, ("holonomic", M) if M > 1 else "holonomic 1" if M else "holonomic 0", 0, n)
     if method == "closed":
         if fam is MonoidFamily.T:
             return sum(_closed_row(fam, n))
@@ -661,27 +678,6 @@ def exi_total(f: MonoidFamily | str, n: int, t: TwistOrder | int = 0, method: st
         return sum(map(sum, grid))
     # row k's rank-r cell has exponent k - r, annihilated where r = k (mod M)
     return sum(sum(row[k % M :: M]) if M else row[k] for k, row in enumerate(grid))
-
-
-def _twisted_total(fam: MonoidFamily, n: int, M: int) -> int:
-    """Cell n of the one-row first-piece grid of twist order M, 0 or 1.  At
-    order 0 the twist keeps only q = 0, so every piece has rank 1; at order
-    1 a piece has either rank, and one convolution with the weights of
-    c0 + c1 does.  Where c0 is zero up to n no rank-0 piece fits, so
-    order 1 reads order 0's row; and order 0's row, which reads c1 alone,
-    is B's for PB (see _C1_TWIN)."""
-    tables = _TABLES[fam]
-    # once c0 has a nonzero value, the first test needs no c-values grown
-    if M and not tables.c_support[0] and not _grown(fam, n).c_support[0]:
-        M = 0
-    try:
-        return tables.twisted[M][0][n]
-    except (KeyError, IndexError):
-        pass
-    owner = fam if M else _C1_TWIN.get(fam, fam)
-    with _GROWING:
-        grid = tables.twisted.setdefault(M, _TABLES[owner].twisted.setdefault(M, []))
-    return _first_piece(owner, grid, ((None, 0),) if M else ((1, 0),), 0, n)
 
 
 def _twist(fam: MonoidFamily, n: int, m: int, M: int, method: str, order0: Callable[[int], int]) -> int:
@@ -712,19 +708,19 @@ def exi_rank(f: MonoidFamily | str, n: int, r: int, t: TwistOrder | int = 0,
         raise DomainError(f"exi_rank needs 0 <= r <= n, got n={n} r={r}")
     # a warm default hit at order 0 reads its row here, with no helper call
     method = _TWISTED_RANK_ROUTES[fam][0] if method is None else _route("exi_rank", fam, method)
-    tables = _TABLES[fam]
     if 0 < M <= n - r:
         order0 = (partial(_closed_twisted, fam, r=r) if method == "closed"
-                  else partial(_first_piece, fam, tables.twisted_rank, ((1, 1),), r))
+                  else partial(_cell, fam, "exi_rank", r))
         return _twist(fam, n, n - r, M, method, order0)
+    grids = _TABLES[fam].grids
     try:
-        return tables.twisted_rank_rows[n][r] if method == "closed" else tables.twisted_rank[r][n]
+        return grids["exi_rank closed"][n][r] if method == "closed" else grids["exi_rank"][r][n]
     except (KeyError, IndexError):
         pass
     if method == "closed":
-        row = tables.twisted_rank_rows[n] = [_closed_twisted(fam, n, s) for s in range(n + 1)]
+        row = grids["exi_rank closed"][n] = [_closed_twisted(fam, n, s) for s in range(n + 1)]
         return row[r]
-    return _first_piece(fam, tables.twisted_rank, ((1, 1),), r, n)
+    return _grow(fam, "exi_rank", r, n)
 
 
 def _closed_twisted(fam: MonoidFamily, n: int, r: int) -> int:
@@ -744,20 +740,16 @@ def _rank0_only(fam: MonoidFamily, m: int, M: int, method: str) -> list[int]:
     """Z_M(j) for j = 0..m, M > 0, zero past the list's end: the idempotents
     on j points of rank-0 pieces alone, q ≡ 0 (mod M) of them.  q <= j, so
     it is [1] when M > m, and also when c0 is zero up to m, where no rank-0
-    piece fits.  Else row 0 of a grid kept per order: for the closed route
-    of B and PB the marked holonomic grid with no rank-1 piece (Q1 = 0),
-    else the first-piece grid of M rows of rank-0 pieces."""
+    piece fits.  Else row 0 of a grid of M rows of rank-0 pieces kept per
+    order: the holonomic one for the closed route of B and PB, else the
+    first-piece one."""
     holonomic = method == "closed" and fam in _HOLONOMIC_Q
-    tables = _TABLES[fam]
-    # as in _twisted_total, once c0 has a nonzero value no c-values are grown
-    if M > m or not (holonomic or tables.c_support[0] or _grown(fam, m).c_support[0]):
+    # as in exi_total, once c0 has a nonzero value no c-values are grown
+    if M > m or not (holonomic or _TABLES[fam].c_support[0] or _grown(fam, m).c_support[0]):
         return [1]
-    grid = tables.rank0.setdefault((holonomic, M), [])  # one atomic step, so no lock
-    if holonomic:
-        grow_grid(grid, M - 1, m, partial(_holonomic_entry, grid, (0, 0, 0, 0), _HOLONOMIC_Q[fam][0]))
-    else:
-        _first_piece(fam, grid, ((0, 1),), M - 1, m, M)
-    return grid[0][: m + 1]
+    key = ("holonomic Z" if holonomic else "Z", M)
+    _cell(fam, key, 0, m)
+    return _TABLES[fam].grids[key][0][: m + 1]
 
 
 # --------------------------------------------------------------------------

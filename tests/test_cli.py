@@ -109,16 +109,19 @@ def test_count_twisted_order_zero_takes_the_recurrence(monkeypatch):
     # the grids and closed forms are far cheaper than the partition formula:
     # every order takes the holonomic grid for B and PB, the closed form for
     # T and I, and the first-piece recurrence for P and Idual.  counting
-    # picks the route.  On fresh tables, since a grown cell of a twisted
-    # grid is read without the first-piece helper.
+    # picks the route: each grid read names its route in counting._GRIDS.
     monkeypatch.setattr(counting, "_TABLES", {fam: counting._FamilyTables() for fam in MonoidFamily})
     seen = []
-    routes = (("_first_piece", "recurrence"), ("_holonomic", "holonomic"), ("_partition_grid", "formula"),
-              ("_closed_row", "closed"))
-    for name, route in routes:
+
+    def grid_route(fam, key, *args):
+        return counting._GRIDS[key if isinstance(key, str) else key[0]][0]
+
+    spies = (("_cell", grid_route), ("_partition_grid", lambda *args: "formula"),
+             ("_closed_row", lambda *args: "closed"))
+    for name, route in spies:
         honest = getattr(counting, name)
         monkeypatch.setattr(
-            counting, name, lambda *args, honest=honest, route=route: seen.append(route) or honest(*args)
+            counting, name, lambda *args, honest=honest, route=route: seen.append(route(*args)) or honest(*args)
         )
     assert run("count", "--family", "PB", "--n", "6", "--M", "0").output.strip() == "1201"
     assert run("count", "--family", "T", "--n", "6", "--M", "0").output.strip() == "1057"

@@ -37,6 +37,19 @@ T, I, IDUAL = MonoidFamily.T, MonoidFamily.I, MonoidFamily.IDUAL
 
 ALL_FAMILIES = (P, B, PB, T, I, IDUAL)
 
+# names of counting._GRIDS: the one-row total grids of the first-piece
+# recurrence, the holonomic grids, and the Z_M grids of both routes
+ORDERS = ("order 0", "order 1")
+HOLONOMIC = ("holonomic 0", "holonomic 1", "holonomic")
+Z = ("Z", "holonomic Z")
+
+
+def _kept(fam, *names):
+    """The family's kept grids or rows under these names, by key: the name,
+    or (name, M) for a grid of M rows."""
+    grids = counting._TABLES[fam].grids
+    return {key: grids[key] for key in grids if (key if isinstance(key, str) else key[0]) in names}
+
 
 # --------------------------------------------------------------------------
 # c-values
@@ -127,11 +140,11 @@ def test_a_holonomic_order_above_n_grows_no_grid_of_its_own(monkeypatch):
     assert exi_total(B, 10, 10**6) == exi_total(B, 10, 10**6, "formula") == 12202561
     assert exi_total(PB, 10, 11) == exi_total(PB, 10, 0, "formula")
     for fam in (B, PB):
-        grids = counting._TABLES[fam].holonomic
-        assert list(grids) == [0] and [len(row) for row in grids[0]] == [11], fam
+        grids = _kept(fam, *HOLONOMIC)
+        assert list(grids) == ["holonomic 0"] and [len(row) for row in grids["holonomic 0"]] == [11], fam
     # at M = n, n single-point rank-0 pieces of PB are q = n = 0 (mod n)
     assert exi_total(PB, 10, 10) == exi_total(PB, 10, 10, "formula") != exi_total(PB, 10, 0)
-    assert [len(row) for row in counting._TABLES[PB].holonomic[10]] == [11] * 10
+    assert [len(row) for row in _kept(PB, "holonomic")["holonomic", 10]] == [11] * 10
 
 
 def test_closed_totals_are_kept(monkeypatch):
@@ -139,12 +152,12 @@ def test_closed_totals_are_kept(monkeypatch):
     # again; I's is 2^n, the partial identities, one per subset
     _fresh_tables(monkeypatch)
     value = e_total(T, 30, "closed")
-    rows = counting._TABLES[T].egf_rank_rows
+    rows = _kept(T, "e_rank closed")["e_rank closed"]
     assert list(rows) == [30] and sum(rows[30]) == value == e_total(T, 30, "recurrence")
     rows[30] = [-1]
     assert e_total(T, 30, "closed") == e_total(T, 30) == -1
     assert e_total(I, 30, "closed") == e_total(I, 30) == 2**30
-    assert counting._TABLES[I].egf_rank_rows == {}
+    assert _kept(I, "e_rank closed") == {"e_rank closed": {}}
 
 
 def test_e_total_is_exi_total_at_twist_order_1():
@@ -178,7 +191,7 @@ def test_families_without_a_rank_0_piece_grow_no_z_grid(monkeypatch):
                 for n, r in ((10, 3), (300, 0)):
                     if order <= n - r:
                         assert exi_rank(fam, n, r, order, method) == e_rank(fam, n, r, "closed"), (fam, order)
-            assert counting._TABLES[fam].rank0 == {}, (fam, method)
+            assert _kept(fam, *Z) == {}, (fam, method)
 
 
 def test_a_route_the_family_lacks_is_refused():
@@ -264,8 +277,7 @@ def test_egf_rank_rows_are_kept(monkeypatch):
     _fresh_tables(monkeypatch)
     rows = {fam: [e_rank(fam, 30, r) for r in range(31)] for fam in (B, PB, T, I, IDUAL)}
     for fam in (B, PB, T, I, IDUAL):
-        tables = counting._TABLES[fam]
-        assert tables.rank == [] and list(tables.egf_rank_rows) == [30], fam
+        assert _kept(fam, "e_rank") == {} and list(_kept(fam, "e_rank closed")["e_rank closed"]) == [30], fam
 
     def refuse(fam, n):
         raise AssertionError(f"closed row of {fam.value} at {n} built again")
@@ -463,26 +475,26 @@ def test_twisted_grids_do_not_depend_on_query_order(monkeypatch):
     rng = random.Random(7)
     for fam, n, order in rng.sample(small, len(small)):
         assert exi_total(fam, n, order, "recurrence") == expected[fam, n, order], (fam, n, order)
-        assert counting._TABLES[fam].rank0 == {}, (fam, n, order)
+        assert _kept(fam, *Z) == {}, (fam, n, order)
     for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
         assert exi_total(fam, n, order, "recurrence") == expected[fam, n, order], (fam, n, order)
     for fam in (B, PB, T, IDUAL):
-        tables = counting._TABLES[fam]
-        assert list(tables.twisted) == [0] and len(tables.twisted[0]) == 1, fam
-        shapes = {M: len(grid) for (_, M), grid in tables.rank0.items()}
+        grids = _kept(fam, *ORDERS)
+        assert list(grids) == ["order 0"] and len(grids["order 0"]) == 1, fam
+        shapes = {M: len(grid) for (_, M), grid in _kept(fam, *Z).items()}
         assert shapes == ({2: 2, 3: 3, 7: 7} if fam in (B, PB) else {}), fam
-        assert tables.holonomic == {}, fam
+        assert _kept(fam, *HOLONOMIC) == {}, fam
     # the same shuffle on the holonomic grids
     keys, small, large = ([key for key in part if key[0] in (B, PB)] for part in (keys, small, large))
     for fam, n, order in rng.sample(small, len(small)):
         assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
-        assert order not in counting._TABLES[fam].holonomic, (fam, n, order)
+        assert ("holonomic", order) not in _kept(fam, "holonomic"), (fam, n, order)
     for fam, n, order in rng.sample(large, len(large)) + rng.sample(keys, len(keys)):
         assert exi_total(fam, n, order) == expected[fam, n, order], (fam, n, order)
     for fam in (B, PB):
-        grids = counting._TABLES[fam].holonomic
-        assert [len(grids[order]) for order in (2, 3, 7)] == [2, 3, 7], fam
-        assert all(len(row) == 21 for order in (2, 3, 7) for row in grids[order]), fam
+        grids = _kept(fam, "holonomic")
+        assert [len(grids["holonomic", order]) for order in (2, 3, 7)] == [2, 3, 7], fam
+        assert all(len(row) == 21 for grid in grids.values() for row in grid), fam
 
 
 def test_an_order_above_n_is_order_0():
@@ -522,7 +534,7 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
     def through_total_grid(query, fam, n, *args):
         # the answer, and whether a first-piece total grid gave it
         value = query(fam, n, *args)
-        return value, any(len(grid[0]) > n for grid in counting._TABLES[fam].twisted.values())
+        return value, any(len(grid[0]) > n for grid in _kept(fam, *ORDERS).values())
 
     def refuse(fam, n):
         raise FormulaReached(fam, n)
@@ -542,21 +554,21 @@ def test_default_routes_are_chosen_in_counting(monkeypatch):
             assert e_rank(fam, n, n // 2) == e_rank(fam, n, n // 2, "recurrence")
             with pytest.raises(FormulaReached):
                 exi_total(fam, n, 0, "formula")
-    tables = counting._TABLES
     # one holonomic grid per twist order, M rows at order M >= 1; order 1's
     # serves e_total, and B's order-0 grid serves PB as well
     for fam in ALL_FAMILIES:
-        shapes = {M: [len(row) for row in grid] for M, grid in tables[fam].holonomic.items()}
-        assert shapes == ({0: [13], 1: [13], 2: [13, 13]} if fam in (B, PB) else {}), fam
-    assert tables[PB].holonomic[0] is tables[B].holonomic[0]
+        shapes = {key: [len(row) for row in grid] for key, grid in _kept(fam, *HOLONOMIC).items()}
+        holonomic = {"holonomic 0": [13], "holonomic 1": [13], ("holonomic", 2): [13, 13]}
+        assert shapes == (holonomic if fam in (B, PB) else {}), fam
+    assert _kept(PB, "holonomic 0")["holonomic 0"] is _kept(B, "holonomic 0")["holonomic 0"]
     # the first-piece total grids are one row each, at orders 0 and 1 only:
     # Idual, whose c0 is zero, reads order 0's at order 1, and P alone grows
     # Z_2's grid of two rows; B, PB, T and I grow none
     for fam in ALL_FAMILIES:
-        grids = tables[fam].twisted
-        assert sorted(grids) == {P: [0, 1], IDUAL: [0]}.get(fam, []), fam
+        grids = _kept(fam, *ORDERS)
+        assert sorted(grids) == {P: list(ORDERS), IDUAL: ["order 0"]}.get(fam, []), fam
         assert all(len(grid) == 1 and len(grid[0]) == 13 for grid in grids.values()), fam
-        assert {M: len(grid) for (_, M), grid in tables[fam].rank0.items()} == ({2: 2} if fam is P else {}), fam
+        assert {M: len(grid) for (_, M), grid in _kept(fam, *Z).items()} == ({2: 2} if fam is P else {}), fam
     # where the formula would sweep the 204,226 integer partitions of 50
     assert exi_total("B", 50) == sum(rho(B, 50, r) * b_nr(50, r) for r in range(0, 51, 2))
     # recorded from exi_total("B", 40, 2, "formula"), which sweeps 37,338 partitions
@@ -584,13 +596,13 @@ def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
     expected = [rho(B, 40, r) * b_nr(40, r) if r % 2 == 0 else 0 for r in range(41)]
     total = exi_total(PB, 40, 0, "holonomic")
     _fresh_tables(monkeypatch)
-    tables = counting._TABLES
     assert [exi_rank(PB, 40, r) for r in range(41)] == expected
     assert exi_total(PB, 40, 0, "recurrence") == total
-    assert tables[PB].twisted_rank == tables[B].twisted_rank == []
-    assert list(tables[PB].twisted) == [0] and tables[PB].twisted[0] is tables[B].twisted[0]
-    assert [len(row) for row in tables[B].twisted[0]] == [41]
-    assert tables[PB].c == ([], [])  # both grids grew from B's c-value columns
+    assert _kept(PB, "exi_rank") == _kept(B, "exi_rank") == {}
+    grids = _kept(PB, *ORDERS)
+    assert list(grids) == ["order 0"] and grids["order 0"] is _kept(B, "order 0")["order 0"]
+    assert [len(row) for row in grids["order 0"]] == [41]
+    assert counting._TABLES[PB].c == ([], [])  # both grids grew from B's c-value columns
     assert [exi_rank(B, 40, r) for r in range(41)] == expected and exi_total(B, 40, 0, "recurrence") == total
     # every twist order of T and Idual, and e_total's recurrence, read their
     # one order-0 row, and their Z_M is [1]; I, which has a rank-0 piece,
@@ -599,11 +611,33 @@ def test_each_distinct_first_piece_grid_grows_once(monkeypatch):
         formula = [exi_total(fam, 30, order, "formula") for order in range(8)]
         assert [exi_total(fam, 30, order, "recurrence") for order in range(8)] == formula, fam
         assert e_total(fam, 30, "recurrence") == e_total(fam, 30, "formula"), fam
-        grids = tables[fam].twisted
-        assert sorted(grids) == ([0, 1] if fam is I else [0]), fam
+        grids = _kept(fam, *ORDERS)
+        assert sorted(grids) == (list(ORDERS) if fam is I else ["order 0"]), fam
         assert all(len(grid) == 1 for grid in grids.values()), fam
-        shapes = {M: len(grid) for (_, M), grid in tables[fam].rank0.items()}
+        shapes = {M: len(grid) for (_, M), grid in _kept(fam, *Z).items()}
         assert shapes == ({M: M for M in range(2, 8)} if fam is I else {}), fam
+
+
+def test_pb_reads_b_s_grid_of_rank_1_pieces(monkeypatch):
+    # exi_rank's recurrence grid reads c1 alone, so PB's list is B's, grown
+    # from B's c-value columns
+    _fresh_tables(monkeypatch)
+    row = [exi_rank(PB, 12, r, 0, "recurrence") for r in range(13)]
+    assert _kept(PB, "exi_rank")["exi_rank"] is _kept(B, "exi_rank")["exi_rank"]
+    assert counting._TABLES[PB].c == ([], [])
+    assert row == [exi_rank(B, 12, r, 0, "recurrence") for r in range(13)] == [exi_rank(PB, 12, r) for r in range(13)]
+
+
+def test_each_route_keeps_its_own_grid(monkeypatch):
+    # B's holonomic and first-piece grids of every piece hold the same
+    # numbers, and verify plays one against the other: a wrong holonomic
+    # cell must not be read by the recurrence
+    _fresh_tables(monkeypatch)
+    true = e_total(B, 12, "formula")
+    assert e_total(B, 12, "holonomic") == true
+    _kept(B, "holonomic 1")["holonomic 1"][0][12] = -1
+    assert e_total(B, 12, "holonomic") == -1
+    assert e_total(B, 12, "recurrence") == true
 
 
 def test_exi_rank_examples():
@@ -637,7 +671,7 @@ def test_exi_rank_order_above_n_minus_r_is_order_0(monkeypatch):
     for method in ("closed", "recurrence"):
         row = [exi_rank(B, 10, r, 10**6, method) for r in range(11)]
         assert row == [exi_rank(B, 10, r) for r in range(11)], method
-        assert counting._TABLES[B].rank0 == {}, method
+        assert _kept(B, *Z) == {}, method
         # at M = n - r, the n - r single-point rank-0 pieces of PB make q = M
         assert exi_rank(PB, 10, 0, 10, method) == 1 and exi_rank(PB, 10, 0, 11, method) == 0, method
         assert exi_rank(PB, 10, 2, 8, method) == exi_rank(PB, 10, 2) + math.comb(10, 8), method
@@ -885,6 +919,7 @@ def test_tables_grow_consistently_under_threads(monkeypatch):
         sys.setswitchinterval(old_interval)
     assert len(results) == len(keys) * len(threads)
     assert all(value == expected[key] for (key, _), value in results.items())
-    tables = counting._TABLES
-    assert tables[PB].twisted[0] is tables[B].twisted[0]
-    assert all(grid is tables[T].twisted[0] for grid in tables[T].twisted.values())
+    for name in ("order 0", "exi_rank"):  # each read c1 alone, so PB's is B's
+        assert _kept(PB, name)[name] is _kept(B, name)[name], name
+    grids = _kept(T, *ORDERS)
+    assert all(grid is grids["order 0"] for grid in grids.values())
