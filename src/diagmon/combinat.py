@@ -13,6 +13,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator, TypeVar
 
 from .errors import DomainError
@@ -113,10 +114,10 @@ def pi_count(spec: IntegerPartitionSpec) -> int:
 
     n! divided by the product over parts i of (multiplicity! * (i!)^multiplicity).
     """
-    n = spec.n
-    num = math.factorial(n)
+    parts = spec.parts
+    num = math.factorial(sum(map(mul, parts, range(1, len(parts) + 1))))
     den = 1
-    for i, mult in enumerate(spec.parts):
+    for i, mult in enumerate(parts):
         if mult:
             den *= math.factorial(mult) * math.factorial(i + 1) ** mult
     q, r = divmod(num, den)

@@ -400,7 +400,8 @@ def multiply(a: DiagramPartition, b: DiagramPartition) -> tuple[DiagramPartition
     gluing traps entirely in the middle row."""
     if a.n != b.n:
         raise DimensionMismatchError(f"product of diagrams on {a.n} and {b.n} strands")
-    rgs, swallowed = _glue(a.n, _labels(a), len(a.blocks), _labels(b), len(b.blocks))
+    top = _labels(a)
+    rgs, swallowed = _glue(a.n, top, len(a.blocks), top if b is a else _labels(b), len(b.blocks))
     return _partition(a.n, rgs), swallowed
 
 
@@ -556,25 +557,30 @@ def lambda_graph(a: DiagramPartition) -> LambdaGraph:
 
     Red edge for each 2-point upper block, red loop at each singleton upper
     block; blue likewise on the lower row.  Points sitting in transversal
-    blocks get no item of that color.  Read in canonical block order, each
-    of the four lists comes out sorted.
+    blocks get no item of that color.  Each block of at most two points is
+    read by its ends.  Read in canonical block order, each of the four lists
+    comes out sorted.
     """
     n = a.n
     red_edges: list[tuple[int, int]] = []
     red_loops: list[int] = []
     blue_edges: list[tuple[int, int]] = []
     blue_loops: list[int] = []
-    for upper, lower in _halves(a):
-        if len(upper) + len(lower) > 2:
+    for blk in a.blocks:
+        if len(blk) == 2:
+            u, v = blk
+            if v < n:
+                red_edges.append((u + 1, v + 1))
+            elif u >= n:
+                blue_edges.append((u - n + 1, v - n + 1))
+        elif len(blk) == 1:
+            v = blk[0]
+            if v < n:
+                red_loops.append(v + 1)
+            else:
+                blue_loops.append(v - n + 1)
+        else:
             raise NotPartialBrauerError(
-                f"block of size {len(upper) + len(lower)} (partial Brauer blocks have at most 2 points)"
+                f"block of size {len(blk)} (partial Brauer blocks have at most 2 points)"
             )
-        if len(upper) == 2:
-            red_edges.append((upper[0] + 1, upper[1] + 1))
-        elif len(lower) == 2:
-            blue_edges.append((lower[0] - n + 1, lower[1] - n + 1))
-        elif not lower:
-            red_loops.append(upper[0] + 1)
-        elif not upper:
-            blue_loops.append(lower[0] - n + 1)
     return LambdaGraph(n, tuple(red_edges), tuple(red_loops), tuple(blue_edges), tuple(blue_loops))

@@ -344,13 +344,13 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
     The factor (c0 + c1·x)^mult of mult parts of one size is made once per
     (size, mult) in a sweep, by its binomial row trimmed to its nonzero
     span lo..hi: from degree mult if c0 is zero, to degree 0 if c1 is.  So
-    B's, T's and Idual's factors are one term, a scalar pass of _poly_mul,
-    and the product starts at the sum of the factors' lo.  A factor with
-    c0 = c1 = 0 is empty, as is every part above 1 of I: the partition
-    counts nothing and is left before pi_count.  Every other partition
-    still adds its own term, its product weighted by pi_count, to row k;
-    the factors are not regrouped by part size, which would be the
-    exponential formula that the recurrences follow.
+    B's, T's and Idual's factors are one term, multiplied in by a scalar
+    pass, not _poly_mul, and the product starts at the sum of the factors'
+    lo.  A factor with c0 = c1 = 0 is empty, as is every part above 1 of
+    I: the partition counts nothing and is left before pi_count.  Every
+    other partition still adds its own term, its product weighted by
+    pi_count, to row k; the factors are not regrouped by part size, which
+    would be the exponential formula that the recurrences follow.
     """
     grids = _TABLES[fam].grids["formula"]
     if n not in grids:
@@ -361,16 +361,20 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
             poly, low = [1], 0
             for i, mult in enumerate(spec.parts):
                 if mult:
-                    if (i, mult) not in factors:
+                    entry = factors.get((i, mult))
+                    if entry is None:
                         c0, c1 = c0s[i], c1s[i]
                         lo, hi = (0 if c0 else mult), (mult if c1 else 0)
-                        factors[i, mult] = lo, [
+                        factors[i, mult] = entry = lo, [
                             math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(lo, hi + 1)
                         ]
-                    lo, factor = factors[i, mult]
+                    lo, factor = entry
                     if not factor:
                         break
-                    poly = _poly_mul(poly, factor)
+                    if len(factor) == 1:
+                        poly = list(map(factor[0].__mul__, poly))
+                    else:
+                        poly = _poly_mul(poly, factor)
                     low += lo
             else:
                 weight = pi_count(spec)

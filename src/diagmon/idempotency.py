@@ -134,8 +134,9 @@ def classify_lambda_components(
     """
     n = g.n
     for color, edges, loops in (("red", g.red_edges, g.red_loops), ("blue", g.blue_edges, g.blue_loops)):
-        held = [x for edge in edges for x in edge] + list(loops)
-        if not all(1 <= x <= n for x in held):
+        held = [x for edge in edges for x in edge]
+        held += loops
+        if held and not (1 <= min(held) and max(held) <= n):
             raise NotBalancedError(f"{color} item outside the vertices 1..{n}")
         if len(set(held)) < len(held):
             raise NotBalancedError(f"some vertex carries two {color} items")
@@ -151,10 +152,12 @@ def classify_lambda_components(
         components.setdefault(r, []).append(x)
     edge_counts = [0] * (n + 1)  # by root
     loop_counts = [0] * (n + 1)
-    for u, _ in g.red_edges + g.blue_edges:  # an edge's two ends share a root
-        edge_counts[root[u]] += 1
-    for x in g.red_loops + g.blue_loops:
-        loop_counts[root[x]] += 1
+    for edges in (g.red_edges, g.blue_edges):
+        for u, _ in edges:  # an edge's two ends share a root
+            edge_counts[root[u]] += 1
+    for loops in (g.red_loops, g.blue_loops):
+        for x in loops:
+            loop_counts[root[x]] += 1
     # every vertex carries at most one item of each color, so a component is
     # an alternating circuit (as many edges as vertices) or a path with two
     # free color slots, at its ends (both on a lone vertex); loops can only

@@ -137,7 +137,7 @@ def enumerate_elements(
             f"enumerating {fam.value}_{n} means streaming {streams}, over the cap of {cap}"
         )
     if fam in (MonoidFamily.B, MonoidFamily.PB):
-        return (DiagramPartition(n, blocks) for blocks in _matchings(2 * n, fam is MonoidFamily.PB))
+        return map(partial(DiagramPartition, n), _matchings(2 * n, fam is MonoidFamily.PB))
     return (
         a for a in map(partial(DiagramPartition, n), set_partition_blocks(2 * n))
         if fam is MonoidFamily.P or family_check(a, fam)
@@ -232,38 +232,41 @@ def brute_report(
     Each element is keyed by _r_key, and squared once by
     is_idempotent_direct.  The first element of each new key gets the
     class's green_signature R key, under which the class is tallied, and
-    is profiled for the class's rank and idle points.  With a twist order,
-    each idempotent is squared once more for the number of components its
-    square swallows.
+    is profiled for the class's rank and idle points.  Each key keeps one
+    entry [R key, rank, idempotents, twisted], which an idempotent updates
+    through the lookup its element already made; the per-class tallies are
+    written out once, at the end, in order of discovery.  With a twist
+    order, each idempotent is squared once more for the number of
+    components its square swallows.
     """
     fam = as_family(f)
     order = None if M is None else as_twist_order(M)
     report = BruteReport(family=fam, n=n, twist=None if order is None else order.M)
     use_graph = fam in (MonoidFamily.B, MonoidFamily.PB)
-    signatures: dict[tuple, Signature] = {}  # each _r_key's green_signature key
+    classes: dict[tuple, list] = {}  # each _r_key's [R key, rank, idempotents, twisted]
     started = time.perf_counter()
     for a in enumerate_elements(fam, n, cap):
         report.total_elements += 1
         key = _r_key(a)
-        sig = signatures.get(key)
-        if sig is None:
-            signatures[key] = sig = green_signature(a, "R")[2:]
+        entry = classes.get(key)
+        if entry is None:
+            sig = green_signature(a, "R")[2:]
             prof = profile(a)
             idle = sum(
                 1 for cls in prof.upper_kernel.classes
                 if len(cls) == 1 and cls[0] not in prof.upper_domain
             )
             report.r_class_params[sig] = (prof.rank, idle)
-            report.r_class_counts[sig] = report.r_class_twisted[sig] = 0
+            classes[key] = entry = [sig, prof.rank, 0, 0]
         idempotent = is_idempotent_direct(a)
         if idempotent != is_idempotent_structural(a):
             report.structural_disagreements.append(("structural", a))
         if not idempotent:
             continue
-        rank = report.r_class_params[sig][0]
+        rank = entry[1]
         report.idempotents_total += 1
         report.idempotents_by_rank[rank] = report.idempotents_by_rank.get(rank, 0) + 1
-        report.r_class_counts[sig] += 1
+        entry[2] += 1
         if use_graph and _graph_rank(a) != rank:
             report.structural_disagreements.append(("two-colored graph", a))
         if order is None:
@@ -274,6 +277,9 @@ def brute_report(
         if twisted:
             report.twisted_total += 1
             report.twisted_by_rank[rank] = report.twisted_by_rank.get(rank, 0) + 1
-            report.r_class_twisted[sig] += 1
+            entry[3] += 1
+    for sig, _, idempotents, twisted in classes.values():
+        report.r_class_counts[sig] = idempotents
+        report.r_class_twisted[sig] = twisted
     report.elapsed_seconds = time.perf_counter() - started
     return report

@@ -21,6 +21,7 @@ from itertools import permutations
 from diagmon.core import (
     DiagramPartition,
     EquivalenceRelation,
+    LambdaGraph,
     MonoidFamily,
     StructuralProfile,
     _halves,
@@ -30,7 +31,7 @@ from diagmon.core import (
     profile,
 )
 from diagmon.counting import c_values
-from diagmon.errors import DomainError
+from diagmon.errors import DomainError, NotPartialBrauerError
 from diagmon.idempotency import (
     TwistOrder,
     as_twist_order,
@@ -340,6 +341,30 @@ def reference_kernel_classes(a: DiagramPartition) -> list[list[int]]:
     for x in range(a.n):
         classes.setdefault(find(x), []).append(x)
     return list(classes.values())
+
+
+def reference_lambda_graph(a: DiagramPartition) -> LambdaGraph:
+    """lambda_graph as the package made it before it read each block by its
+    ends: every block cut by _halves into (upper part, lower part)."""
+    n = a.n
+    red_edges: list[tuple[int, int]] = []
+    red_loops: list[int] = []
+    blue_edges: list[tuple[int, int]] = []
+    blue_loops: list[int] = []
+    for upper, lower in _halves(a):
+        if len(upper) + len(lower) > 2:
+            raise NotPartialBrauerError(
+                f"block of size {len(upper) + len(lower)} (partial Brauer blocks have at most 2 points)"
+            )
+        if len(upper) == 2:
+            red_edges.append((upper[0] + 1, upper[1] + 1))
+        elif len(lower) == 2:
+            blue_edges.append((lower[0] - n + 1, lower[1] - n + 1))
+        elif not lower:
+            red_loops.append(upper[0] + 1)
+        elif not upper:
+            blue_loops.append(lower[0] - n + 1)
+    return LambdaGraph(n, tuple(red_edges), tuple(red_loops), tuple(blue_edges), tuple(blue_loops))
 
 
 def reference_brute_report(f: MonoidFamily | str, n: int, M: int | None = None) -> BruteReport:

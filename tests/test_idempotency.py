@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from diagmon.core import (
@@ -170,6 +172,33 @@ def test_unbalanced_paths_are_refused(text, counts):
     g = lambda_graph(parse_diagram(text))
     assert not is_balanced(g)
     with pytest.raises(NotBalancedError, match=counts):
+        classify_lambda_components(g)
+
+
+@pytest.mark.parametrize(
+    "g, message",
+    [
+        (LambdaGraph(2, ((1, 3),), (), (), ()), "red item outside the vertices 1..2"),
+        (LambdaGraph(2, (), (0,), (), ()), "red item outside the vertices 1..2"),
+        (LambdaGraph(2, (), (1, 2), ((1, 2),), (3,)), "blue item outside the vertices 1..2"),
+        (LambdaGraph(3, (), (), ((0, 1),), ()), "blue item outside the vertices 1..3"),
+    ],
+)
+def test_items_off_the_vertices_are_refused(g, message):
+    with pytest.raises(NotBalancedError, match=re.escape(message)):
+        classify_lambda_components(g)
+
+
+@pytest.mark.parametrize(
+    "g, color",
+    [
+        (LambdaGraph(3, ((1, 2),), (2,), (), ()), "red"),  # an edge and a loop at 2
+        (LambdaGraph(3, ((1, 2),), (), ((1, 2), (2, 3)), ()), "blue"),  # two edges at 2
+        (LambdaGraph(3, (), (), (), (3, 3)), "blue"),  # two loops at 3
+    ],
+)
+def test_a_vertex_with_two_items_of_one_color_is_refused(g, color):
+    with pytest.raises(NotBalancedError, match=f"^some vertex carries two {color} items$"):
         classify_lambda_components(g)
 
 

@@ -2,14 +2,15 @@
 small monoids: the product, its label-form kernel and the Green check's
 product table, glued once per upper row, the profile, the
 Green keys, the direct, structural and twisted idempotency tests and the
-embedded families' membership; the kernel join and the sweep's R-class key
-against the earlier algorithms they replaced."""
+embedded families' membership; the kernel join, the two-colored graph and
+the sweep's R-class key against the earlier algorithms they replaced."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -20,17 +21,19 @@ from diagmon.core import (
     _kernel_classes,
     _labels,
     family_check,
+    lambda_graph,
     make_partition,
     multiply,
     profile,
 )
+from diagmon.errors import NotPartialBrauerError
 from diagmon.idempotency import (
     _kernel_excess,
     is_idempotent_direct,
     is_idempotent_structural,
     is_twisted_idempotent,
 )
-from diagmon.oracle import _r_key, brute_report, enumerate_elements, green_signature
+from diagmon.oracle import _graph_rank, _r_key, brute_report, enumerate_elements, green_signature
 from diagmon.verify import _product_table
 
 from .oracles import (
@@ -44,6 +47,7 @@ from .oracles import (
     reference_brute_report,
     reference_kernel_classes,
     reference_kernel_excess,
+    reference_lambda_graph,
 )
 
 MONOIDS = [
@@ -230,6 +234,36 @@ def test_kernel_join_matches_the_halves_join_on_seeded_diagrams():
     assert excesses > 1000 and refusals > 500
 
 
+@pytest.mark.parametrize("fam", [MonoidFamily.B, MonoidFamily.PB], ids=lambda f: f"{f.value}4")
+def test_lambda_graph_matches_the_halves_reading_on_every_element(fam):
+    for a in enumerate_elements(fam, 4):
+        assert lambda_graph(a) == reference_lambda_graph(a), a
+
+
+def test_lambda_graph_refuses_what_the_halves_reading_refuses(all_p3):
+    refused = 0
+    for a in all_p3:
+        try:
+            expected = reference_lambda_graph(a)
+        except NotPartialBrauerError as err:
+            with pytest.raises(NotPartialBrauerError, match=re.escape(str(err))):
+                lambda_graph(a)
+            refused += 1
+        else:
+            assert lambda_graph(a) == expected, a
+    assert 0 < refused < len(all_p3)
+
+
+@pytest.mark.parametrize(
+    "fam, n", [(MonoidFamily.B, 5), (MonoidFamily.PB, 4)], ids=lambda x: getattr(x, "value", x)
+)
+def test_graph_rank_is_the_rank_of_every_idempotent(fam, n):
+    idempotents = [a for a in enumerate_elements(fam, n) if is_idempotent_direct(a)]
+    assert idempotents
+    for a in idempotents:
+        assert _graph_rank(a) == profile(a).rank, a
+
+
 R_KEY_MONOIDS = [(MonoidFamily.P, 3), (MonoidFamily.P, 4), (MonoidFamily.B, 5), (MonoidFamily.PB, 4)]
 
 
@@ -259,3 +293,6 @@ def test_brute_report_matches_one_signature_per_element(fam, n, M):
     for f in dataclasses.fields(report):
         if f.name != "elapsed_seconds":
             assert getattr(report, f.name) == getattr(reference, f.name), f.name
+    # the per-class tallies come out in the order their classes were found
+    for name in ("r_class_counts", "r_class_twisted", "r_class_params"):
+        assert list(getattr(report, name)) == list(getattr(reference, name)), name
