@@ -108,9 +108,8 @@ _Pieces = tuple[tuple[int | None, int], ...]  # (c-value column, rows it moves o
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
@@ -343,14 +342,14 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 
     The factor (c0 + c1·x)^mult of mult parts of one size is made once per
     (size, mult) in a sweep, by its binomial row trimmed to its nonzero
-    span lo..hi: from degree mult if c0 is zero, to degree 0 if c1 is.  So
-    B's, T's and Idual's factors are one term, multiplied in by a scalar
-    pass, not _poly_mul, and the product starts at the sum of the factors'
-    lo.  A factor with c0 = c1 = 0 is empty, as is every part above 1 of
-    I: the partition counts nothing and is left before pi_count.  Every
-    other partition still adds its own term, its product weighted by
-    pi_count, to row k; the factors are not regrouped by part size, which
-    would be the exponential formula that the recurrences follow.
+    span lo..hi: from degree mult if c0 is zero, to degree 0 if c1 is.  A
+    one-term factor (all of B's, T's and Idual's) joins one scalar; the
+    product, from the first two-term factor on, starts at degree Σ lo, and
+    with no two-term factor it is one cell.  A factor with c0 = c1 = 0 is
+    empty, as is every part above 1 of I: the partition counts nothing and
+    is left before pi_count.  Every other partition adds its own term,
+    weighted by pi_count, to row k, its parts counted as read; regrouped by
+    part size, the factors would be the recurrences' exponential formula.
     """
     grids = _TABLES[fam].grids["formula"]
     if n not in grids:
@@ -358,7 +357,7 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
         grid = [[0] * (k + 1) for k in range(n + 1)]
         factors: dict[tuple[int, int], tuple[int, list[int]]] = {}  # this sweep's only
         for spec in integer_partitions(n):
-            poly, low = [1], 0
+            poly, scale, low, k = None, 1, 0, 0
             for i, mult in enumerate(spec.parts):
                 if mult:
                     entry = factors.get((i, mult))
@@ -372,15 +371,18 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
                     if not factor:
                         break
                     if len(factor) == 1:
-                        poly = list(map(factor[0].__mul__, poly))
+                        scale *= factor[0]
                     else:
-                        poly = _poly_mul(poly, factor)
+                        poly = factor if poly is None else _poly_mul(poly, factor)
                     low += lo
+                    k += mult
             else:
-                weight = pi_count(spec)
-                row = grid[sum(spec.parts)]
-                for r, coef in enumerate(poly, low):
-                    row[r] += weight * coef
+                weight, row = pi_count(spec) * scale, grid[k]
+                if poly is None:
+                    row[low] += weight
+                else:
+                    for r, coef in enumerate(poly, low):
+                        row[r] += weight * coef
         grids[n] = grid
     return grids[n]
 

@@ -442,6 +442,20 @@ def test_partition_grid_matches_the_set_partition_referee():
             assert counting._partition_grid(fam, n) == reference_partition_grid(fam, n), (fam, n)
 
 
+# one sha256 over repr(_partition_grid(fam, n)) for each family, in
+# MonoidFamily order, and n = 0..20 in turn: 126 grids, recorded once from
+# the sweep that multiplied every factor in as a polynomial
+PARTITION_GRIDS_SHA256 = "6bc7647832c031ca69a364a80d85315b8bce5ad91b9b22b74919defa8b7a9158"
+
+
+def test_partition_grids_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for fam in MonoidFamily:
+        for n in range(21):
+            digest.update(repr(counting._partition_grid(fam, n)).encode())
+    assert digest.hexdigest() == PARTITION_GRIDS_SHA256
+
+
 def test_partition_grid_of_i_is_one_row():
     # I's pieces are single points, so every partition with a part above 1
     # counts nothing: n kernel classes, and C(n, r) ways to choose the r
