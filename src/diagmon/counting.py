@@ -119,10 +119,9 @@ def _poly_mul(a: list[int], b: list[int]) -> list[int]:
 def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
     """(c0, c1) on n >= 1 points, the entries of the c-value table."""
     if fam is MonoidFamily.P:
-        c0 = sum(e_nrs(n, r, s) for r in range(1, n + 1) for s in range(1, n + 1))
-        c1 = sum(
-            r * s * e_nrs(n, r, s) for r in range(1, n + 1) for s in range(1, n + 1)
-        )
+        cells = [(r * s, e_nrs(n, r, s)) for r in range(1, n + 1) for s in range(1, n + 1)]
+        c0 = sum(e for _, e in cells)
+        c1 = sum(rs * e for rs, e in cells)
     elif fam is MonoidFamily.B:
         c0, c1 = ((math.factorial(n - 1), 0) if n % 2 == 0 else (0, math.factorial(n)))
     elif fam is MonoidFamily.PB:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from diagmon.combinat import (
 )
 from diagmon.errors import DomainError
 
-from .oracles import naive_e_nrs, naive_involutions, naive_stirling2, reference_e_pairs
+from .oracles import naive_e_nrs, naive_involutions, naive_stirling2, reference_e_pairs, set_partitions
 
 
 def test_integer_partition_counts():
@@ -45,9 +47,20 @@ def test_partition_spec_accessors():
     assert spec.multiplicity(9) == 0
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(41))
 def test_pi_count_sums_to_bell(n: int):
     assert sum(pi_count(spec) for spec in integer_partitions(n)) == bell(n)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_pi_count_matches_the_set_partition_tally(n: int):
+    # the block-size type of every set partition, tallied as a multiplicity
+    # vector, against pi_count of each integer partition
+    tally: Counter[tuple[int, ...]] = Counter()
+    for blocks in set_partitions(tuple(range(n))):
+        sizes = Counter(map(len, blocks))
+        tally[tuple(sizes[i] for i in range(1, max(sizes, default=0) + 1))] += 1
+    assert tally == {spec.parts: pi_count(spec) for spec in integer_partitions(n)}
 
 
 def test_pi_count_example():
