@@ -126,7 +126,9 @@ Rows of an entry:
   ``counting._FamilyTables`` of its family, so the reset above still makes
   each pass cold; PB's ``exi_rank_triangle`` grows B's grid of rank-1
   pieces, which reads the same c1 column as PB's own did up to
-  ``pr31-parent``.
+  ``pr31-parent``.  Up to ``pr35-parent`` a sweep multiplied its two-term
+  factors as coefficient lists; from ``pr35-change`` every factor is one
+  packed int and each partition's product one int product.
 - ``host_factors``: for each row, the lowest, median and highest factor
   its passes were scaled by.
 - ``python`` (the interpreter's version), ``git_sha`` (the checkout's

@@ -43,30 +43,38 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # the partition formula's factor rows (counting._partition_grid)
-    Mutant("factor span one degree short", "counting.py", "range(lo, hi + 1)", "range(lo, hi)", "quick"),
+    # the partition formula's packed factors (counting._partition_grid)
+    Mutant("factor span one degree short", "counting.py", "range(hi, lo - 1, -1)", "range(hi, lo, -1)", "quick"),
     Mutant("factor start degree dropped", "counting.py", "                    low += lo\n", "", "quick"),
     Mutant(
         "empty factor skipped, not left",
         "counting.py",
-        "if not factor:\n                        break",
-        "if not factor:\n                        continue",
+        "if not packed:\n                        break",
+        "if not packed:\n                        continue",
         "quick",
     ),
     Mutant(
         "one-term factor start degree dropped",
         "counting.py",
         "low += lo",
-        "low += lo if len(factor) > 1 else 0",
+        "low += lo if packed >> width else 0",
         "quick",
     ),
     Mutant(
         "one-term factor parts not counted",
         "counting.py",
         "k += mult",
-        "k += mult if len(factor) > 1 else 0",
+        "k += mult if packed >> width else 0",
         "quick",
     ),
+    Mutant(
+        "slot width from Bell(n), not Bell(2n)",
+        "counting.py",
+        "width = bell(2 * n).bit_length() + 1",
+        "width = bell(n).bit_length() + 1",
+        "quick",
+    ),
+    Mutant("unpacked slots not advanced", "counting.py", "                    r += 1\n", "", "quick"),
     # the partition formula's labels (combinat.pi_count)
     Mutant("n counts parts, not points", "combinat.py", "n += i * mult", "n += mult", "quick"),
     Mutant("(i!)^mult read as i!*mult", "combinat.py", "math.factorial(i) ** mult", "math.factorial(i) * mult", "quick"),
@@ -75,6 +83,36 @@ MUTANTS = (
         "combinat.py",
         "math.factorial(mult) * math.factorial(i) ** mult",
         "math.factorial(i) ** mult",
+        "quick",
+    ),
+    # the two-colored graph (core.lambda_graph, idempotency.classify_lambda_components)
+    Mutant(
+        "lower singleton put in the red loops",
+        "core.py",
+        "blue_loops.append(v - n + 1)",
+        "red_loops.append(v - n + 1)",
+        "quick",
+    ),
+    Mutant(
+        "loops counted from the red loops only",
+        "idempotency.py",
+        "for loops in (g.red_loops, g.blue_loops):",
+        "for loops in (g.red_loops,):",
+        "quick",
+    ),
+    # the oracle's tallies (oracle.brute_report)
+    Mutant(
+        "per-class twisted count bumped for every idempotent",
+        "oracle.py",
+        "            entry[3] += 1\n",
+        "        entry[3] += 1\n",
+        "full",
+    ),
+    Mutant(
+        "per-rank twisted tally read from the idempotent tally",
+        "oracle.py",
+        "report.twisted_by_rank[rank] = report.twisted_by_rank.get(rank, 0) + 1",
+        "report.twisted_by_rank[rank] = report.idempotents_by_rank[rank]",
         "quick",
     ),
 )

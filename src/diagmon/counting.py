@@ -103,17 +103,6 @@ _Pieces = tuple[tuple[int | None, int], ...]  # (c-value column, rows it moves o
 
 
 # --------------------------------------------------------------------------
-# polynomials with int coefficients, as plain lists (index = degree)
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-# --------------------------------------------------------------------------
 # c-values: irreducible idempotent counts by rank (0 or 1) per family
 
 def _irreducible(fam: MonoidFamily, n: int) -> tuple[int, int]:
@@ -341,47 +330,56 @@ def _partition_grid(fam: MonoidFamily, n: int) -> list[list[int]]:
 
     The factor (c0 + c1·x)^mult of mult parts of one size is made once per
     (size, mult) in a sweep, by its binomial row trimmed to its nonzero
-    span lo..hi: from degree mult if c0 is zero, to degree 0 if c1 is.  A
-    one-term factor (all of B's, T's and Idual's) joins one scalar; the
-    product, from the first two-term factor on, starts at degree Σ lo, and
-    with no two-term factor it is one cell.  A factor with c0 = c1 = 0 is
-    empty, as is every part above 1 of I: the partition counts nothing and
-    is left before pi_count.  Every other partition adds its own term,
-    weighted by pi_count, to row k, its parts counted as read; regrouped by
-    part size, the factors would be the recurrences' exponential formula.
+    span lo..hi (from degree mult if c0 is zero, to degree 0 if c1 is) and
+    packed into one int, width bits a slot, from degree lo up (Kronecker
+    substitution; Harvey, J. Symbolic Comput. 44, 2009).  A partition's
+    product is then one int product, whose lowest slot is degree Σ lo; a
+    one-term factor (all of B's, T's and Idual's) is one slot, so their
+    products stay one slot.  No slot carries: every cell counts idempotents
+    of a submonoid of P_n, so it is at most |P_n| = Bell(2n) < 2^width, and
+    as every term is nonnegative, no slot of a partial product or sum
+    exceeds the cell it goes to.  A factor with c0 = c1 = 0 packs to 0, as
+    does every part above 1 of I: the partition counts nothing and is left
+    before pi_count.  Every other partition adds its own term, weighted by
+    pi_count, to packs[k][Σ lo], its parts counted as read, and each pack
+    is unpacked once, into row k from degree Σ lo.  Regrouped by part size,
+    the factors would be the recurrences' exponential formula.
     """
     grids = _TABLES[fam].grids["formula"]
     if n not in grids:
         c0s, c1s = _grown(fam, n).c
-        grid = [[0] * (k + 1) for k in range(n + 1)]
-        factors: dict[tuple[int, int], tuple[int, list[int]]] = {}  # this sweep's only
+        width = bell(2 * n).bit_length() + 1
+        packs = [[0] * (k + 1) for k in range(n + 1)]
+        # this sweep's (lo, packed) of each part size i + 1, by mult
+        factors: list[list[tuple[int, int] | None]] = [[None] * (n // m + 1) for m in range(1, n + 1)]
         for spec in integer_partitions(n):
-            poly, scale, low, k = None, 1, 0, 0
+            prod, low, k = 1, 0, 0
             for i, mult in enumerate(spec.parts):
                 if mult:
-                    entry = factors.get((i, mult))
+                    entry = factors[i][mult]
                     if entry is None:
                         c0, c1 = c0s[i], c1s[i]
                         lo, hi = (0 if c0 else mult), (mult if c1 else 0)
-                        factors[i, mult] = entry = lo, [
-                            math.comb(mult, j) * c0 ** (mult - j) * c1**j for j in range(lo, hi + 1)
-                        ]
-                    lo, factor = entry
-                    if not factor:
+                        packed = 0
+                        for j in range(hi, lo - 1, -1):
+                            packed = packed << width | math.comb(mult, j) * c0 ** (mult - j) * c1**j
+                        factors[i][mult] = entry = lo, packed
+                    lo, packed = entry
+                    if not packed:
                         break
-                    if len(factor) == 1:
-                        scale *= factor[0]
-                    else:
-                        poly = factor if poly is None else _poly_mul(poly, factor)
+                    prod *= packed
                     low += lo
                     k += mult
             else:
-                weight, row = pi_count(spec) * scale, grid[k]
-                if poly is None:
-                    row[low] += weight
-                else:
-                    for r, coef in enumerate(poly, low):
-                        row[r] += weight * coef
+                packs[k][low] += pi_count(spec) * prod
+        mask = (1 << width) - 1
+        grid = [[0] * (k + 1) for k in range(n + 1)]
+        for row, packed_row in zip(grid, packs):
+            for r, packed in enumerate(packed_row):
+                while packed:
+                    row[r] += packed & mask
+                    packed >>= width
+                    r += 1
         grids[n] = grid
     return grids[n]
 

@@ -456,6 +456,22 @@ def test_partition_grids_match_the_recorded_digest():
     assert digest.hexdigest() == PARTITION_GRIDS_SHA256
 
 
+def test_partition_grid_cells_fit_the_slot_bound():
+    # the sweep packs each cell into a slot of bell(2n).bit_length() + 1
+    # bits, which holds only if no cell exceeds |P_n| = Bell(2n); n = 0's
+    # one cell, the empty diagram, is all of P_0
+    for fam in ALL_FAMILIES:
+        for n in range(21):
+            bound = bell(2 * n)
+            assert all(cell <= bound for row in counting._partition_grid(fam, n) for cell in row), (fam, n)
+
+
+def test_p_formula_meets_the_recurrence_at_30():
+    # every P factor has two terms, so its products span the most slots;
+    # verify plays the formula against the recurrence only at n <= 10
+    assert e_total(P, 30, "formula") == e_total(P, 30)
+
+
 def test_partition_grid_of_i_is_one_row():
     # I's pieces are single points, so every partition with a part above 1
     # counts nothing: n kernel classes, and C(n, r) ways to choose the r
